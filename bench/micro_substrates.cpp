@@ -1,12 +1,14 @@
 /// Micro-benchmarks (google-benchmark) for the substrate engines: ClassAd
-/// parse/eval/matchmaking, LDAP filter evaluation and DIT search, SQL
-/// parse/execute, and the discrete-event kernel's event throughput.
+/// parse/eval/matchmaking and Startd ad integration, LDAP filter
+/// evaluation and DIT search, SQL parse/execute, and the discrete-event
+/// kernel's event throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "gridmon/classad/classad.hpp"
 #include "gridmon/classad/matchmaker.hpp"
 #include "gridmon/classad/parser.hpp"
+#include "gridmon/hawkeye/module.hpp"
 #include "gridmon/ldap/dit.hpp"
 #include "gridmon/rdbms/database.hpp"
 #include "gridmon/sim/ps_server.hpp"
@@ -64,6 +66,43 @@ void BM_ClassAdMatchmakingScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ClassAdMatchmakingScan)->Arg(100)->Arg(1000);
+
+// One Hawkeye advertise beat on the agent side: run the 11 default
+// modules, integrate their fragments into a Startd ad, render it.
+void BM_StartdAdBuild(benchmark::State& state) {
+  const auto specs = hawkeye::scaled_modules(11);
+  std::uint64_t sequence = 0;
+  for (auto _ : state) {
+    ++sequence;
+    std::vector<classad::ClassAd> parts;
+    parts.reserve(specs.size());
+    for (const auto& spec : specs) {
+      parts.push_back(hawkeye::run_module(spec, sequence, 42.5));
+    }
+    classad::ClassAd ad =
+        hawkeye::build_startd_ad("lucky4.mcs.anl.gov", std::move(parts));
+    auto text = ad.to_string();
+    benchmark::DoNotOptimize(text);
+  }
+}
+BENCHMARK(BM_StartdAdBuild);
+
+// Fill an ad with N distinct attributes, then replace each once.
+void BM_ClassAdInsert(benchmark::State& state) {
+  std::vector<std::string> names;
+  for (int i = 0; i < state.range(0); ++i) {
+    names.push_back("module" + std::to_string(i % 11) + "_attr" +
+                    std::to_string(i));
+  }
+  for (auto _ : state) {
+    classad::ClassAd ad;
+    for (const auto& name : names) ad.insert(name, std::int64_t{1});
+    for (const auto& name : names) ad.insert(name, std::int64_t{2});
+    benchmark::DoNotOptimize(ad);
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_ClassAdInsert)->Arg(16)->Arg(128);
 
 // ---- LDAP ----
 

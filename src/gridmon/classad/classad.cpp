@@ -1,6 +1,6 @@
 #include "gridmon/classad/classad.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 #include "gridmon/classad/parser.hpp"
 
@@ -9,11 +9,11 @@ namespace gridmon::classad {
 ClassAd& ClassAd::operator=(const ClassAd& other) {
   if (this == &other) return *this;
   attrs_.clear();
-  order_.clear();
-  for (const auto& name : other.order_) {
-    attrs_.emplace(name, other.attrs_.at(name)->clone());
-    order_.push_back(name);
+  attrs_.reserve(other.attrs_.size());
+  for (const Attr& a : other.attrs_) {
+    attrs_.push_back(Attr{a.name, a.expr->clone()});
   }
+  index_ = other.index_;
   return *this;
 }
 
@@ -59,57 +59,70 @@ ClassAd ClassAd::parse(std::string_view text) {
       throw ParseError("classad line missing attribute name");
     }
     name.resize(ne + 1);
-    ad.insert_text(name, line.substr(eq + 1));
+    ad.insert_text(std::move(name), line.substr(eq + 1));
   }
   return ad;
 }
 
-void ClassAd::insert(const std::string& name, ExprPtr expr) {
-  auto [it, inserted] = attrs_.insert_or_assign(name, std::move(expr));
-  if (inserted) order_.push_back(name);
+std::size_t ClassAd::slot(std::string_view name) const {
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), name,
+      [this](std::uint32_t i, std::string_view n) {
+        return istrcmp(attrs_[i].name, n) < 0;
+      });
+  return static_cast<std::size_t>(it - index_.begin());
 }
 
-void ClassAd::insert_text(const std::string& name,
-                          std::string_view expr_text) {
-  insert(name, parse_expression(expr_text));
+void ClassAd::insert(std::string name, ExprPtr expr) {
+  std::size_t s = slot(name);
+  if (holds(s, name)) {
+    attrs_[index_[s]].expr = std::move(expr);
+    return;
+  }
+  index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(s),
+                static_cast<std::uint32_t>(attrs_.size()));
+  attrs_.push_back(Attr{std::move(name), std::move(expr)});
 }
 
-void ClassAd::insert(const std::string& name, std::int64_t v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::integer(v)));
+void ClassAd::insert_text(std::string name, std::string_view expr_text) {
+  insert(std::move(name), parse_expression(expr_text));
 }
-void ClassAd::insert(const std::string& name, double v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::real(v)));
+
+void ClassAd::insert(std::string name, std::int64_t v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::integer(v)));
 }
-void ClassAd::insert(const std::string& name, bool v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::boolean(v)));
+void ClassAd::insert(std::string name, double v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::real(v)));
 }
-void ClassAd::insert(const std::string& name, const std::string& v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::string(v)));
+void ClassAd::insert(std::string name, bool v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::boolean(v)));
 }
-void ClassAd::insert(const std::string& name, const char* v) {
-  insert(name, std::make_unique<LiteralExpr>(Value::string(v)));
+void ClassAd::insert(std::string name, const std::string& v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::string(v)));
+}
+void ClassAd::insert(std::string name, const char* v) {
+  insert(std::move(name), std::make_unique<LiteralExpr>(Value::string(v)));
 }
 
 bool ClassAd::erase(const std::string& name) {
-  auto it = attrs_.find(name);
-  if (it == attrs_.end()) return false;
-  for (auto oit = order_.begin(); oit != order_.end(); ++oit) {
-    if (istrcmp(*oit, name) == 0) {
-      order_.erase(oit);
-      break;
-    }
+  std::size_t s = slot(name);
+  if (!holds(s, name)) return false;
+  std::uint32_t pos = index_[s];
+  index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(s));
+  attrs_.erase(attrs_.begin() + pos);
+  for (std::uint32_t& i : index_) {
+    if (i > pos) --i;
   }
-  attrs_.erase(it);
   return true;
 }
 
 bool ClassAd::contains(const std::string& name) const {
-  return attrs_.find(name) != attrs_.end();
+  return holds(slot(name), name);
 }
 
 const Expr* ClassAd::lookup(const std::string& name) const {
-  auto it = attrs_.find(name);
-  return it == attrs_.end() ? nullptr : it->second.get();
+  std::size_t s = slot(name);
+  return holds(s, name) ? attrs_[index_[s]].expr.get() : nullptr;
 }
 
 Value ClassAd::evaluate(const std::string& name, const ClassAd* target,
@@ -129,19 +142,30 @@ Value ClassAd::evaluate_expr(const Expr& e, const ClassAd* target,
 }
 
 void ClassAd::update(const ClassAd& other) {
-  for (const auto& name : other.order_) {
-    insert(name, other.attrs_.at(name)->clone());
-  }
+  for (const Attr& a : other.attrs_) insert(a.name, a.expr->clone());
 }
 
-std::vector<std::string> ClassAd::names() const { return order_; }
+void ClassAd::update(ClassAd&& other) {
+  if (this == &other) return;
+  for (Attr& a : other.attrs_) insert(std::move(a.name), std::move(a.expr));
+  other.attrs_.clear();
+  other.index_.clear();
+}
+
+std::vector<std::string> ClassAd::names() const {
+  std::vector<std::string> out;
+  out.reserve(attrs_.size());
+  for (const Attr& a : attrs_) out.push_back(a.name);
+  return out;
+}
 
 std::string ClassAd::to_string() const {
   std::string out;
-  for (const auto& name : order_) {
-    out += name;
+  out.reserve(32 * attrs_.size());
+  for (const Attr& a : attrs_) {
+    out += a.name;
     out += " = ";
-    out += attrs_.at(name)->to_string();
+    a.expr->render(out);
     out += '\n';
   }
   return out;

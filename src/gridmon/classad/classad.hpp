@@ -5,8 +5,7 @@
 /// names to expressions, with old-syntax ("Attr = expr" per line) parsing
 /// and printing.
 
-#include <map>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,15 +28,16 @@ class ClassAd {
   static ClassAd parse(std::string_view text);
 
   /// Insert (or replace) an attribute with an already-built expression.
-  void insert(const std::string& name, ExprPtr expr);
+  /// A replaced attribute keeps its first spelling and its position.
+  void insert(std::string name, ExprPtr expr);
   /// Insert (or replace) an attribute parsed from expression text.
-  void insert_text(const std::string& name, std::string_view expr_text);
+  void insert_text(std::string name, std::string_view expr_text);
   /// Shorthands for literal values.
-  void insert(const std::string& name, std::int64_t v);
-  void insert(const std::string& name, double v);
-  void insert(const std::string& name, bool v);
-  void insert(const std::string& name, const std::string& v);
-  void insert(const std::string& name, const char* v);
+  void insert(std::string name, std::int64_t v);
+  void insert(std::string name, double v);
+  void insert(std::string name, bool v);
+  void insert(std::string name, const std::string& v);
+  void insert(std::string name, const char* v);
 
   bool erase(const std::string& name);
   bool contains(const std::string& name) const;
@@ -57,6 +57,8 @@ class ClassAd {
 
   /// Merge: copy every attribute of `other` into this ad (overwriting).
   void update(const ClassAd& other);
+  /// Merge by moving `other`'s attributes in; `other` is left empty.
+  void update(ClassAd&& other);
 
   /// Attribute names in insertion order.
   std::vector<std::string> names() const;
@@ -68,15 +70,22 @@ class ClassAd {
   double wire_bytes() const;
 
  private:
-  struct NameLess {
-    bool operator()(const std::string& a, const std::string& b) const {
-      return istrcmp(a, b) < 0;
-    }
+  struct Attr {
+    std::string name;
+    ExprPtr expr;
   };
 
-  // Map for lookup plus a vector for stable order.
-  std::map<std::string, ExprPtr, NameLess> attrs_;
-  std::vector<std::string> order_;
+  /// The first slot of index_ whose name does not sort before `name`.
+  std::size_t slot(std::string_view name) const;
+  /// Whether index_[s] exists and names `name`.
+  bool holds(std::size_t s, std::string_view name) const {
+    return s < index_.size() && istrcmp(attrs_[index_[s]].name, name) == 0;
+  }
+
+  // Attributes in insertion order, plus their positions in attrs_ sorted
+  // case-insensitively by name for lookup.
+  std::vector<Attr> attrs_;
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace gridmon::classad

@@ -1,17 +1,13 @@
 #include "gridmon/classad/expr.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 
+#include "gridmon/classad/ascii.hpp"
 #include "gridmon/classad/classad.hpp"
 
 namespace gridmon::classad {
 namespace {
-
-char lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
 
 /// Promote booleans to integers for arithmetic/ordering, per classic
 /// Condor behaviour (TRUE behaves as 1).
@@ -155,10 +151,10 @@ const char* binary_op_name(BinaryOp op) {
 
 }  // namespace
 
-int istrcmp(const std::string& a, const std::string& b) {
+int istrcmp(std::string_view a, std::string_view b) {
   std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
-    char ca = lower(a[i]), cb = lower(b[i]);
+    char ca = ascii::to_lower(a[i]), cb = ascii::to_lower(b[i]);
     if (ca != cb) return ca < cb ? -1 : 1;
   }
   if (a.size() == b.size()) return 0;
@@ -219,16 +215,18 @@ Value AttrRefExpr::evaluate(EvalContext& ctx) const {
   return Value::undefined();
 }
 
-std::string AttrRefExpr::to_string() const {
+void AttrRefExpr::render(std::string& out) const {
   switch (scope_) {
     case AttrScope::My:
-      return "MY." + name_;
+      out += "MY.";
+      break;
     case AttrScope::Target:
-      return "TARGET." + name_;
+      out += "TARGET.";
+      break;
     case AttrScope::Default:
-      return name_;
+      break;
   }
-  return name_;
+  out += name_;
 }
 
 Value UnaryExpr::evaluate(EvalContext& ctx) const {
@@ -246,9 +244,10 @@ Value UnaryExpr::evaluate(EvalContext& ctx) const {
   return l;
 }
 
-std::string UnaryExpr::to_string() const {
-  return std::string(op_ == UnaryOp::Negate ? "-" : "!") + "(" +
-         operand_->to_string() + ")";
+void UnaryExpr::render(std::string& out) const {
+  out += op_ == UnaryOp::Negate ? "-(" : "!(";
+  operand_->render(out);
+  out += ')';
 }
 
 Value BinaryExpr::evaluate(EvalContext& ctx) const {
@@ -286,17 +285,14 @@ Value BinaryExpr::evaluate(EvalContext& ctx) const {
   }
 }
 
-std::string BinaryExpr::to_string() const {
-  // Appends instead of one operator+ chain: GCC 12's -Wrestrict misfires
-  // on nested char*/string concatenations at -O2 (GCC PR 105651).
-  std::string out = "(";
-  out += lhs_->to_string();
+void BinaryExpr::render(std::string& out) const {
+  out += '(';
+  lhs_->render(out);
   out += ' ';
   out += binary_op_name(op_);
   out += ' ';
-  out += rhs_->to_string();
+  rhs_->render(out);
   out += ')';
-  return out;
 }
 
 Value TernaryExpr::evaluate(EvalContext& ctx) const {
@@ -306,21 +302,20 @@ Value TernaryExpr::evaluate(EvalContext& ctx) const {
   return c.as_boolean() ? then_->evaluate(ctx) : else_->evaluate(ctx);
 }
 
-std::string TernaryExpr::to_string() const {
-  std::string out = "(";
-  out += cond_->to_string();
+void TernaryExpr::render(std::string& out) const {
+  out += '(';
+  cond_->render(out);
   out += " ? ";
-  out += then_->to_string();
+  then_->render(out);
   out += " : ";
-  out += else_->to_string();
+  else_->render(out);
   out += ')';
-  return out;
 }
 
 Value CallExpr::evaluate(EvalContext& ctx) const {
   std::string fn;
   fn.reserve(name_.size());
-  for (char c : name_) fn.push_back(lower(c));
+  for (char c : name_) fn.push_back(ascii::to_lower(c));
 
   std::vector<Value> args;
   args.reserve(args_.size());
@@ -397,11 +392,8 @@ Value CallExpr::evaluate(EvalContext& ctx) const {
   }
   if ((fn == "toupper" || fn == "tolower") && need(1) && args[0].is_string()) {
     std::string out = args[0].as_string();
-    for (char& c : out) {
-      c = (fn == "toupper")
-              ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
-              : lower(c);
-    }
+    auto fold = fn == "toupper" ? ascii::to_upper : ascii::to_lower;
+    for (char& c : out) c = fold(c);
     return Value::string(std::move(out));
   }
   if (fn == "substr" && (args.size() == 2 || args.size() == 3) &&
@@ -422,13 +414,14 @@ Value CallExpr::evaluate(EvalContext& ctx) const {
   return Value::error();  // unknown function or arity mismatch
 }
 
-std::string CallExpr::to_string() const {
-  std::string out = name_ + "(";
+void CallExpr::render(std::string& out) const {
+  out += name_;
+  out += '(';
   for (std::size_t i = 0; i < args_.size(); ++i) {
     if (i) out += ", ";
-    out += args_[i]->to_string();
+    args_[i]->render(out);
   }
-  return out + ")";
+  out += ')';
 }
 
 }  // namespace gridmon::classad

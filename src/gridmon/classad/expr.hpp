@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gridmon/classad/value.hpp"
@@ -39,15 +40,22 @@ class Expr {
  public:
   virtual ~Expr() = default;
   virtual Value evaluate(EvalContext& ctx) const = 0;
-  virtual std::string to_string() const = 0;
+  /// Append this expression in ClassAd syntax to `out`.
+  virtual void render(std::string& out) const = 0;
   virtual ExprPtr clone() const = 0;
+
+  std::string to_string() const {
+    std::string out;
+    render(out);
+    return out;
+  }
 };
 
 class LiteralExpr final : public Expr {
  public:
   explicit LiteralExpr(Value v) : value_(std::move(v)) {}
   Value evaluate(EvalContext&) const override { return value_; }
-  std::string to_string() const override { return value_.to_string(); }
+  void render(std::string& out) const override { value_.render(out); }
   ExprPtr clone() const override {
     return std::make_unique<LiteralExpr>(value_);
   }
@@ -64,7 +72,7 @@ class AttrRefExpr final : public Expr {
   AttrRefExpr(AttrScope scope, std::string name)
       : scope_(scope), name_(std::move(name)) {}
   Value evaluate(EvalContext& ctx) const override;
-  std::string to_string() const override;
+  void render(std::string& out) const override;
   ExprPtr clone() const override {
     return std::make_unique<AttrRefExpr>(scope_, name_);
   }
@@ -83,7 +91,7 @@ class UnaryExpr final : public Expr {
   UnaryExpr(UnaryOp op, ExprPtr operand)
       : op_(op), operand_(std::move(operand)) {}
   Value evaluate(EvalContext& ctx) const override;
-  std::string to_string() const override;
+  void render(std::string& out) const override;
   ExprPtr clone() const override {
     return std::make_unique<UnaryExpr>(op_, operand_->clone());
   }
@@ -116,7 +124,7 @@ class BinaryExpr final : public Expr {
   BinaryExpr(BinaryOp op, ExprPtr lhs, ExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
   Value evaluate(EvalContext& ctx) const override;
-  std::string to_string() const override;
+  void render(std::string& out) const override;
   ExprPtr clone() const override {
     return std::make_unique<BinaryExpr>(op_, lhs_->clone(), rhs_->clone());
   }
@@ -134,7 +142,7 @@ class TernaryExpr final : public Expr {
         then_(std::move(then_e)),
         else_(std::move(else_e)) {}
   Value evaluate(EvalContext& ctx) const override;
-  std::string to_string() const override;
+  void render(std::string& out) const override;
   ExprPtr clone() const override {
     return std::make_unique<TernaryExpr>(cond_->clone(), then_->clone(),
                                          else_->clone());
@@ -151,7 +159,7 @@ class CallExpr final : public Expr {
   CallExpr(std::string name, std::vector<ExprPtr> args)
       : name_(std::move(name)), args_(std::move(args)) {}
   Value evaluate(EvalContext& ctx) const override;
-  std::string to_string() const override;
+  void render(std::string& out) const override;
   ExprPtr clone() const override {
     std::vector<ExprPtr> copy;
     copy.reserve(args_.size());
@@ -169,6 +177,6 @@ class CallExpr final : public Expr {
 Value to_logical(const Value& v);
 
 /// Case-insensitive ASCII string comparison (ClassAd string semantics).
-int istrcmp(const std::string& a, const std::string& b);
+int istrcmp(std::string_view a, std::string_view b);
 
 }  // namespace gridmon::classad

@@ -1,17 +1,14 @@
 #include "gridmon/classad/lexer.hpp"
 
-#include <cctype>
 #include <cstdlib>
+
+#include "gridmon/classad/ascii.hpp"
 
 namespace gridmon::classad {
 namespace {
 
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool is_ident_start(char c) { return ascii::is_alpha(c) || c == '_'; }
+bool is_ident_char(char c) { return ascii::is_alnum(c) || c == '_'; }
 
 }  // namespace
 
@@ -30,7 +27,7 @@ std::vector<Token> lex(std::string_view in) {
 
   while (i < n) {
     char c = in[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (ascii::is_space(c)) {
       ++i;
       continue;
     }
@@ -43,24 +40,23 @@ std::vector<Token> lex(std::string_view in) {
       i = j;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(in[i + 1])))) {
+    if (ascii::is_digit(c) ||
+        (c == '.' && i + 1 < n && ascii::is_digit(in[i + 1]))) {
       std::size_t j = i;
       bool is_real = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(in[j]))) ++j;
+      while (j < n && ascii::is_digit(in[j])) ++j;
       if (j < n && in[j] == '.') {
         is_real = true;
         ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(in[j]))) ++j;
+        while (j < n && ascii::is_digit(in[j])) ++j;
       }
       if (j < n && (in[j] == 'e' || in[j] == 'E')) {
         std::size_t k = j + 1;
         if (k < n && (in[k] == '+' || in[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(in[k]))) {
+        if (k < n && ascii::is_digit(in[k])) {
           is_real = true;
           j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(in[j]))) ++j;
+          while (j < n && ascii::is_digit(in[j])) ++j;
         }
       }
       std::string text(in.substr(i, j - i));

@@ -1,6 +1,6 @@
 #include "gridmon/classad/parser.hpp"
 
-#include <cctype>
+#include "gridmon/classad/ascii.hpp"
 
 namespace gridmon::classad {
 namespace {
@@ -8,10 +8,7 @@ namespace {
 bool iequals(const std::string& a, const char* b) {
   std::size_t i = 0;
   for (; i < a.size() && b[i] != '\0'; ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ascii::to_lower(a[i]) != ascii::to_lower(b[i])) return false;
   }
   return i == a.size() && b[i] == '\0';
 }

@@ -1,41 +1,53 @@
 #include "gridmon/classad/value.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace gridmon::classad {
 
-std::string Value::to_string() const {
+void Value::render(std::string& out) const {
   switch (type_) {
     case ValueType::Undefined:
-      return "UNDEFINED";
+      out += "UNDEFINED";
+      return;
     case ValueType::Error:
-      return "ERROR";
+      out += "ERROR";
+      return;
     case ValueType::Boolean:
-      return as_boolean() ? "TRUE" : "FALSE";
-    case ValueType::Integer:
-      return std::to_string(as_integer());
+      out += as_boolean() ? "TRUE" : "FALSE";
+      return;
+    case ValueType::Integer: {
+      char buf[24];
+      auto r = std::to_chars(buf, buf + sizeof buf, as_integer());
+      out.append(buf, r.ptr);
+      return;
+    }
     case ValueType::Real: {
-      std::ostringstream os;
+      // Whole reals print every integral digit plus ".0", so the literal
+      // lexes back as a real: the ostream default (%g, six significant
+      // digits) would print 1e6 as "1e+06", and "1e+06.0" does not parse.
+      // Everything else keeps the ostream default's bytes.
       double d = as_real();
-      if (d == std::floor(d) && std::abs(d) < 1e15) {
-        os << d << ".0";
-      } else {
-        os << d;
-      }
-      return os.str();
+      bool whole = d == std::floor(d) && std::abs(d) < 1e15;
+      char buf[32];
+      auto r = whole ? std::to_chars(buf, buf + sizeof buf, d,
+                                     std::chars_format::fixed, 0)
+                     : std::to_chars(buf, buf + sizeof buf, d,
+                                     std::chars_format::general, 6);
+      out.append(buf, r.ptr);
+      if (whole) out += ".0";
+      return;
     }
-    case ValueType::String: {
-      std::string out = "\"";
+    case ValueType::String:
+      out += '"';
       for (char c : as_string()) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
+        if (c == '"' || c == '\\') out += '\\';
+        out += c;
       }
-      out.push_back('"');
-      return out;
-    }
+      out += '"';
+      return;
   }
-  return "ERROR";
+  out += "ERROR";
 }
 
 bool operator==(const Value& a, const Value& b) {

@@ -69,8 +69,13 @@ class Value {
     return is_integer() ? static_cast<double>(as_integer()) : as_real();
   }
 
-  /// Render in ClassAd literal syntax.
-  std::string to_string() const;
+  /// Append this value in ClassAd literal syntax to `out`.
+  void render(std::string& out) const;
+  std::string to_string() const {
+    std::string out;
+    render(out);
+    return out;
+  }
 
   /// Structural equality (exact: type and payload; strings case-sensitive).
   /// This is NOT ClassAd `==` — see eval's compare ops for that.

@@ -45,7 +45,7 @@ sim::Task<classad::ClassAd> Agent::collect(trace::Ctx ctx) {
     parts.push_back(run_module(modules_[i], sequence_, current_load()));
   }
   co_await host_.cpu().consume(config_.integrate_cpu);
-  co_return build_startd_ad(machine_, parts);
+  co_return build_startd_ad(machine_, std::move(parts));
 }
 
 sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
@@ -262,7 +262,7 @@ sim::Task<void> Advertiser::loop(Manager& manager) {
     std::vector<classad::ClassAd> parts;
     parts.reserve(specs.size());
     for (const auto& mod : specs) parts.push_back(run_module(mod, sequence_));
-    classad::ClassAd ad = build_startd_ad(machine_, parts);
+    classad::ClassAd ad = build_startd_ad(machine_, std::move(parts));
     // hawkeye_advertise is a lightweight sender: tiny CPU, no daemon.
     co_await host_.cpu().consume(0.002);
     double bytes = std::max(ad.wire_bytes(), 5000.0);

@@ -17,13 +17,13 @@ classad::ClassAd run_module(const ModuleSpec& spec, std::uint64_t sequence,
 }
 
 classad::ClassAd build_startd_ad(const std::string& machine,
-                                 const std::vector<classad::ClassAd>& parts) {
+                                 std::vector<classad::ClassAd> parts) {
   classad::ClassAd ad;
   ad.insert("MyType", "Machine");
   ad.insert("Name", machine);
   ad.insert("OpSys", "LINUX");
   ad.insert_text("Requirements", "true");
-  for (const auto& part : parts) ad.update(part);
+  for (classad::ClassAd& part : parts) ad.update(std::move(part));
   return ad;
 }
 

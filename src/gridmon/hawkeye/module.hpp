@@ -29,8 +29,9 @@ classad::ClassAd run_module(const ModuleSpec& spec, std::uint64_t sequence,
                             double load_value = 0.0);
 
 /// Integrate module fragments plus identity attributes into a Startd ad.
+/// The fragments' attributes are moved into the ad, not copied.
 classad::ClassAd build_startd_ad(const std::string& machine,
-                                 const std::vector<classad::ClassAd>& parts);
+                                 std::vector<classad::ClassAd> parts);
 
 /// The 11 modules of a default Hawkeye install.
 std::vector<ModuleSpec> default_modules();

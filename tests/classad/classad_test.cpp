@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gridmon/classad/parser.hpp"
+#include "gridmon/hawkeye/module.hpp"
 
 namespace gridmon::classad {
 namespace {
@@ -120,6 +121,143 @@ TEST(ClassAdTest, InsertionOrderPreservedInNames) {
   ad.insert("mid", static_cast<std::int64_t>(3));
   EXPECT_EQ(ad.names(),
             (std::vector<std::string>{"zeta", "alpha", "mid"}));
+}
+
+TEST(ClassAdTest, ReplacingKeepsFirstSpellingAndPosition) {
+  ClassAd ad;
+  ad.insert("OpSys", "LINUX");
+  ad.insert("Arch", "INTEL");
+  ad.insert("opsys", "SOLARIS");
+  EXPECT_EQ(ad.names(), (std::vector<std::string>{"OpSys", "Arch"}));
+  EXPECT_EQ(ad.to_string(), "OpSys = \"SOLARIS\"\nArch = \"INTEL\"\n");
+}
+
+TEST(ClassAdTest, EraseThenReinsertAppends) {
+  ClassAd ad;
+  ad.insert("a", static_cast<std::int64_t>(1));
+  ad.insert("b", static_cast<std::int64_t>(2));
+  ad.insert("c", static_cast<std::int64_t>(3));
+  EXPECT_TRUE(ad.erase("A"));
+  ad.insert("a", static_cast<std::int64_t>(4));
+  EXPECT_EQ(ad.names(), (std::vector<std::string>{"b", "c", "a"}));
+  EXPECT_EQ(ad.to_string(), "b = 2\nc = 3\na = 4\n");
+  EXPECT_EQ(ad.evaluate("A").as_integer(), 4);
+}
+
+TEST(ClassAdTest, MoveUpdateMatchesCopyUpdateAndEmptiesSource) {
+  ClassAd overlay = ClassAd::parse(
+      "b = 20\n"
+      "C = b * 2\n"
+      "Name = \"lucky4\"\n");
+  ClassAd copied = ClassAd::parse("a = 1\nB = 2\n");
+  ClassAd moved = copied;
+  copied.update(overlay);
+  // update(ClassAd&&) promises an empty source, so reading it afterwards
+  // is specified; `source` names the ad whose state that promise covers.
+  const ClassAd& source = overlay;
+  moved.update(std::move(overlay));
+  EXPECT_EQ(moved.to_string(), copied.to_string());
+  EXPECT_EQ(moved.names(), (std::vector<std::string>{"a", "B", "C", "Name"}));
+  EXPECT_EQ(moved.evaluate("c").as_integer(), 40);
+  EXPECT_TRUE(source.empty());
+  EXPECT_TRUE(source.to_string().empty());
+}
+
+// The Startd ad of a default 11-module install, byte for byte: module
+// fragments integrate in module order after the identity attributes.
+constexpr const char* kStartdAd = R"(MyType = "Machine"
+Name = "lucky4.mcs.anl.gov"
+OpSys = "LINUX"
+Requirements = TRUE
+vmstat_sequence = 7
+CpuLoad = 42.5
+vmstat_attr0 = 217
+vmstat_attr1 = 218
+vmstat_attr2 = 219
+vmstat_attr3 = 220
+vmstat_attr4 = 221
+vmstat_attr5 = 222
+df_sequence = 7
+df_attr0 = 217
+df_attr1 = 218
+df_attr2 = 219
+df_attr3 = 220
+df_attr4 = 221
+df_attr5 = 222
+netstat_sequence = 7
+netstat_attr0 = 217
+netstat_attr1 = 218
+netstat_attr2 = 219
+netstat_attr3 = 220
+netstat_attr4 = 221
+netstat_attr5 = 222
+uptime_sequence = 7
+uptime_attr0 = 217
+uptime_attr1 = 218
+uptime_attr2 = 219
+uptime_attr3 = 220
+uptime_attr4 = 221
+uptime_attr5 = 222
+memory_sequence = 7
+memory_attr0 = 217
+memory_attr1 = 218
+memory_attr2 = 219
+memory_attr3 = 220
+memory_attr4 = 221
+memory_attr5 = 222
+processes_sequence = 7
+processes_attr0 = 217
+processes_attr1 = 218
+processes_attr2 = 219
+processes_attr3 = 220
+processes_attr4 = 221
+processes_attr5 = 222
+users_sequence = 7
+users_attr0 = 217
+users_attr1 = 218
+users_attr2 = 219
+users_attr3 = 220
+users_attr4 = 221
+users_attr5 = 222
+syslog_sequence = 7
+syslog_attr0 = 217
+syslog_attr1 = 218
+syslog_attr2 = 219
+syslog_attr3 = 220
+syslog_attr4 = 221
+syslog_attr5 = 222
+ckpt_sequence = 7
+ckpt_attr0 = 217
+ckpt_attr1 = 218
+ckpt_attr2 = 219
+ckpt_attr3 = 220
+ckpt_attr4 = 221
+ckpt_attr5 = 222
+condor_status_sequence = 7
+condor_status_attr0 = 217
+condor_status_attr1 = 218
+condor_status_attr2 = 219
+condor_status_attr3 = 220
+condor_status_attr4 = 221
+condor_status_attr5 = 222
+openfiles_sequence = 7
+openfiles_attr0 = 217
+openfiles_attr1 = 218
+openfiles_attr2 = 219
+openfiles_attr3 = 220
+openfiles_attr4 = 221
+openfiles_attr5 = 222
+)";
+
+TEST(ClassAdTest, StartdAdRendersByteExact) {
+  std::vector<ClassAd> parts;
+  for (const auto& spec : hawkeye::scaled_modules(11)) {
+    parts.push_back(hawkeye::run_module(spec, 7, 42.5));
+  }
+  ClassAd ad = hawkeye::build_startd_ad("lucky4.mcs.anl.gov", parts);
+  EXPECT_EQ(ad.size(), 82u);
+  EXPECT_EQ(ad.to_string(), kStartdAd);
+  EXPECT_DOUBLE_EQ(ad.wire_bytes(), 1621.0);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+
+#include "gridmon/classad/classad.hpp"
+
 namespace gridmon::classad {
 namespace {
 
@@ -39,6 +44,28 @@ TEST(ValueTest, ToStringLiteralForms) {
   EXPECT_EQ(Value::integer(42).to_string(), "42");
   EXPECT_EQ(Value::real(2.0).to_string(), "2.0");
   EXPECT_EQ(Value::string("hi").to_string(), "\"hi\"");
+}
+
+TEST(ValueTest, LargeWholeRealsParseBack) {
+  for (double d : {999999.0, 1e6, 1234567.0, 2.5e9, -3e7}) {
+    std::string text = Value::real(d).to_string();
+    ClassAd ad = ClassAd::parse("x = " + text + "\n");
+    Value back = ad.evaluate("x");
+    ASSERT_TRUE(back.is_real()) << text;
+    EXPECT_EQ(back.as_real(), d) << text;
+  }
+  EXPECT_EQ(Value::real(1234567.0).to_string(), "1234567.0");
+  EXPECT_EQ(Value::real(-3e7).to_string(), "-30000000.0");
+}
+
+TEST(ValueTest, OtherRealsKeepStreamFormatting) {
+  for (double d : {0.25, -0.0, 42.5, 123.456789, 1234567.5, 1e-7, 1e15, 1e16,
+                   -2.5e20}) {
+    std::ostringstream os;
+    os << d;
+    if (d == std::floor(d) && std::abs(d) < 1e15) os << ".0";
+    EXPECT_EQ(Value::real(d).to_string(), os.str());
+  }
 }
 
 TEST(ValueTest, StringEscaping) {
