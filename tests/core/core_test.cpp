@@ -5,6 +5,8 @@
 #include "gridmon/core/adapters.hpp"
 #include "gridmon/core/experiment.hpp"
 #include "gridmon/core/mapping.hpp"
+#include "gridmon/core/open_workload.hpp"
+#include "gridmon/core/scenario_spec.hpp"
 #include "gridmon/core/scenarios.hpp"
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/core/workload.hpp"
@@ -132,6 +134,60 @@ TEST(MeasureTest, CollectsAllFourMetrics) {
   EXPECT_GT(p.response, 1.0);   // client tool + cache validation latency
   EXPECT_LT(p.response, 10.0);
   EXPECT_GE(p.cpu, 0.0);
+}
+
+/// One fault-free open-arrival point on the GRIS-cache deployment, shaped
+/// like ext_access_patterns' open series at 450 equivalent users, with
+/// its window metrics, counters and completion log at round-trip
+/// precision.
+std::string open_gris_digest() {
+  ScenarioSpec spec;
+  Testbed tb;
+  auto scenario = make_scenario(tb, spec);
+  OpenWorkloadConfig oc;
+  oc.arrival_rate = 450 / 4.3;
+  OpenWorkload w(tb, scenario->query_fn(), oc);
+  w.start(tb.uc_names());
+  tb.sampler().start();
+  tb.sim().run(tb.sim().now() + 30);
+  double t0 = tb.sim().now();
+  tb.sim().run(t0 + 120);
+  double t1 = tb.sim().now();
+  const std::string server = spec.server_host();
+  std::ostringstream out;
+  out.precision(17);
+  out << w.throughput(t0, t1) << ' ' << w.mean_response(t0, t1) << ' '
+      << tb.sampler().series(server + ".load1").mean_over(t0, t1) << ' '
+      << tb.sampler().series(server + ".cpu_pct").mean_over(t0, t1)
+      << " queries=" << w.arrivals() << " attempts=" << w.total_attempts()
+      << " abandoned=" << w.failures()
+      << " completions=" << w.completions().size() << '\n';
+  for (const Completion& c : w.completions()) {
+    out << c.t << ' ' << c.response_time << ' ' << c.bytes << ' ' << c.stale
+        << '\n';
+  }
+  return out.str();
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Recorded bytes of the open GRIS point: the metrics and counters line
+/// verbatim, the completion log by size and FNV-1a hash.
+TEST(OpenArrivalsTest, GrisPointMatchesRecordedGolden) {
+  std::string d = open_gris_digest();
+  EXPECT_EQ(d.substr(0, d.find('\n') + 1),
+            "105.36666666666666 3.2919824274180862 0.56285939466847001 "
+            "50.595798764337303 queries=15686 attempts=15686 abandoned=0 "
+            "completions=15339\n");
+  EXPECT_EQ(d.size(), 702495u);
+  EXPECT_EQ(fnv1a(d), 13596893439669326865ull);
 }
 
 TEST(PrintFiguresTest, RendersAllMetricTables) {

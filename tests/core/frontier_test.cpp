@@ -60,6 +60,22 @@ std::string run_digest(int users, int shards, std::uint64_t seed,
   return out.str();
 }
 
+/// FNV-1a over the digest text, so a few-thousand-line completion log
+/// can be pinned by one literal.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The metrics row and counters line: everything before the completions.
+std::string head_of(const std::string& digest) {
+  return digest.substr(0, digest.find('\n', digest.find('\n') + 1) + 1);
+}
+
 }  // namespace
 
 /// K=1 and K=3 must produce identical bytes: same completions, same
@@ -108,6 +124,42 @@ TEST(FrontierDeterminism, SaturatedFastPathIsShardInvariant) {
   EXPECT_EQ(k1.find(" fast=0 "), std::string::npos)
       << "expected fast-path refusals, digest: "
       << k1.substr(0, k1.find('\n', k1.find('\n') + 1));
+}
+
+/// Recorded bytes of the K=1 runs at seed 42, plain and with the batched
+/// fast path saturated. The shard-invariance tests above compare two
+/// shard counts against each other, so a drift shared by both would pass
+/// them; these literals catch it. The metrics row and counters are
+/// pinned verbatim, the completion log by size and FNV-1a hash.
+TEST(FrontierDeterminism, MatchesRecordedGolden) {
+  struct Golden {
+    int backlog;
+    const char* head;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {0,
+       "300,69.566666666666663,3.3357891119468488,0.35456290902025062,"
+       "32.855755894590118,0,1,0,0,0,0,69.566666666666663,0,1,71568,0,0,"
+       "-1,1\n"
+       "queries=2704 attempts=2704 refused=0 fast=0 errors=0 "
+       "messages=5133\n",
+       120274, 5191443402816816327ull},
+      {4,
+       "300,1.5666666666666667,9.3054859059487534,0,0.70092043878450982,"
+       "12.766666666666667,1,0,0,0,0,1.5666666666666667,0,"
+       "9.0652173913043477,10366,0,0,-1,1\n"
+       "queries=354 attempts=1275 refused=1211 fast=1098 errors=0 "
+       "messages=2541\n",
+       2933, 14788970769136298822ull},
+  };
+  for (const Golden& g : goldens) {
+    std::string d = run_digest(300, 1, 42, 0, g.backlog);
+    EXPECT_EQ(head_of(d), g.head) << "backlog " << g.backlog;
+    EXPECT_EQ(d.size(), g.size) << "backlog " << g.backlog;
+    EXPECT_EQ(fnv1a(d), g.hash) << "backlog " << g.backlog;
+  }
 }
 
 TEST(FrontierWorkloadApi, RejectsBadConfigs) {

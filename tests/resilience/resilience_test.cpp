@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -469,6 +471,63 @@ TEST(ResilienceDeterminism, SameSeedIsByteIdenticalWithResilienceOn) {
   EXPECT_EQ(a.failures, b.failures);
   EXPECT_EQ(a.suppressed, b.suppressed);
   EXPECT_EQ(a.fast_fails, b.fast_fails);
+}
+
+/// The storm's observable surface at round-trip precision: one counters
+/// line, then every completion.
+std::string storm_digest(const StormResult& r) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "pre=" << r.pre_goodput << " post=" << r.post_goodput
+      << " amp=" << r.amp << " queries=" << r.arrivals
+      << " attempts=" << r.attempts << " abandoned=" << r.failures
+      << " suppressed=" << r.suppressed << " fast_fails=" << r.fast_fails
+      << " completions=" << r.completions.size() << "\n";
+  for (const auto& c : r.completions) {
+    out << c.t << ' ' << c.response_time << ' ' << c.bytes << ' ' << c.stale
+        << '\n';
+  }
+  return out.str();
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Recorded bytes of both storm series at seed 7: the counters line
+/// verbatim, the completion log by size and FNV-1a hash. Pins the open
+/// arrival process (fork points, draw order, retry ladder, budget and
+/// breaker decisions) across refactors of the client driver.
+TEST(ResilienceDeterminism, StormMatchesRecordedGolden) {
+  struct Golden {
+    bool resilient;
+    const char* head;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {false,
+       "pre=7.0999999999999996 post=3.54 amp=4.4932862190812717 "
+       "queries=1415 attempts=6358 abandoned=95 suppressed=0 fast_fails=0 "
+       "completions=1138\n",
+       48235, 13869375535415754446ull},
+      {true,
+       "pre=5.6833333333333336 post=5.2999999999999998 "
+       "amp=0.69399293286219077 queries=1415 attempts=982 abandoned=632 "
+       "suppressed=632 fast_fails=702 completions=776\n",
+       33304, 11080319153182429281ull},
+  };
+  for (const Golden& g : goldens) {
+    std::string d = storm_digest(run_storm(g.resilient, 7));
+    EXPECT_EQ(d.substr(0, d.find('\n') + 1), g.head) << g.resilient;
+    EXPECT_EQ(d.size(), g.size) << g.resilient;
+    EXPECT_EQ(fnv1a(d), g.hash) << g.resilient;
+  }
 }
 
 TEST(ResilienceDeterminism, DifferentSeedsDiverge) {
