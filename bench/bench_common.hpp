@@ -196,7 +196,10 @@ struct PointHooks {
 /// The standard closed-loop sweep point: fresh Testbed, deployment via
 /// make_scenario + prefill, UserWorkload bound to the scenario's query,
 /// one measurement window. This is the loop exp1-exp4 and most extended
-/// benches share; only push-based and open-loop benches hand-roll it.
+/// benches share. Open-arrival benches build their own UserWorkload
+/// (start_arrivals) but measure through the same core::measure(); only
+/// the push-based streaming bench, which has no query log, hand-rolls
+/// its window.
 inline core::SweepPoint run_point(const BenchOptions& opt,
                                   const std::string& series,
                                   const core::ScenarioSpec& spec, int users,

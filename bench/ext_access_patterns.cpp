@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "gridmon/core/open_workload.hpp"
 
 using namespace gridmon;
 using namespace gridmon::bench;
@@ -48,26 +47,16 @@ int main(int argc, char** argv) {
       tc.seed = opt.seed_for(spec);
       Testbed tb(tc);
       auto scenario = make_scenario(tb, spec);
-      OpenWorkloadConfig oc;
-      oc.arrival_rate = static_cast<double>(n) / kCycle;
-      OpenWorkload w(tb, scenario->query_fn(), oc);
-      w.start(tb.uc_names());
+      // One-shot scripts: three retries on the SYN schedule's first steps.
+      WorkloadConfig wc;
+      wc.max_attempts = 4;
+      UserWorkload w(tb, scenario->query_fn(), wc);
+      w.start_arrivals(static_cast<double>(n) / kCycle, tb.uc_names());
       tb.sampler().start();
-
-      MeasureConfig mc = opt.measure();
-      tb.sim().run(tb.sim().now() + mc.warmup);
-      double t0 = tb.sim().now();
-      tb.sim().run(t0 + mc.duration);
-      double t1 = tb.sim().now();
-      SweepPoint p;
-      p.x = n;
-      p.throughput = w.throughput(t0, t1);
-      p.response = w.mean_response(t0, t1);
-      p.load1 = tb.sampler().series("lucky7.load1").mean_over(t0, t1);
-      p.cpu = tb.sampler().series("lucky7.cpu_pct").mean_over(t0, t1);
+      SweepPoint p = measure(tb, w, spec.server_host(), n, opt.measure());
       progress(s.name, n, p);
       std::cout << "    outstanding at end: " << w.outstanding()
-                << ", failures: " << w.failures() << "\n";
+                << ", abandoned: " << w.abandoned_queries() << "\n";
       s.points.push_back(p);
     }
     figures.push_back(std::move(s));

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "gridmon/core/open_workload.hpp"
 #include "gridmon/fault/injector.hpp"
 
 using namespace gridmon;
@@ -74,37 +73,23 @@ ScenarioSpec build_spec(bool resilient) {
 /// Retry behavior of the open-loop clients: deep enough to make an
 /// outage-driven storm, identical for both series so only the budget /
 /// breaker / shedding mechanisms differ.
-void configure_retries(OpenWorkloadConfig& oc, const ScenarioSpec& spec) {
-  // Patient one-shot scripts: sixty retries spread over ~8 minutes, so
-  // an outage's whole arrival cohort is still hammering the server long
-  // after it heals. This is the fuel of the metastable storm; both series
-  // get the same schedule and only the budget/breaker/shedding differ.
-  oc.max_retries = 60;
-  oc.retry_schedule.assign(60, 8.0);
-  oc.retry_schedule[0] = 2;
-  oc.retry_schedule[1] = 4;
-  if (spec.resilience.enabled) oc.resilience = spec.resilience.client;
-}
-
-/// Completions within the deadline per second over [t0, t1). Stale
-/// answers count: a degraded answer in time beats no answer.
-double open_goodput(const OpenWorkload& w, double t0, double t1) {
-  std::uint64_t good = 0;
-  for (const auto& c : w.completions()) {
-    if (c.t >= t0 && c.t < t1 && c.response_time <= kDeadline) ++good;
-  }
-  return t1 > t0 ? static_cast<double>(good) / (t1 - t0) : 0;
+WorkloadConfig open_clients(const ScenarioSpec& spec) {
+  // Patient one-shot scripts: sixty retries spread over ~8 minutes (the
+  // schedule's last entry repeats), so an outage's whole arrival cohort
+  // is still hammering the server long after it heals. This is the fuel
+  // of the metastable storm; both series get the same schedule and only
+  // the budget/breaker/shedding differ.
+  WorkloadConfig wc;
+  wc.max_attempts = 61;
+  wc.retry_schedule = {2, 4, 8};
+  if (spec.resilience.enabled) wc.resilience = spec.resilience.client;
+  return wc;
 }
 
 struct OverPoint {
   std::string series;
-  double rate = 0;
-  double throughput = 0;
-  double goodput = 0;
-  double response = 0;
-  double retry_amp = 0;
-  double shed_rate = 0;
-  int outstanding = 0;  // queue still growing at window end?
+  MetricsReport m;                // x = offered arrival rate
+  std::uint64_t outstanding = 0;  // queue still growing at window end?
 };
 
 /// Phase A: one fault-free open-loop point at a fixed arrival rate.
@@ -115,38 +100,20 @@ OverPoint run_rate_point(const BenchOptions& opt, const std::string& series,
   Testbed tb(tc);
   auto scenario = make_scenario(tb, spec);
   scenario->prefill();
-  OpenWorkloadConfig oc;
-  oc.arrival_rate = rate;
-  configure_retries(oc, spec);
-  OpenWorkload w(tb, scenario->query_fn(), oc);
-  w.start(tb.uc_names());
+  UserWorkload w(tb, scenario->query_fn(), open_clients(spec));
+  w.start_arrivals(rate, tb.uc_names());
   tb.sampler().start();
 
   MeasureConfig mc = opt.measure();
-  tb.sim().run(tb.sim().now() + mc.warmup);
-  double t0 = tb.sim().now();
-  const net::ServerPort* port = scenario->server_port();
-  std::uint64_t shed0 = port != nullptr ? port->total_shed() : 0;
-  tb.sim().run(t0 + mc.duration);
-  double t1 = tb.sim().now();
-
-  OverPoint p;
-  p.series = series;
-  p.rate = rate;
-  p.throughput = w.throughput(t0, t1);
-  p.goodput = open_goodput(w, t0, t1);
-  p.response = w.mean_response(t0, t1);
-  p.retry_amp = w.retry_amplification();
-  p.shed_rate = port != nullptr
-                    ? static_cast<double>(port->total_shed() - shed0) /
-                          (t1 - t0)
-                    : 0;
-  p.outstanding = w.outstanding();
+  mc.port = scenario->server_port();
+  mc.goodput_deadline = kDeadline;
+  OverPoint p{series, measure(tb, w, spec.server_host(), rate, mc),
+              w.outstanding()};
   std::cout << "  [" << series << "] rate=" << metrics::Table::num(rate, 0)
-            << " tput=" << metrics::Table::num(p.throughput)
-            << " goodput=" << metrics::Table::num(p.goodput)
-            << " amp=" << metrics::Table::num(p.retry_amp, 2)
-            << " shed/s=" << metrics::Table::num(p.shed_rate)
+            << " tput=" << metrics::Table::num(p.m.throughput)
+            << " goodput=" << metrics::Table::num(p.m.goodput)
+            << " amp=" << metrics::Table::num(p.m.retry_amp, 2)
+            << " shed/s=" << metrics::Table::num(p.m.shed_rate)
             << " outstanding=" << p.outstanding << "\n";
   return p;
 }
@@ -179,10 +146,7 @@ StormResult run_storm(const BenchOptions& opt, const std::string& series,
   Testbed tb(tc);
   auto scenario = make_scenario(tb, spec);
   scenario->prefill();
-  OpenWorkloadConfig oc;
-  oc.arrival_rate = rate;
-  configure_retries(oc, spec);
-  OpenWorkload w(tb, scenario->query_fn(), oc);
+  UserWorkload w(tb, scenario->query_fn(), open_clients(spec));
   fault::Injector injector(tb.sim(), &tb.network());
   scenario->register_faults(injector);
   double t_fault = tb.sim().now() + warmup + pre;
@@ -190,7 +154,7 @@ StormResult run_storm(const BenchOptions& opt, const std::string& series,
   fault::FaultPlan plan;
   plan.crash("server", t_fault, t_heal);
   injector.arm(plan);
-  w.start(tb.uc_names());
+  w.start_arrivals(rate, tb.uc_names());
   tb.sampler().start();
 
   tb.sim().run(tb.sim().now() + warmup);
@@ -203,11 +167,11 @@ StormResult run_storm(const BenchOptions& opt, const std::string& series,
   auto t1 = std::chrono::steady_clock::now();
   std::size_t events = 0;
   {
-    std::uint64_t arr0 = w.arrivals();
+    std::uint64_t arr0 = w.total_queries();
     std::uint64_t att0 = w.total_attempts();
     for (double t = t0; t < t_end; t += bucket) {
       events += tb.sim().run(std::min(t + bucket, t_end));
-      std::uint64_t arr1 = w.arrivals();
+      std::uint64_t arr1 = w.total_queries();
       std::uint64_t att1 = w.total_attempts();
       amp.push_back(arr1 > arr0 ? static_cast<double>(att1 - att0) /
                                       static_cast<double>(arr1 - arr0)
@@ -224,9 +188,9 @@ StormResult run_storm(const BenchOptions& opt, const std::string& series,
   r.series = series;
   r.events = events;
   r.wall = std::chrono::duration<double>(t2 - t1).count();
-  r.pre_goodput = open_goodput(w, t0, t_fault);
+  r.pre_goodput = w.goodput(t0, t_fault, kDeadline);
   double tail = std::max(t_heal, t_end - 300.0);
-  r.post_goodput = open_goodput(w, tail, t_end);
+  r.post_goodput = w.goodput(tail, t_end, kDeadline);
   for (double a : amp) r.peak_amp = std::max(r.peak_amp, a);
   // Recovery: first post-heal point from which goodput *sustains* 80% of
   // the pre-outage level for four consecutive buckets — the storm's retry
@@ -235,7 +199,7 @@ StormResult run_storm(const BenchOptions& opt, const std::string& series,
   const int need = 4;
   int streak = 0;
   for (double t = t_heal; t + bucket <= t_end; t += bucket) {
-    streak = open_goodput(w, t, t + bucket) >= 0.8 * r.pre_goodput
+    streak = w.goodput(t, t + bucket, kDeadline) >= 0.8 * r.pre_goodput
                  ? streak + 1
                  : 0;
     if (streak == need) {
@@ -285,11 +249,12 @@ void write_json(const std::string& path, bool quick,
       << "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const OverPoint& p = points[i];
-    out << "    {\"series\": \"" << p.series << "\", \"rate\": " << p.rate
-        << ", \"throughput\": " << p.throughput
-        << ", \"goodput\": " << p.goodput << ", \"response\": " << p.response
-        << ", \"retry_amp\": " << p.retry_amp
-        << ", \"shed_rate\": " << p.shed_rate
+    out << "    {\"series\": \"" << p.series << "\", \"rate\": " << p.m.x
+        << ", \"throughput\": " << p.m.throughput
+        << ", \"goodput\": " << p.m.goodput
+        << ", \"response\": " << p.m.response
+        << ", \"retry_amp\": " << p.m.retry_amp
+        << ", \"shed_rate\": " << p.m.shed_rate
         << ", \"outstanding\": " << p.outstanding << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
   }
@@ -335,12 +300,12 @@ int main(int argc, char** argv) {
   table.set_columns({"series", "rate (q/s)", "tput (q/s)", "goodput (q/s)",
                      "resp (s)", "retry_amp", "shed/s", "outstanding"});
   for (const OverPoint& p : points) {
-    table.add_row({p.series, metrics::Table::num(p.rate, 0),
-                   metrics::Table::num(p.throughput),
-                   metrics::Table::num(p.goodput),
-                   metrics::Table::num(p.response),
-                   metrics::Table::num(p.retry_amp, 2),
-                   metrics::Table::num(p.shed_rate),
+    table.add_row({p.series, metrics::Table::num(p.m.x, 0),
+                   metrics::Table::num(p.m.throughput),
+                   metrics::Table::num(p.m.goodput),
+                   metrics::Table::num(p.m.response),
+                   metrics::Table::num(p.m.retry_amp, 2),
+                   metrics::Table::num(p.m.shed_rate),
                    std::to_string(p.outstanding)});
   }
   table.print_text(std::cout);
@@ -362,15 +327,8 @@ int main(int argc, char** argv) {
     const std::vector<std::string> header_prefix{"bench", "series"};
     csv << core::csv_header(groups, header_prefix) << ",outstanding\n";
     for (const OverPoint& p : points) {
-      core::MetricsReport row;
-      row.x = p.rate;
-      row.throughput = p.throughput;
-      row.response = p.response;
-      row.goodput = p.goodput;
-      row.shed_rate = p.shed_rate;
-      row.retry_amp = p.retry_amp;
       const std::vector<std::string> prefix{"ext_overload", p.series};
-      core::write_csv_row(csv, row, groups, prefix);
+      core::write_csv_row(csv, p.m, groups, prefix);
       csv << ',' << p.outstanding << '\n';
     }
     std::cout << "wrote " << opt.csv_path << "\n";

@@ -181,10 +181,9 @@ void progress(const ScalePoint& p) {
 }
 
 /// One legacy-engine point: scenario via the unified factory, closed-loop
-/// coroutine users at 50/host over a UC pool sized to fit them,
-/// wall-clock and event count taken around the fixed window. The loop is
-/// hand-rolled (not core::measure) because the engine stats need the
-/// event count and the wall clock around the same window.
+/// coroutine users at 50/host over a UC pool sized to fit them, one
+/// core::measure window (which counts the events) with the wall clock
+/// taken around it.
 MetricsReport legacy_metrics(const BenchOptions& opt,
                              const ScenarioSpec& spec, int users) {
   core::Testbed tb(testbed_for(opt, spec, users));
@@ -193,51 +192,21 @@ MetricsReport legacy_metrics(const BenchOptions& opt,
   core::UserWorkload workload(tb, scenario->query_fn());
   workload.spawn_users(users, tb.uc_names());
   tb.sampler().start();
-  const std::string server = spec.server_host();
+  core::MeasureConfig mc;
+  mc.warmup = kWarmup;
+  mc.duration = kDuration;
 
   reset_peak_rss();
-  double start = tb.sim().now();
   // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
   // cost of running the simulator; never feeds sim state
   auto w0 = std::chrono::steady_clock::now();
-  std::size_t events = tb.sim().run(start + kWarmup);
-  double t0 = tb.sim().now();
-  double refused0 = static_cast<double>(workload.refused_attempts());
-  double errors0 = static_cast<double>(workload.error_count());
-  double attempts0 = static_cast<double>(workload.total_attempts());
-  double queries0 = static_cast<double>(workload.total_queries());
-  events += tb.sim().run(t0 + kDuration);
+  MetricsReport m = core::measure(tb, workload, spec.server_host(), users, mc);
   // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
   // cost of running the simulator; never feeds sim state
   auto w1 = std::chrono::steady_clock::now();
-  double t1 = tb.sim().now();
-
-  MetricsReport m;
-  m.x = users;
-  m.throughput = workload.throughput(t0, t1);
-  m.response = workload.mean_response(t0, t1);
-  m.load1 = tb.sampler().series(server + ".load1").mean_over(t0, t1);
-  m.cpu = tb.sampler().series(server + ".cpu_pct").mean_over(t0, t1);
-  m.refused =
-      (static_cast<double>(workload.refused_attempts()) - refused0) /
-      kDuration;
-  m.error_rate =
-      (static_cast<double>(workload.error_count()) - errors0) / kDuration;
-  m.stale_frac = workload.stale_fraction(t0, t1);
-  m.goodput = m.throughput;
-  double d_queries = static_cast<double>(workload.total_queries()) - queries0;
-  m.retry_amp =
-      d_queries > 0
-          ? (static_cast<double>(workload.total_attempts()) - attempts0) /
-                d_queries
-          : 0;
-  m.events = static_cast<double>(events);
   m.wall_clock_s = std::chrono::duration<double>(w1 - w0).count();
-  m.events_per_sec = m.wall_clock_s > 0
-                         ? static_cast<double>(events) / m.wall_clock_s
-                         : 0;
+  m.events_per_sec = m.wall_clock_s > 0 ? m.events / m.wall_clock_s : 0;
   m.peak_rss_kb = static_cast<double>(peak_rss_kb());
-  m.shards = 1;  // the legacy engine is one event queue
   return m;
 }
 

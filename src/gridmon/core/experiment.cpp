@@ -12,54 +12,78 @@ namespace gridmon::core {
 SweepPoint measure(Testbed& testbed, UserWorkload& workload,
                    const std::string& server_host, double x,
                    MeasureConfig config) {
-  testbed.sim().run(testbed.sim().now() + config.warmup);
+  std::size_t events = testbed.sim().run(testbed.sim().now() + config.warmup);
   double t0 = testbed.sim().now();
-  double refused_before = static_cast<double>(workload.refused_attempts());
-  double errors_before = static_cast<double>(workload.error_count());
-  double abandoned_before = static_cast<double>(workload.abandoned_queries());
-  double attempts_before = static_cast<double>(workload.total_attempts());
-  double queries_before = static_cast<double>(workload.total_queries());
-  double shed_before = config.port != nullptr
-                           ? static_cast<double>(config.port->total_shed())
-                           : 0;
+  ClientCounters before = workload.counters();
+  std::uint64_t shed_before =
+      config.port != nullptr ? config.port->total_shed() : 0;
   if (config.collector != nullptr) config.collector->set_enabled(true);
-  testbed.sim().run(t0 + config.duration);
+  events += testbed.sim().run(t0 + config.duration);
   if (config.collector != nullptr) config.collector->set_enabled(false);
   double t1 = testbed.sim().now();
 
+  SweepPoint p = window_report(testbed, server_host, x, workload.completions(),
+                               before, workload.counters(), t0, t1, config);
+  if (config.port != nullptr && t1 > t0) {
+    p.shed_rate =
+        static_cast<double>(config.port->total_shed() - shed_before) /
+        (t1 - t0);
+  }
+  p.events = static_cast<double>(events);
+  return p;
+}
+
+SweepPoint window_report(Testbed& testbed, const std::string& server_host,
+                         double x, std::span<const Completion> completions,
+                         const ClientCounters& before,
+                         const ClientCounters& after, double t0, double t1,
+                         const MeasureConfig& config) {
+  // One pass in log order (time order for both engines), so the float
+  // sums are reproducible byte for byte.
+  std::size_t completed = 0;
+  std::size_t stale = 0;
+  std::size_t timely = 0;
+  double response_sum = 0;
+  double first_success = -1;
+  for (const Completion& c : completions) {
+    if (config.recovery_mark >= 0 && c.t >= config.recovery_mark &&
+        (first_success < 0 || c.t < first_success)) {
+      first_success = c.t;
+    }
+    if (c.t < t0 || c.t > t1) continue;
+    ++completed;
+    response_sum += c.response_time;
+    if (c.stale) ++stale;
+    if (config.goodput_deadline <= 0 ||
+        c.response_time <= config.goodput_deadline) {
+      ++timely;
+    }
+  }
+  const double span = t1 - t0;
+  auto per_sec = [span](double n) { return span > 0 ? n / span : 0; };
+  auto n = static_cast<double>(completed);
+  auto abandoned = static_cast<double>(after.abandoned - before.abandoned);
+  auto queries = static_cast<double>(after.queries - before.queries);
+
   SweepPoint p;
   p.x = x;
-  p.throughput = workload.throughput(t0, t1);
-  p.response = workload.mean_response(t0, t1);
+  p.throughput = per_sec(n);
+  p.response = completed > 0 ? response_sum / n : 0;
   p.load1 = testbed.sampler().series(server_host + ".load1").mean_over(t0, t1);
   p.cpu = testbed.sampler().series(server_host + ".cpu_pct").mean_over(t0, t1);
-  p.refused =
-      (static_cast<double>(workload.refused_attempts()) - refused_before) /
-      config.duration;
-  double succ = static_cast<double>(workload.completed(t0, t1));
-  double abandoned =
-      static_cast<double>(workload.abandoned_queries()) - abandoned_before;
-  p.availability = succ + abandoned > 0 ? succ / (succ + abandoned) : 1.0;
+  p.refused = per_sec(static_cast<double>(after.refused - before.refused));
+  p.availability = n + abandoned > 0 ? n / (n + abandoned) : 1.0;
   p.error_rate =
-      (static_cast<double>(workload.error_count()) - errors_before) /
-      config.duration;
-  p.stale_frac = workload.stale_fraction(t0, t1);
-  p.goodput = workload.goodput(t0, t1, config.goodput_deadline);
-  if (config.port != nullptr) {
-    p.shed_rate = (static_cast<double>(config.port->total_shed()) -
-                   shed_before) /
-                  config.duration;
-  }
-  double d_queries =
-      static_cast<double>(workload.total_queries()) - queries_before;
+      per_sec(static_cast<double>(after.errors() - before.errors()));
+  p.stale_frac = completed > 0 ? static_cast<double>(stale) / n : 0;
+  p.goodput = per_sec(static_cast<double>(timely));
   p.retry_amp =
-      d_queries > 0
-          ? (static_cast<double>(workload.total_attempts()) - attempts_before) /
-                d_queries
+      queries > 0
+          ? static_cast<double>(after.attempts - before.attempts) / queries
           : 0;
   if (config.recovery_mark >= 0) {
-    double first = workload.first_success_after(config.recovery_mark);
-    p.recovery = first >= 0 ? first - config.recovery_mark : -1;
+    p.recovery =
+        first_success >= 0 ? first_success - config.recovery_mark : -1;
     if (config.recovered_at) {
       double rc = config.recovered_at();
       // Replay can finish inside the fault window (restart happens at the

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,24 @@ struct MeasureConfig {
 using SweepPoint = MetricsReport;
 
 /// Run the clock through warmup+duration and collect a SweepPoint for
-/// `workload` with host metrics from `server_host`.
+/// `workload` (closed users, open arrivals, or both) with host metrics
+/// from `server_host`. `events` counts the simulator events of both
+/// spans.
 SweepPoint measure(Testbed& testbed, UserWorkload& workload,
                    const std::string& server_host, double x,
                    MeasureConfig config = {});
+
+/// The one window computation every engine reports through: the
+/// completions logged in [t0, t1] and the client counters' change from
+/// `before` to `after` become the study metrics, with load1/CPU from
+/// `server_host`'s sampler series. Rates divide by t1 - t0. `config`
+/// supplies the goodput deadline and the recovery probes; `shed_rate`,
+/// `events` and `shards` are left to the caller.
+SweepPoint window_report(Testbed& testbed, const std::string& server_host,
+                         double x, std::span<const Completion> completions,
+                         const ClientCounters& before,
+                         const ClientCounters& after, double t0, double t1,
+                         const MeasureConfig& config = {});
 
 /// Replicate a whole sweep-point experiment across `seeds` independent
 /// random streams and average the metrics (population stddev of the

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "gridmon/core/experiment.hpp"
+
 namespace gridmon::core {
 namespace {
 
@@ -72,11 +74,8 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
   };
   std::vector<Timer> heap;  // min-heap on (at, uid)
 
-  std::vector<FrontierCompletion> completions;  // in (t, uid) order
-  std::uint64_t queries = 0;
-  std::uint64_t refused = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t failures = 0;
+  std::vector<Completion> completions;  // in (t, uid) order
+  ClientCounters counters;  // all but attempts, which the gateway counts
 
   static bool timer_after(const Timer& x, const Timer& y) {
     if (x.at != y.at) return x.at > y.at;
@@ -108,7 +107,7 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
   /// retries the current one; both send one request to the gateway.
   void fire(std::uint32_t local) {
     if (states[local] == kThinking) {
-      ++queries;
+      ++counters.queries;
       retries[local] = 0;
       query_starts[local] = now_;
     }
@@ -139,16 +138,15 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
     std::uint32_t local = static_cast<std::uint32_t>(
         m.uid / static_cast<std::uint64_t>(owner.config_.shards));
     if (m.a & kFlagOk) {
-      completions.push_back(FrontierCompletion{
-          now_, now_ - query_starts[local], m.f, m.uid,
-          (m.a & kFlagStale) != 0});
+      completions.push_back(Completion{now_, now_ - query_starts[local], m.f,
+                                       (m.a & kFlagStale) != 0, m.uid});
       states[local] = kThinking;
       arm(now_ + owner.config_.think_time, local);
       return;
     }
-    if (m.a & kFlagRefused) ++refused;
-    if (m.a & kFlagTimeout) ++timeouts;
-    if (m.a & kFlagFailed) ++failures;
+    if (m.a & kFlagRefused) ++counters.refused;
+    if (m.a & kFlagTimeout) ++counters.timeouts;
+    if (m.a & kFlagFailed) ++counters.failures;
     const std::vector<double>& sched = owner.config_.retry_schedule;
     std::size_t step = std::min<std::size_t>(retries[local],
                                              sched.size() - 1);
@@ -244,10 +242,9 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
   ++self.attempts_;
   ++self.outstanding_;
   QueryAttempt a = co_await self.query_(*self.nics_[slot], trace::Ctx{});
-  bool ok = a.admitted && !a.failed && !a.timed_out;
   std::uint64_t flags = 0;
-  if (ok) flags |= kFlagOk;
-  if (!a.admitted && !a.timed_out) flags |= kFlagRefused;
+  if (a.ok()) flags |= kFlagOk;
+  if (a.refused()) flags |= kFlagRefused;
   if (a.timed_out) flags |= kFlagTimeout;
   if (a.failed) flags |= kFlagFailed;
   if (a.stale) flags |= kFlagStale;
@@ -258,7 +255,7 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
   // The client script's bookkeeping CPU, charged on the user's real UC
   // host after a successful query (the refused path must stay cheap: at
   // frontier scale most attempts bounce off the listen queue).
-  if (ok && self.config_.client_cpu_per_query > 0) {
+  if (a.ok() && self.config_.client_cpu_per_query > 0) {
     co_await self.hosts_[slot]->cpu().consume(
         self.config_.client_cpu_per_query);
   }
@@ -363,34 +360,22 @@ const std::vector<FrontierCompletion>& FrontierWorkload::merged_completions() {
   // (t, uid) is a total order (one completion per user per instant), so
   // plain sort is deterministic and shard-count-independent.
   std::sort(merged_.begin(), merged_.end(),
-            [](const FrontierCompletion& x, const FrontierCompletion& y) {
+            [](const Completion& x, const Completion& y) {
               if (x.t != y.t) return x.t < y.t;
               return x.uid < y.uid;
             });
   return merged_;
 }
 
-std::uint64_t FrontierWorkload::refused_attempts() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : clients_) total += shard->refused;
-  return total;
-}
-
-std::uint64_t FrontierWorkload::timeout_attempts() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : clients_) total += shard->timeouts;
-  return total;
-}
-
-std::uint64_t FrontierWorkload::failed_attempts() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : clients_) total += shard->failures;
-  return total;
-}
-
-std::uint64_t FrontierWorkload::total_queries() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : clients_) total += shard->queries;
+ClientCounters FrontierWorkload::counters() const noexcept {
+  ClientCounters total;
+  for (const auto& shard : clients_) {
+    total.queries += shard->counters.queries;
+    total.refused += shard->counters.refused;
+    total.timeouts += shard->counters.timeouts;
+    total.failures += shard->counters.failures;
+  }
+  total.attempts = attempts_;
   return total;
 }
 
@@ -406,50 +391,13 @@ MetricsReport FrontierWorkload::measure_window(
   double start = std::max(group_->now(), testbed_.sim().now());
   std::size_t events = run(start + warmup);
   double t0 = group_->now();
-  std::uint64_t refused0 = refused_attempts();
-  std::uint64_t errors0 = error_count();
-  std::uint64_t attempts0 = attempts_;
-  std::uint64_t queries0 = total_queries();
+  ClientCounters before = counters();
   events += run(t0 + duration);
-  double t1 = group_->now();
-
-  MetricsReport p;
-  p.x = x;
   // Completions are walked in canonical (t, uid) order, so the float
-  // accumulation below is byte-identical for every shard count.
-  std::size_t completed = 0;
-  double response_sum = 0;
-  std::size_t stale = 0;
-  for (const FrontierCompletion& c : merged_completions()) {
-    if (c.t < t0 || c.t > t1) continue;
-    ++completed;
-    response_sum += c.response_time;
-    if (c.stale) ++stale;
-  }
-  double span = t1 - t0;
-  p.throughput =
-      span > 0 ? static_cast<double>(completed) / span : 0;
-  p.response = completed > 0
-                   ? response_sum / static_cast<double>(completed)
-                   : 0;
-  p.load1 =
-      testbed_.sampler().series(server_host + ".load1").mean_over(t0, t1);
-  p.cpu =
-      testbed_.sampler().series(server_host + ".cpu_pct").mean_over(t0, t1);
-  p.refused = span > 0 ? static_cast<double>(refused_attempts() - refused0) /
-                             span
-                       : 0;
-  p.availability = 1;  // the frontier FSM never abandons a query
-  p.error_rate =
-      span > 0 ? static_cast<double>(error_count() - errors0) / span : 0;
-  p.stale_frac = completed > 0 ? static_cast<double>(stale) /
-                                     static_cast<double>(completed)
-                               : 0;
-  p.goodput = p.throughput;  // no goodput deadline at the frontier
-  double d_queries = static_cast<double>(total_queries() - queries0);
-  p.retry_amp = d_queries > 0
-                    ? static_cast<double>(attempts_ - attempts0) / d_queries
-                    : 0;
+  // sums are byte-identical for every shard count.
+  MetricsReport p = window_report(testbed_, server_host, x,
+                                  merged_completions(), before, counters(),
+                                  t0, group_->now());
   p.events = static_cast<double>(events);
   p.shards = static_cast<double>(config_.shards);
   return p;

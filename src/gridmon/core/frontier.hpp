@@ -62,15 +62,9 @@ struct FrontierConfig {
   int pool_factor = 4;
 };
 
-/// One completed query, tagged with its user so merges across shards
-/// have a total (t, uid) order.
-struct FrontierCompletion {
-  double t = 0;
-  double response_time = 0;  // first attempt -> success, client-observed
-  double bytes = 0;
-  std::uint64_t uid = 0;
-  bool stale = false;
-};
+/// The frontier's completion record is the legacy one; its uid makes
+/// merges across shards a total (t, uid) order.
+using FrontierCompletion = Completion;
 
 class FrontierWorkload {
  public:
@@ -94,10 +88,10 @@ class FrontierWorkload {
   std::size_t run(double until);
 
   /// The shared measurement protocol over the sharded engine: warm up,
-  /// measure `duration` seconds, report the study metrics plus the
-  /// engine's shard count. Mirrors core::measure() field for field
-  /// (events is filled too; wall-clock stays with the caller, per the
-  /// determinism contract).
+  /// measure `duration` seconds, and report through core::window_report,
+  /// the computation behind core::measure(), plus the engine's event and
+  /// shard counts. Wall-clock stays with the caller, per the determinism
+  /// contract.
   MetricsReport measure_window(double x, double warmup, double duration,
                                const std::string& server_host);
 
@@ -105,13 +99,12 @@ class FrontierWorkload {
   /// identical bytes for every shard count.
   const std::vector<FrontierCompletion>& merged_completions();
 
-  std::uint64_t refused_attempts() const noexcept;
-  std::uint64_t timeout_attempts() const noexcept;
-  std::uint64_t failed_attempts() const noexcept;
-  std::uint64_t error_count() const noexcept {
-    return timeout_attempts() + failed_attempts();
-  }
-  std::uint64_t total_queries() const noexcept;
+  /// Summed over the client shards. The FSM retries forever, so nothing
+  /// is ever abandoned.
+  ClientCounters counters() const noexcept;
+  std::uint64_t refused_attempts() const noexcept { return counters().refused; }
+  std::uint64_t error_count() const noexcept { return counters().errors(); }
+  std::uint64_t total_queries() const noexcept { return counters().queries; }
   std::uint64_t total_attempts() const noexcept { return attempts_; }
   /// Attempts refused on the batched fast path (0 with no
   /// admission_port). Included in total_attempts()/refused_attempts().

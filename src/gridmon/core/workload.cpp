@@ -1,6 +1,5 @@
 #include "gridmon/core/workload.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -64,21 +63,48 @@ void UserWorkload::spawn_users(int n,
   for (int i = 0; i < n; ++i) {
     const std::string& host_name = client_hosts[static_cast<std::size_t>(i) %
                                                 client_hosts.size()];
-    testbed_.sim().spawn(user_loop(*this, testbed_.host(host_name),
-                                   testbed_.nic(host_name),
-                                   testbed_.rng().fork()));
+    testbed_.sim().spawn(client(*this, &testbed_.host(host_name),
+                                testbed_.nic(host_name), testbed_.rng().fork(),
+                                static_cast<std::uint64_t>(users_)));
     ++users_;
   }
 }
 
-sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
-                                        net::Interface& nic, sim::Rng rng) {
-  auto& sim = host.simulation();
-  // Desynchronize start-up so users do not fire in lockstep.
-  co_await sim.delay(rng.uniform(0, self.config_.think_time));
+void UserWorkload::start_arrivals(
+    double rate, const std::vector<std::string>& client_hosts) {
+  if (client_hosts.empty()) {
+    throw std::invalid_argument("no client hosts");
+  }
+  if (!(rate > 0)) {
+    throw std::invalid_argument("arrival rate must be positive");
+  }
+  testbed_.sim().spawn(arrival_loop(*this, rate, client_hosts));
+}
+
+sim::Task<void> UserWorkload::arrival_loop(UserWorkload& self, double rate,
+                                           std::vector<std::string> hosts) {
+  auto& sim = self.testbed_.sim();
+  sim::Rng rng = self.testbed_.rng().fork();
+  std::uint64_t next = 0;
+  for (;;) {
+    co_await sim.delay(rng.exponential(1.0 / rate));
+    const std::string& host = hosts[next % hosts.size()];
+    sim.spawn(client(self, nullptr, self.testbed_.nic(host), rng.fork(), next));
+    ++next;
+  }
+}
+
+sim::Task<void> UserWorkload::client(UserWorkload& self, host::Host* host,
+                                     net::Interface& nic, sim::Rng rng,
+                                     std::uint64_t uid) {
+  auto& sim = self.testbed_.sim();
+  // Desynchronize start-up so closed-loop users do not fire in lockstep.
+  if (host != nullptr) {
+    co_await sim.delay(rng.uniform(0, self.config_.think_time));
+  }
   for (;;) {
     double started = sim.now();
-    ++self.queries_;
+    ++self.counters_.queries;
     self.policy_.on_query();
     double deadline = self.config_.query_deadline > 0
                           ? started + self.config_.query_deadline
@@ -87,8 +113,8 @@ sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
     int attempts = 0;
     bool abandoned = false;
     QueryAttempt attempt;
-    // One trace per user query (null Ctx while the collector is off or
-    // absent, which keeps the whole iteration allocation-free).
+    // One trace per query (null Ctx while the collector is off or absent,
+    // which keeps the whole iteration allocation-free).
     trace::Ctx root = self.collector_ != nullptr
                           ? self.collector_->new_trace()
                           : trace::Ctx{};
@@ -103,7 +129,7 @@ sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
         if (fast_failed) {
           attempt = QueryAttempt{};
         } else if (deadline < 0) {
-          ++self.attempts_;
+          ++self.counters_.attempts;
           attempt = co_await self.query_(nic, query_span.ctx());
         } else {
           double remaining = deadline - sim.now();
@@ -112,7 +138,7 @@ sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
             break;
           }
           // Race the attempt against the script's remaining patience.
-          ++self.attempts_;
+          ++self.counters_.attempts;
           auto box = std::make_shared<AttemptBox>(sim);
           sim.spawn(run_attempt(self.query_, nic, query_span.ctx(), box));
           bool finished = co_await box->done.wait_for(remaining);
@@ -127,12 +153,11 @@ sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
           attempt = *box->result;
         }
         if (!fast_failed) {
-          self.policy_.record(sim.now(), attempt.admitted && !attempt.failed &&
-                                             !attempt.timed_out);
-          if (attempt.timed_out) ++self.timeouts_;
-          if (attempt.failed) ++self.failures_;
-          if (attempt.admitted && !attempt.failed && !attempt.timed_out) break;
-          if (!attempt.admitted && !attempt.timed_out) ++self.refused_;
+          self.policy_.record(sim.now(), attempt.ok());
+          if (attempt.timed_out) ++self.counters_.timeouts;
+          if (attempt.failed) ++self.counters_.failures;
+          if (attempt.ok()) break;
+          if (attempt.refused()) ++self.counters_.refused;
         }
         if (self.config_.max_attempts > 0 &&
             attempts >= self.config_.max_attempts) {
@@ -165,60 +190,20 @@ sim::Task<void> UserWorkload::user_loop(UserWorkload& self, host::Host& host,
       }
     }
     if (abandoned) {
-      ++self.abandoned_;
+      ++self.counters_.abandoned;
     } else {
       self.completions_.push_back(Completion{sim.now(), sim.now() - started,
                                              attempt.response_bytes,
-                                             attempt.stale});
+                                             attempt.stale, uid});
     }
+    if (host == nullptr) co_return;  // an open arrival is one-shot
     if (self.config_.client_cpu_per_query > 0) {
-      co_await host.cpu().consume(self.config_.client_cpu_per_query);
+      co_await host->cpu().consume(self.config_.client_cpu_per_query);
     }
     trace::Span think(root, trace::SpanKind::Think);
     co_await sim.delay(self.config_.think_time);
     think.end();
   }
-}
-
-double UserWorkload::throughput(double t0, double t1) const {
-  if (t1 <= t0) return 0;
-  std::size_t n = 0;
-  for (const auto& c : completions_) {
-    if (c.t >= t0 && c.t <= t1) ++n;
-  }
-  return static_cast<double>(n) / (t1 - t0);
-}
-
-double UserWorkload::mean_response(double t0, double t1) const {
-  double sum = 0;
-  std::size_t n = 0;
-  for (const auto& c : completions_) {
-    if (c.t >= t0 && c.t <= t1) {
-      sum += c.response_time;
-      ++n;
-    }
-  }
-  return n ? sum / static_cast<double>(n) : 0;
-}
-
-std::size_t UserWorkload::completed(double t0, double t1) const {
-  std::size_t n = 0;
-  for (const auto& c : completions_) {
-    if (c.t >= t0 && c.t <= t1) ++n;
-  }
-  return n;
-}
-
-double UserWorkload::stale_fraction(double t0, double t1) const {
-  std::size_t n = 0;
-  std::size_t stale = 0;
-  for (const auto& c : completions_) {
-    if (c.t >= t0 && c.t <= t1) {
-      ++n;
-      if (c.stale) ++stale;
-    }
-  }
-  return n ? static_cast<double>(stale) / static_cast<double>(n) : 0;
 }
 
 double UserWorkload::goodput(double t0, double t1, double deadline) const {
@@ -231,14 +216,6 @@ double UserWorkload::goodput(double t0, double t1, double deadline) const {
     }
   }
   return static_cast<double>(n) / (t1 - t0);
-}
-
-double UserWorkload::first_success_after(double t) const {
-  double best = -1;
-  for (const auto& c : completions_) {
-    if (c.t >= t && (best < 0 || c.t < best)) best = c.t;
-  }
-  return best;
 }
 
 }  // namespace gridmon::core

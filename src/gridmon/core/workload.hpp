@@ -7,6 +7,11 @@
 /// Refused connections are retried with exponential backoff; the response
 /// time of a query counts from first attempt to final success, exactly as
 /// a looping shell script would measure it.
+///
+/// The same client also runs the §4 "additional patterns of user access":
+/// open Poisson arrivals, whose offered load does not self-throttle when
+/// the server slows. Both arrival processes run one client coroutine
+/// (retries, deadline, resilience policy, error accounting, tracing).
 
 #include <cstdint>
 #include <functional>
@@ -30,6 +35,11 @@ struct QueryAttempt {
   bool timed_out = false;  // a connect/transfer deadline expired on the way
   bool failed = false;     // admitted, but the service could not answer
   bool stale = false;      // answered from data older than the service's bound
+
+  /// The one success rule: admitted, answered, and in time.
+  bool ok() const noexcept { return admitted && !failed && !timed_out; }
+  /// Bounced off the listen queue (a dead path times out instead).
+  bool refused() const noexcept { return !admitted && !timed_out; }
 };
 
 /// A client-side query function: performs one complete attempt against a
@@ -71,11 +81,30 @@ struct WorkloadConfig {
   resilience::ClientPolicyConfig resilience{};
 };
 
+/// One completed query.
 struct Completion {
   double t;              // completion time
   double response_time;  // first attempt -> success
   double bytes;
   bool stale = false;    // the answer was flagged stale by the service
+  /// The user (closed loop) or arrival (open loop) that issued it; with
+  /// `t` a total order, which the sharded engine's merge relies on.
+  std::uint64_t uid = 0;
+};
+
+/// Client-side counters every engine keeps. A measurement window is the
+/// difference of two snapshots (see core::window_report).
+struct ClientCounters {
+  std::uint64_t queries = 0;    // queries started (first attempts issued)
+  std::uint64_t attempts = 0;   // network attempts (no breaker fast-fails)
+  std::uint64_t refused = 0;    // attempts refused at the listen queue
+  std::uint64_t timeouts = 0;   // attempts that timed out on a dead path
+  std::uint64_t failures = 0;   // attempts admitted but answered in error
+  std::uint64_t abandoned = 0;  // queries given up on
+  /// Total errors the user scripts observed.
+  std::uint64_t errors() const noexcept {
+    return timeouts + failures + abandoned;
+  }
 };
 
 class UserWorkload {
@@ -88,37 +117,51 @@ class UserWorkload {
   /// User coroutines reference this object; destroy them first.
   ~UserWorkload() { testbed_.sim().shutdown(); }
 
-  /// Launch `n` users spread evenly over `client_hosts` (paper's load
-  /// balancing). Throws if that would exceed max_users_per_host.
+  /// Closed loop: launch `n` users spread evenly over `client_hosts`
+  /// (paper's load balancing), each thinking between queries. Throws if
+  /// that would exceed max_users_per_host.
   void spawn_users(int n, const std::vector<std::string>& client_hosts);
+
+  /// Open loop: one-shot queries arrive as a Poisson process at `rate`
+  /// per second across the whole client population, launched from
+  /// `client_hosts` in round-robin order, regardless of how fast earlier
+  /// queries complete. Queue lengths and response times diverge past
+  /// saturation instead of plateauing. No client CPU or think time.
+  void start_arrivals(double rate,
+                      const std::vector<std::string>& client_hosts);
 
   const std::vector<Completion>& completions() const noexcept {
     return completions_;
   }
-  std::uint64_t refused_attempts() const noexcept { return refused_; }
+  const ClientCounters& counters() const noexcept { return counters_; }
+  std::uint64_t refused_attempts() const noexcept { return counters_.refused; }
   /// Attempts that timed out on a dead path (connect/transfer deadline).
-  std::uint64_t timeout_attempts() const noexcept { return timeouts_; }
-  /// Attempts admitted but answered with an error by the service.
-  std::uint64_t failed_attempts() const noexcept { return failures_; }
-  /// Whole queries given up on (deadline expired or max_attempts hit).
-  std::uint64_t abandoned_queries() const noexcept { return abandoned_; }
-  /// Total errors the user scripts observed.
-  std::uint64_t error_count() const noexcept {
-    return timeouts_ + failures_ + abandoned_;
+  std::uint64_t timeout_attempts() const noexcept {
+    return counters_.timeouts;
   }
+  /// Attempts admitted but answered with an error by the service.
+  std::uint64_t failed_attempts() const noexcept { return counters_.failures; }
+  /// Whole queries given up on (deadline expired, max_attempts hit or
+  /// retry budget exhausted).
+  std::uint64_t abandoned_queries() const noexcept {
+    return counters_.abandoned;
+  }
+  std::uint64_t error_count() const noexcept { return counters_.errors(); }
   int users() const noexcept { return users_; }
-
-  /// Queries started (first attempts issued, whether or not they ever
-  /// completed).
-  std::uint64_t total_queries() const noexcept { return queries_; }
-  /// Network attempts actually issued (excludes breaker fast-fails).
-  std::uint64_t total_attempts() const noexcept { return attempts_; }
+  std::uint64_t total_queries() const noexcept { return counters_.queries; }
+  std::uint64_t total_attempts() const noexcept { return counters_.attempts; }
+  /// Queries in flight right now (open loop: grows without bound past
+  /// saturation).
+  std::uint64_t outstanding() const noexcept {
+    return counters_.queries - completions_.size() - counters_.abandoned;
+  }
   /// attempts/queries — 1.0 means no retries; the retry-storm signature
   /// is this ratio diverging during an outage.
   double retry_amplification() const noexcept {
-    return queries_ > 0 ? static_cast<double>(attempts_) /
-                              static_cast<double>(queries_)
-                        : 0;
+    return counters_.queries > 0
+               ? static_cast<double>(counters_.attempts) /
+                     static_cast<double>(counters_.queries)
+               : 0;
   }
   /// The shared client policy toward the service under test (fast-fail /
   /// budget-suppression counters live on its breaker and budget).
@@ -126,32 +169,30 @@ class UserWorkload {
     return policy_;
   }
 
-  /// Completed queries per second over [t0, t1].
-  double throughput(double t0, double t1) const;
-  /// Mean response time of queries completing in [t0, t1].
-  double mean_response(double t0, double t1) const;
-  /// Number of queries completing in [t0, t1].
-  std::size_t completed(double t0, double t1) const;
-  /// Fraction of completions in [t0, t1] whose answer was stale.
-  double stale_fraction(double t0, double t1) const;
   /// Timely completions per second over [t0, t1]: response_time <=
-  /// `deadline`. deadline <= 0 counts every completion (== throughput).
+  /// `deadline`. deadline <= 0 counts every completion. Stale answers
+  /// count: a degraded answer in time beats no answer.
   double goodput(double t0, double t1, double deadline) const;
-  /// Completion time of the first successful query at or after `t`, or -1
-  /// if none — the raw material for time-to-recovery.
-  double first_success_after(double t) const;
 
-  /// Route each user query through `collector`: a root Query span per
-  /// query (opened while the collector is enabled), Backoff spans around
-  /// SYN-retransmission waits, Think spans between queries. The
-  /// collector must outlive this workload's users.
+  /// Route each query through `collector`: a root Query span per query
+  /// (opened while the collector is enabled), Backoff spans around
+  /// SYN-retransmission waits, Think spans between closed-loop queries.
+  /// The collector must outlive this workload's users.
   void enable_tracing(trace::Collector& collector) {
     collector_ = &collector;
   }
 
  private:
-  static sim::Task<void> user_loop(UserWorkload& self, host::Host& host,
-                                   net::Interface& nic, sim::Rng rng);
+  static sim::Task<void> arrival_loop(UserWorkload& self, double rate,
+                                      std::vector<std::string> hosts);
+  /// The one client coroutine. Each query runs from first attempt to
+  /// completion or abandonment, retries drawn from `rng`, and logs its
+  /// outcome. A closed-loop user (`host` set) then charges its client
+  /// CPU, thinks and queries again, forever; an open arrival (`host`
+  /// null) is one-shot. One frame per client, none per query.
+  static sim::Task<void> client(UserWorkload& self, host::Host* host,
+                                net::Interface& nic, sim::Rng rng,
+                                std::uint64_t uid);
 
   Testbed& testbed_;
   TracedQueryFn query_;
@@ -160,12 +201,7 @@ class UserWorkload {
   resilience::ClientPolicy policy_;
   trace::Collector* collector_ = nullptr;
   std::vector<Completion> completions_;
-  std::uint64_t refused_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t failures_ = 0;
-  std::uint64_t abandoned_ = 0;
-  std::uint64_t queries_ = 0;
-  std::uint64_t attempts_ = 0;
+  ClientCounters counters_;
   int users_ = 0;
 };
 

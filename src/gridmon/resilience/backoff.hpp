@@ -2,7 +2,7 @@
 
 /// \file backoff.hpp
 /// Shared retry-backoff policy used by every retry loop in the tree
-/// (UserWorkload, OpenWorkload, inter-service calls).  Two modes:
+/// (UserWorkload's closed and open loops, inter-service calls).  Two modes:
 ///
 ///  - schedule mode: an explicit per-attempt delay table (the paper's
 ///    slapd-style 3/6/12/... ladder); attempts past the end reuse the

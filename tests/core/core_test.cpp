@@ -5,14 +5,21 @@
 #include "gridmon/core/adapters.hpp"
 #include "gridmon/core/experiment.hpp"
 #include "gridmon/core/mapping.hpp"
-#include "gridmon/core/open_workload.hpp"
 #include "gridmon/core/scenario_spec.hpp"
 #include "gridmon/core/scenarios.hpp"
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/core/workload.hpp"
+#include "gridmon/sim/resource.hpp"
+#include "gridmon/trace/collector.hpp"
 
 namespace gridmon::core {
 namespace {
+
+/// The window metrics of `w`'s completion log and counters over [t0, t1]
+/// (counters taken from the start of the run).
+SweepPoint window(Testbed& tb, const UserWorkload& w, double t0, double t1) {
+  return window_report(tb, "", 0, w.completions(), {}, w.counters(), t0, t1);
+}
 
 TEST(MappingTest, MatchesPaperTable1) {
   const auto& table = component_mapping();
@@ -79,9 +86,8 @@ TEST(WorkloadTest, ThinkTimePacesQueries) {
   w.spawn_users(10, {"uc01", "uc02"});
   tb.sim().run(101.0);
   // 10 users x ~1 query/s for 100 s.
-  double tput = w.throughput(1.0, 101.0);
-  EXPECT_NEAR(tput, 10.0, 1.0);
-  EXPECT_LT(w.mean_response(0, 101.0), 0.01);
+  EXPECT_NEAR(window(tb, w, 1.0, 101.0).throughput, 10.0, 1.0);
+  EXPECT_LT(window(tb, w, 0, 101.0).response, 0.01);
 }
 
 TEST(WorkloadTest, ResponseTimeIncludesServiceDelay) {
@@ -95,9 +101,9 @@ TEST(WorkloadTest, ResponseTimeIncludesServiceDelay) {
   UserWorkload w(tb, slow, config);
   w.spawn_users(5, {"uc01"});
   tb.sim().run(50.0);
-  EXPECT_NEAR(w.mean_response(0, 50.0), 3.0, 0.01);
+  EXPECT_NEAR(window(tb, w, 0, 50.0).response, 3.0, 0.01);
   // Each user cycles every ~4 s.
-  EXPECT_NEAR(w.throughput(4.0, 48.0), 5.0 / 4.0, 0.3);
+  EXPECT_NEAR(window(tb, w, 4.0, 48.0).throughput, 5.0 / 4.0, 0.3);
 }
 
 TEST(WorkloadTest, RefusalsTriggerBackoffAndRetry) {
@@ -144,23 +150,21 @@ std::string open_gris_digest() {
   ScenarioSpec spec;
   Testbed tb;
   auto scenario = make_scenario(tb, spec);
-  OpenWorkloadConfig oc;
-  oc.arrival_rate = 450 / 4.3;
-  OpenWorkload w(tb, scenario->query_fn(), oc);
-  w.start(tb.uc_names());
+  WorkloadConfig wc;
+  wc.max_attempts = 4;
+  UserWorkload w(tb, scenario->query_fn(), wc);
+  w.start_arrivals(450 / 4.3, tb.uc_names());
   tb.sampler().start();
-  tb.sim().run(tb.sim().now() + 30);
-  double t0 = tb.sim().now();
-  tb.sim().run(t0 + 120);
-  double t1 = tb.sim().now();
-  const std::string server = spec.server_host();
+  MeasureConfig mc;
+  mc.warmup = 30;
+  mc.duration = 120;
+  SweepPoint p = measure(tb, w, spec.server_host(), 450, mc);
   std::ostringstream out;
   out.precision(17);
-  out << w.throughput(t0, t1) << ' ' << w.mean_response(t0, t1) << ' '
-      << tb.sampler().series(server + ".load1").mean_over(t0, t1) << ' '
-      << tb.sampler().series(server + ".cpu_pct").mean_over(t0, t1)
-      << " queries=" << w.arrivals() << " attempts=" << w.total_attempts()
-      << " abandoned=" << w.failures()
+  out << p.throughput << ' ' << p.response << ' ' << p.load1 << ' ' << p.cpu
+      << " queries=" << w.total_queries()
+      << " attempts=" << w.total_attempts()
+      << " abandoned=" << w.abandoned_queries()
       << " completions=" << w.completions().size() << '\n';
   for (const Completion& c : w.completions()) {
     out << c.t << ' ' << c.response_time << ' ' << c.bytes << ' ' << c.stale
@@ -188,6 +192,124 @@ TEST(OpenArrivalsTest, GrisPointMatchesRecordedGolden) {
             "completions=15339\n");
   EXPECT_EQ(d.size(), 702495u);
   EXPECT_EQ(fnv1a(d), 13596893439669326865ull);
+}
+
+TEST(OpenArrivalsTest, ArrivalRateIsHonored) {
+  Testbed tb;
+  QueryFn instant = [](net::Interface&) -> sim::Task<QueryAttempt> {
+    co_return QueryAttempt{true, 0};
+  };
+  UserWorkload w(tb, instant);
+  w.start_arrivals(20.0, tb.uc_names());
+  tb.sim().run(200.0);
+  EXPECT_NEAR(static_cast<double>(w.total_queries()) / 200.0, 20.0, 2.0);
+  EXPECT_NEAR(window(tb, w, 0, 200).throughput, 20.0, 2.0);
+}
+
+TEST(OpenArrivalsTest, ResponseTimeMeasured) {
+  Testbed tb;
+  QueryFn slow = [&tb](net::Interface&) -> sim::Task<QueryAttempt> {
+    co_await tb.sim().delay(2.0);
+    co_return QueryAttempt{true, 0};
+  };
+  UserWorkload w(tb, slow);
+  w.start_arrivals(3.0, tb.uc_names());
+  tb.sim().run(100.0);
+  EXPECT_NEAR(window(tb, w, 0, 100).response, 2.0, 0.01);
+  // Open loop: ~6 queries outstanding on average never throttles arrivals.
+  EXPECT_GT(w.total_queries(), 250u);
+}
+
+TEST(OpenArrivalsTest, GivesUpAfterMaxAttempts) {
+  Testbed tb;
+  QueryFn always_refused = [](net::Interface&) -> sim::Task<QueryAttempt> {
+    co_return QueryAttempt{false, 0};
+  };
+  WorkloadConfig config;
+  config.max_attempts = 3;
+  config.retry_schedule = {0.5};
+  UserWorkload w(tb, always_refused, config);
+  w.start_arrivals(1.0, tb.uc_names());
+  tb.sim().run(60.0);
+  EXPECT_GT(w.abandoned_queries(), 30u);
+  EXPECT_TRUE(w.completions().empty());
+  // At the cutoff at most the newest arrival can still be mid-retry.
+  EXPECT_LE(w.outstanding(), 1u);
+}
+
+TEST(OpenArrivalsTest, OverloadGrowsOutstandingQueue) {
+  // Offered load ~3x a single-threaded server's capacity: the in-flight
+  // count must grow roughly linearly with time (no self-throttling).
+  Testbed tb;
+  sim::Resource server(tb.sim(), 1);
+  QueryFn one_at_a_time = [&](net::Interface&) -> sim::Task<QueryAttempt> {
+    auto lease = co_await server.acquire();
+    co_await tb.sim().delay(1.0);
+    co_return QueryAttempt{true, 0};
+  };
+  UserWorkload w(tb, one_at_a_time);
+  w.start_arrivals(3.0, tb.uc_names());
+  tb.sim().run(60.0);
+  std::uint64_t at60 = w.outstanding();
+  tb.sim().run(120.0);
+  std::uint64_t at120 = w.outstanding();
+  EXPECT_GT(at60, 60u);          // ~2 excess arrivals/s pile up
+  EXPECT_GT(at120, at60 + 60);   // and keep piling
+}
+
+/// An admitted query the service fails is an error, not a completion:
+/// the open loop once broke out of its retry loop on `admitted` alone.
+TEST(OpenArrivalsTest, FailedAnswersAreNotCompletions) {
+  Testbed tb;
+  QueryFn broken = [](net::Interface&) -> sim::Task<QueryAttempt> {
+    QueryAttempt a;
+    a.admitted = true;
+    a.failed = true;
+    co_return a;
+  };
+  WorkloadConfig config;
+  config.max_attempts = 2;
+  config.retry_schedule = {0.5};
+  UserWorkload w(tb, broken, config);
+  w.start_arrivals(2.0, tb.uc_names());
+  tb.sim().run(60.0);
+  EXPECT_GT(w.total_queries(), 60u);
+  EXPECT_TRUE(w.completions().empty());
+  EXPECT_EQ(w.failed_attempts(), w.total_attempts());
+  EXPECT_EQ(w.refused_attempts(), 0u);
+  // Every query is abandoned after its second failure, or still retrying.
+  EXPECT_EQ(w.abandoned_queries() + w.outstanding(), w.total_queries());
+  EXPECT_LE(w.outstanding(), 2u);
+}
+
+/// Open arrivals are traced like closed-loop users: one root Query span
+/// per arrival, a Backoff span under it for every retry wait.
+TEST(OpenArrivalsTest, TracesOneQueryRootPerArrival) {
+  Testbed tb;
+  trace::Collector collector(tb.sim(), tb.config().seed);
+  collector.set_enabled(true);
+  int calls = 0;
+  // Refuse every other attempt, so some arrivals retry.
+  QueryFn flaky = [&calls](net::Interface&) -> sim::Task<QueryAttempt> {
+    co_return QueryAttempt{++calls % 2 == 0, 0};
+  };
+  UserWorkload w(tb, flaky);
+  w.enable_tracing(collector);
+  w.start_arrivals(5.0, tb.uc_names());
+  tb.sim().run(30.0);
+  std::uint64_t roots = 0;
+  std::uint64_t backoffs = 0;
+  for (const trace::SpanRecord& s : collector.spans()) {
+    if (s.kind == trace::SpanKind::Query && s.parent == 0) ++roots;
+    if (s.kind == trace::SpanKind::Backoff) {
+      ++backoffs;
+      EXPECT_NE(s.parent, 0u);
+    }
+  }
+  EXPECT_GT(w.total_queries(), 100u);
+  EXPECT_EQ(roots, w.total_queries());
+  EXPECT_GT(w.refused_attempts(), 0u);
+  EXPECT_EQ(backoffs, w.refused_attempts());
 }
 
 TEST(PrintFiguresTest, RendersAllMetricTables) {

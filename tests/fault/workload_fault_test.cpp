@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gridmon/core/adapters.hpp"
+#include "gridmon/core/experiment.hpp"
 #include "gridmon/core/scenarios.hpp"
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/core/workload.hpp"
@@ -29,6 +30,16 @@ struct GrisRig {
   }
 };
 
+/// Window metrics of the whole run's log over [t0, t1]; a `mark` >= 0
+/// also reports the first success at or after it as `recovery`.
+core::MetricsReport window(GrisRig& rig, const core::UserWorkload& w,
+                           double t0, double t1, double mark = -1) {
+  core::MeasureConfig mc;
+  mc.recovery_mark = mark;
+  return core::window_report(rig.tb, "lucky7", 0, w.completions(), {},
+                             w.counters(), t0, t1, mc);
+}
+
 TEST(WorkloadFaultTest, FaultFreeRunWithDeadlineHasNoErrors) {
   GrisRig rig;
   core::WorkloadConfig wc;
@@ -41,7 +52,7 @@ TEST(WorkloadFaultTest, FaultFreeRunWithDeadlineHasNoErrors) {
   EXPECT_GT(w.completions().size(), 10u);
   EXPECT_EQ(w.error_count(), 0u);
   EXPECT_EQ(w.abandoned_queries(), 0u);
-  EXPECT_DOUBLE_EQ(w.stale_fraction(0, 120), 0.0);
+  EXPECT_DOUBLE_EQ(window(rig, w, 0, 120).stale_frac, 0.0);
   rig.tb.sim().shutdown();
 }
 
@@ -66,11 +77,11 @@ TEST(WorkloadFaultTest, DeadlineAbandonsQueriesDuringBlackholeCrash) {
   EXPECT_GT(w.abandoned_queries(), 0u);
   EXPECT_GT(w.error_count(), 0u);
   // Nobody finished a query inside the blackhole window...
-  EXPECT_EQ(w.completed(60, 100), 0u);
+  EXPECT_DOUBLE_EQ(window(rig, w, 60, 100).throughput, 0.0);
   // ...and the first success after the restart bounds time-to-recovery.
-  double first = w.first_success_after(100);
-  EXPECT_GE(first, 100.0);
-  EXPECT_LT(first, 160.0);
+  double recovery = window(rig, w, 0, 220, 100).recovery;
+  EXPECT_GE(recovery, 0.0);
+  EXPECT_LT(recovery, 60.0);
   rig.tb.sim().shutdown();
 }
 
@@ -95,7 +106,7 @@ TEST(WorkloadFaultTest, RefuseCrashCountsRefusalsAndCapsRetries) {
 
   EXPECT_GT(w.refused_attempts(), 0u);
   EXPECT_GT(w.abandoned_queries(), 0u);
-  EXPECT_GE(w.first_success_after(120), 120.0);
+  EXPECT_GE(window(rig, w, 0, 240, 120).recovery, 0.0);
   rig.tb.sim().shutdown();
 }
 
@@ -121,12 +132,12 @@ TEST(WorkloadFaultTest, CollectorOutageYieldsStaleReadsNotErrors) {
   rig.tb.sim().run(220);
 
   // The outage is fully masked: stale answers, zero errors.
-  EXPECT_GT(w.stale_fraction(70, 140), 0.0);
+  EXPECT_GT(window(rig, w, 70, 140).stale_frac, 0.0);
   EXPECT_EQ(w.error_count(), 0u);
   EXPECT_EQ(w.abandoned_queries(), 0u);
   // Before the outage and well after it, answers are fresh again.
-  EXPECT_DOUBLE_EQ(w.stale_fraction(0, 60), 0.0);
-  EXPECT_DOUBLE_EQ(w.stale_fraction(180, 220), 0.0);
+  EXPECT_DOUBLE_EQ(window(rig, w, 0, 60).stale_frac, 0.0);
+  EXPECT_DOUBLE_EQ(window(rig, w, 180, 220).stale_frac, 0.0);
   rig.tb.sim().shutdown();
 }
 

@@ -1,7 +1,7 @@
 /// Unit + scenario tests for the overload-resilience subsystem: backoff
 /// policy, retry budget, circuit-breaker state machine, ServerPort queue
 /// disciplines (FIFO/LIFO/deadline-EDF) with deadline shedding, the
-/// OpenWorkload config validation, seed-determinism with resilience on,
+/// open-arrival retry schedules, seed-determinism with resilience on,
 /// and the metastable-failure regression (an outage-then-heal storm
 /// converges with budgets and breakers, and stays degraded without).
 
@@ -13,8 +13,8 @@
 #include <utility>
 #include <vector>
 
-#include "gridmon/core/open_workload.hpp"
 #include "gridmon/core/testbed.hpp"
+#include "gridmon/core/workload.hpp"
 #include "gridmon/net/server_port.hpp"
 #include "gridmon/resilience/backoff.hpp"
 #include "gridmon/resilience/circuit_breaker.hpp"
@@ -364,19 +364,35 @@ TEST(ServerPort, DisabledPolicyNeverQueuesOrSheds) {
   EXPECT_EQ(port.total_shed(), 0u);
 }
 
-// ------------------------------------------------ OpenWorkload validation
+// ------------------------------------------- open-arrival retry schedule
 
-TEST(OpenWorkloadConfig, RejectsScheduleShorterThanMaxRetries) {
+/// A schedule shorter than the retry count repeats its last entry, for
+/// open arrivals exactly as for closed-loop users.
+TEST(OpenArrivalRetries, LastScheduleEntryRepeats) {
   core::Testbed tb;
-  core::QueryFn noop = [](net::Interface&) -> sim::Task<core::QueryAttempt> {
-    co_return core::QueryAttempt{true, 0};
+  std::vector<double> at;
+  core::QueryFn refused =
+      [&tb, &at](net::Interface&) -> sim::Task<core::QueryAttempt> {
+    at.push_back(tb.sim().now());
+    co_return core::QueryAttempt{};
   };
-  core::OpenWorkloadConfig cfg;
-  cfg.max_retries = 5;
-  cfg.retry_schedule = {1, 2};  // covers only 2 of 5 retries
-  EXPECT_THROW(core::OpenWorkload(tb, noop, cfg), std::invalid_argument);
-  cfg.retry_schedule.clear();  // exponential default is always legal
-  EXPECT_NO_THROW(core::OpenWorkload(tb, noop, cfg));
+  core::WorkloadConfig cfg;
+  cfg.max_attempts = 5;  // four retries on a two-entry schedule
+  cfg.retry_schedule = {1, 4};
+  cfg.retry_jitter = 0;
+  core::UserWorkload w(tb, refused, cfg);
+  w.start_arrivals(0.001, tb.uc_names());
+  tb.sim().run(10000.0);
+  ASSERT_GE(at.size(), 5u);
+  EXPECT_DOUBLE_EQ(at[1] - at[0], 1.0);
+  EXPECT_DOUBLE_EQ(at[2] - at[1], 4.0);
+  EXPECT_DOUBLE_EQ(at[3] - at[2], 4.0);
+  EXPECT_DOUBLE_EQ(at[4] - at[3], 4.0);
+  // Every finished query spent exactly its five attempts.
+  EXPECT_GT(w.abandoned_queries(), 0u);
+  EXPECT_EQ(w.abandoned_queries() + w.outstanding(), w.total_queries());
+  EXPECT_GE(w.total_attempts(), 5 * w.abandoned_queries());
+  EXPECT_LT(w.total_attempts(), 5 * w.total_queries() + 1);
 }
 
 // --------------------------- outage-then-heal storm (metastable failure)
@@ -384,13 +400,13 @@ TEST(OpenWorkloadConfig, RejectsScheduleShorterThanMaxRetries) {
 struct StormResult {
   double pre_goodput = 0;    // deadline-met completions/s before the outage
   double post_goodput = 0;   // same, in the recovery window after the heal
-  double amp = 0;            // attempts / arrivals over the whole run
+  double amp = 0;            // attempts / queries over the whole run
   std::uint64_t suppressed = 0;
   std::uint64_t fast_fails = 0;
   std::vector<core::Completion> completions;
-  std::uint64_t arrivals = 0;
+  std::uint64_t queries = 0;
   std::uint64_t attempts = 0;
-  std::uint64_t failures = 0;
+  std::uint64_t abandoned = 0;
 };
 
 /// One open-loop run against a single-port server: 7 q/s Poisson arrivals
@@ -412,14 +428,13 @@ StormResult run_storm(bool resilient, std::uint64_t seed) {
     port.release();
     co_return core::QueryAttempt{true, 0};
   };
-  core::OpenWorkloadConfig cfg;
+  core::WorkloadConfig cfg;
   // 80% utilization of the fault-free server, and clients patient enough
-  // (12 retries spread over ~90 s) that an outage's arrivals are all
-  // still retrying when the server heals — the fuel of a metastable
-  // retry storm.
-  cfg.arrival_rate = 7.0;
-  cfg.max_retries = 12;
-  cfg.retry_schedule = {2, 4, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8};
+  // (12 retries spread over ~90 s; the schedule's last entry repeats)
+  // that an outage's arrivals are all still retrying when the server
+  // heals — the fuel of a metastable retry storm.
+  cfg.max_attempts = 13;
+  cfg.retry_schedule = {2, 4, 8};
   if (resilient) {
     cfg.resilience.enabled = true;
     cfg.resilience.budget.capacity = 10.0;
@@ -429,29 +444,22 @@ StormResult run_storm(bool resilient, std::uint64_t seed) {
     cfg.resilience.breaker.failure_threshold = 0.5;
     cfg.resilience.breaker.open_duration = 10.0;
   }
-  core::OpenWorkload w(tb, query, cfg);
-  w.start(tb.uc_names());
+  core::UserWorkload w(tb, query, cfg);
+  w.start_arrivals(7.0, tb.uc_names());
   tb.sim().schedule(80.0, [&] { port.crash(); });
   tb.sim().schedule(140.0, [&] { port.restart(); });
   tb.sim().run(200.0);
 
-  auto goodput = [&](double t0, double t1) {
-    std::size_t n = 0;
-    for (const auto& c : w.completions()) {
-      if (c.t >= t0 && c.t < t1 && c.response_time <= kDeadline) ++n;
-    }
-    return static_cast<double>(n) / (t1 - t0);
-  };
   StormResult r;
-  r.pre_goodput = goodput(20, 80);
-  r.post_goodput = goodput(150, 200);
+  r.pre_goodput = w.goodput(20, 80, kDeadline);
+  r.post_goodput = w.goodput(150, 200, kDeadline);
   r.amp = w.retry_amplification();
   r.suppressed = w.resilience_policy().budget().suppressed();
   r.fast_fails = w.resilience_policy().breaker().fast_fails();
   r.completions = w.completions();
-  r.arrivals = w.arrivals();
+  r.queries = w.total_queries();
   r.attempts = w.total_attempts();
-  r.failures = w.failures();
+  r.abandoned = w.abandoned_queries();
   return r;
 }
 
@@ -466,9 +474,9 @@ TEST(ResilienceDeterminism, SameSeedIsByteIdenticalWithResilienceOn) {
     EXPECT_EQ(a.completions[i].response_time, b.completions[i].response_time)
         << i;
   }
-  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.queries, b.queries);
   EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.abandoned, b.abandoned);
   EXPECT_EQ(a.suppressed, b.suppressed);
   EXPECT_EQ(a.fast_fails, b.fast_fails);
 }
@@ -479,8 +487,8 @@ std::string storm_digest(const StormResult& r) {
   std::ostringstream out;
   out.precision(17);
   out << "pre=" << r.pre_goodput << " post=" << r.post_goodput
-      << " amp=" << r.amp << " queries=" << r.arrivals
-      << " attempts=" << r.attempts << " abandoned=" << r.failures
+      << " amp=" << r.amp << " queries=" << r.queries
+      << " attempts=" << r.attempts << " abandoned=" << r.abandoned
       << " suppressed=" << r.suppressed << " fast_fails=" << r.fast_fails
       << " completions=" << r.completions.size() << "\n";
   for (const auto& c : r.completions) {
@@ -533,7 +541,7 @@ TEST(ResilienceDeterminism, StormMatchesRecordedGolden) {
 TEST(ResilienceDeterminism, DifferentSeedsDiverge) {
   StormResult a = run_storm(true, 7);
   StormResult b = run_storm(true, 8);
-  EXPECT_NE(a.arrivals, b.arrivals);
+  EXPECT_NE(a.queries, b.queries);
 }
 
 TEST(MetastableFailure, BudgetsAndBreakersConvergeAfterHeal) {
