@@ -284,6 +284,10 @@ std::unique_ptr<Scenario> build_scenario(Testbed& tb,
 
 std::unique_ptr<Scenario> make_scenario(Testbed& tb,
                                         const ScenarioSpec& spec) {
+  // The builder's validation pass, re-run on the spec as given: a spec
+  // whose fields were assigned directly cannot bypass it on its way to a
+  // deployment.
+  SpecBuilder(spec).build();
   auto s = build_scenario(tb, spec);
   if (spec.resilience.enabled) s->apply_resilience(spec.resilience);
   return s;

@@ -330,8 +330,10 @@ class SpecBuilder {
 /// the result is ready for `UserWorkload(tb, scenario->query_fn())`.
 /// Does NOT advance simulated time — call `scenario->prefill()` once
 /// afterwards to run the deployment's settling phase (cache warm-up,
-/// first advertisements, registration rounds). Throws ConfigError for a
-/// query variant the service cannot answer.
+/// first advertisements, registration rounds). Throws ConfigError when
+/// `spec` fails SpecBuilder's validation pass (the same check build()
+/// runs, so a directly mutated spec is held to it too) or names a query
+/// variant the service cannot answer.
 std::unique_ptr<Scenario> make_scenario(Testbed& tb, const ScenarioSpec& spec);
 
 /// Parse the INI text through a SpecBuilder. Structural problems (a

@@ -8,7 +8,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "gridmon/core/scenario_spec.hpp"
 
@@ -53,11 +57,27 @@ int parse_int(const std::string& value) {
   return parse_int_list(value).front();
 }
 
+/// The whole of `value` as a non-negative integer of type Int. A
+/// fraction, an exponent, trailing text or an out-of-range value is an
+/// error, never a silent truncation.
+template <typename Int>
+Int parse_whole(const std::string& value) {
+  Int v{};
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || ptr != end || std::cmp_less(v, 0)) {
+    throw ConfigError("bad integer '" + value + "'");
+  }
+  return v;
+}
+
 double parse_double(const std::string& value) {
   try {
     std::size_t used = 0;
     double v = std::stod(value, &used);
-    if (used != value.size() || v < 0) throw std::invalid_argument(value);
+    if (used != value.size() || !std::isfinite(v) || v < 0) {
+      throw std::invalid_argument(value);
+    }
     return v;
   } catch (const std::exception&) {
     throw ConfigError("bad number '" + value + "'");
@@ -161,7 +181,7 @@ void apply_experiment_key(ScenarioSpec& spec, const std::string& key,
   } else if (key == "duration") {
     spec.duration = parse_double(value);
   } else if (key == "seed") {
-    spec.seed = static_cast<std::uint64_t>(parse_double(value));
+    spec.seed = parse_whole<std::uint64_t>(value);
   } else if (key == "gris_count") {
     spec.gris_count = parse_int(value);
   } else if (key == "machines") {
@@ -219,7 +239,7 @@ void apply_fault_key(ScenarioSpec& spec, const std::string& key,
   } else if (key == "query_deadline") {
     spec.query_deadline = parse_double(value);
   } else if (key == "max_attempts") {
-    spec.max_attempts = static_cast<int>(parse_double(value));
+    spec.max_attempts = parse_whole<int>(value);
   } else {
     throw ConfigError("unknown key '" + key + "'");
   }
@@ -303,9 +323,9 @@ void apply_engine_key(ScenarioSpec& spec, const std::string& key,
                       const std::string& value) {
   if (key == "shards") {
     // 0 (legacy) is a legal value here, so bypass parse_int's > 0 rule.
-    spec.engine.shards = static_cast<int>(parse_double(value));
+    spec.engine.shards = parse_whole<int>(value);
   } else if (key == "threads") {
-    spec.engine.threads = static_cast<int>(parse_double(value));
+    spec.engine.threads = parse_whole<int>(value);
   } else if (key == "lookahead") {
     spec.engine.lookahead = parse_double(value);
   } else {

@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file server_port.hpp
 /// Listen-queue admission control. A server accepts at most `backlog`
 /// in-flight requests (accepted + queued); beyond that, new connections

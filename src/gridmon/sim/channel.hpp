@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file channel.hpp
 /// Unbounded FIFO mailbox between coroutine processes (the "Store" of
 /// classic DES libraries). Producers push without blocking; consumers

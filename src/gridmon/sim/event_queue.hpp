@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file event_queue.hpp
 /// Deterministic pending-event set for the discrete-event simulator.
 ///
@@ -33,11 +31,10 @@ using SimTime = double;
 
 class EventQueue {
  public:
-  // gridmon-lint: suppress(hotpath.std-function) -- cold-path API
-  // boundary only: arbitrary callables enter via schedule()/push(), which
-  // fire once per process spawn or timer, not per event. The per-event
-  // hot path is push_resume()/pop(), which moves bare coroutine handles
-  // and never touches this type.
+  // Cold-path API boundary only: arbitrary callables enter via
+  // schedule()/push(), which fire once per process spawn or timer, not
+  // per event. The per-event hot path is push_resume()/pop(), which moves
+  // bare coroutine handles and never touches this type.
   using Callback = std::function<void()>;
 
   /// The payload of a popped event: either a callback or a bare coroutine

@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file frame_pool.hpp
 /// Size-bucketed free-list allocator for coroutine frames.
 ///

@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file ps_server.hpp
 /// Processor-sharing service center.
 ///
@@ -367,10 +365,10 @@ class PsServer {
     v.clear();
     return v;
   }
-  // gridmon-lint: suppress(hotpath.by-value-param) -- sink parameter:
-  // the single caller hands the buffer back with std::move, so by-value
-  // is a pointer swap, never an element copy; a reference would reopen
-  // the re-entrancy hazard take_scratch exists to close.
+  // Sink parameter: the single caller hands the buffer back with
+  // std::move, so by-value is a pointer swap, never an element copy; a
+  // reference would reopen the re-entrancy hazard take_scratch exists to
+  // close.
   void put_scratch(std::vector<std::coroutine_handle<>> v) noexcept {
     if (v.capacity() > scratch_.capacity()) scratch_ = std::move(v);
   }

@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file resource.hpp
 /// Counting semaphore with FIFO hand-off — models thread pools, connection
 /// limits, and other capacity-constrained server resources.

@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file simulation.hpp
 /// The simulation executive: clock, pending-event set, and detached-task
 /// ownership. Single-threaded and fully deterministic.

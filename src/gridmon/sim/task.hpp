@@ -1,7 +1,5 @@
 #pragma once
 
-// gridmon-lint: hot-path — per-event cost dominates sweep wall-clock.
-
 /// \file task.hpp
 /// Coroutine task type for simulation processes.
 ///

@@ -240,6 +240,62 @@ TEST(MakeScenarioTest, RejectsImpossibleQueryVariant) {
   EXPECT_THROW(make_scenario(tb, spec), ConfigError);
 }
 
+// A spec assigned field by field skips SpecBuilder::build(); make_scenario
+// runs the same validation pass, so it cannot deploy an invalid one.
+TEST(MakeScenarioTest, RejectsDirectlyMutatedInvalidSpec) {
+  ScenarioSpec spec = ScenarioSpec::build().service(ServiceKind::Gris).build();
+  spec.warmup = -5;
+  Testbed tb;
+  try {
+    make_scenario(tb, spec);
+    FAIL() << "make_scenario should have thrown";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("warmup must be non-negative"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The cross-field rules hold on the direct path too: sharding switched on
+// after build() cannot smuggle in a client mode the sharded engine does
+// not drive.
+TEST(MakeScenarioTest, RejectsShardingEnabledAfterBuild) {
+  ScenarioSpec spec = ScenarioSpec::build()
+                          .service(ServiceKind::Gris)
+                          .lucky_clients(true)
+                          .build();
+  spec.engine.shards = 2;
+  Testbed tb;
+  try {
+    make_scenario(tb, spec);
+    FAIL() << "make_scenario should have thrown";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("lucky_clients must be false"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Like build(), make_scenario reports every problem of a spec at once.
+TEST(MakeScenarioTest, ReportsEveryProblemOfDirectlyMutatedSpec) {
+  ScenarioSpec spec;
+  spec.service = ServiceKind::Gris;
+  spec.collectors = 0;
+  spec.duration = 0;
+  Testbed tb;
+  try {
+    make_scenario(tb, spec);
+    FAIL() << "make_scenario should have thrown";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(2 errors)"), std::string::npos) << what;
+    EXPECT_NE(what.find("collectors must be positive"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("duration must be positive"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(MakeScenarioTest, QueryVariantSelectsManagerQuery) {
   ScenarioSpec spec;
   spec.service = ServiceKind::Manager;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gridmon/core/scenario_spec.hpp"
@@ -125,6 +126,114 @@ TEST(SpecBuilderTest, ShardedEngineRejectsUnsupportedCombinations) {
   // All knobs stay legal on the legacy engine.
   EXPECT_NO_THROW(
       ScenarioSpec::build().lucky_clients(true).query_deadline(25).build());
+}
+
+// Integer keys take whole integers only, and no number may be infinite:
+// each input below used to be truncated, rounded to a neighbouring seed,
+// cast out of range, or accepted as a run that never ends.
+TEST(SpecBuilderTest, IniNumbersRejectFractionsOverflowAndInfinity) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"[experiment]\nservice = gris\nduration = inf\n", "bad number 'inf'"},
+      {"[experiment]\nservice = gris\nseed = 1.5\n", "bad integer '1.5'"},
+      {"[experiment]\nservice = gris\nseed = 9007199254740993.0\n",
+       "bad integer '9007199254740993.0'"},
+      {"[experiment]\nservice = gris\n[engine]\nshards = 2.5\n",
+       "bad integer '2.5'"},
+      {"[experiment]\nservice = gris\n[faults]\nmax_attempts = 3.7\n",
+       "bad integer '3.7'"},
+      {"[experiment]\nservice = gris\n[engine]\nshards = 1e10\n",
+       "bad integer '1e10'"},
+      {"[experiment]\nservice = gris\n[engine]\nthreads = 99999999999\n",
+       "bad integer '99999999999'"},
+  };
+  for (const auto& [ini, why] : bad) {
+    try {
+      parse_scenario_spec(ini);
+      ADD_FAILURE() << "accepted:\n" << ini;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
+  // Whole values keep their exact meaning, all 64 bits of a seed included.
+  ScenarioSpec spec = parse_scenario_spec(
+      "[experiment]\nservice = gris\nseed = 9007199254740993\n"
+      "[faults]\nmax_attempts = 3\n");
+  EXPECT_EQ(spec.seed, 9007199254740993u);
+  EXPECT_EQ(spec.max_attempts, 3);
+}
+
+// A seed is a uint64: the largest one is a seed like any other, and the
+// first value past it, a sign or a non-decimal spelling is an error
+// rather than a wrapped or truncated seed.
+TEST(SpecBuilderTest, IniSeedTakesEveryUint64AndNothingBeyond) {
+  ScenarioSpec spec = parse_scenario_spec(
+      "[experiment]\nservice = gris\nseed = 18446744073709551615\n");
+  EXPECT_EQ(spec.seed, 18446744073709551615u);
+  for (const std::string bad :
+       {"18446744073709551616", "-1", "+7", "0x10", "7 8"}) {
+    try {
+      parse_scenario_spec("[experiment]\nservice = gris\nseed = " + bad +
+                          "\n");
+      ADD_FAILURE() << "accepted seed = " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad integer '" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// shards, threads and max_attempts are counts: zero is legal (legacy
+// engine, hardware threads, no retry), a negative count or trailing text
+// is not.
+TEST(SpecBuilderTest, IniCountKeysTakeZeroButNotNegativesOrText) {
+  ScenarioSpec spec = parse_scenario_spec(
+      "[experiment]\nservice = gris\n[engine]\nshards = 0\nthreads = 0\n"
+      "[faults]\nmax_attempts = 0\n");
+  EXPECT_EQ(spec.engine.shards, 0);
+  EXPECT_EQ(spec.engine.threads, 0);
+  EXPECT_EQ(spec.max_attempts, 0);
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"[engine]\nshards = -1\n", "bad integer '-1'"},
+      {"[engine]\nthreads = -2\n", "bad integer '-2'"},
+      {"[faults]\nmax_attempts = -1\n", "bad integer '-1'"},
+      {"[engine]\nshards = 4x\n", "bad integer '4x'"},
+  };
+  for (const auto& [section, why] : bad) {
+    const std::string ini = "[experiment]\nservice = gris\n" + section;
+    try {
+      parse_scenario_spec(ini);
+      ADD_FAILURE() << "accepted:\n" << ini;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Real-valued keys reject every non-finite spelling, in every section:
+// an infinite window never ends and a NaN compares false against every
+// range check the validation pass makes.
+TEST(SpecBuilderTest, IniRealKeysRejectNanAndInfinity) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"[experiment]\nservice = gris\nduration = nan\n", "bad number 'nan'"},
+      {"[experiment]\nservice = gris\nwarmup = infinity\n",
+       "bad number 'infinity'"},
+      {"[experiment]\nservice = gris\n[engine]\nlookahead = inf\n",
+       "bad number 'inf'"},
+      {"[experiment]\nservice = gris\n[faults]\nquery_deadline = NAN\n",
+       "bad number 'NAN'"},
+  };
+  for (const auto& [ini, why] : bad) {
+    try {
+      parse_scenario_spec(ini);
+      ADD_FAILURE() << "accepted:\n" << ini;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SpecBuilderTest, SeededFromExistingSpecPreset) {

@@ -34,7 +34,7 @@ bool prefix_matches(const std::string& prefix, const std::string& id) {
 }
 
 /// The budget key for a suppression: the first dotted component of its
-/// check prefix ("hotpath.std-function" -> "hotpath").
+/// check prefix ("coroutine.this-capture" -> "coroutine").
 std::string family_of(const std::string& check_prefix) {
   auto dot = check_prefix.find('.');
   return dot == std::string::npos ? check_prefix : check_prefix.substr(0, dot);
@@ -183,60 +183,6 @@ std::vector<CheckInfo> all_checks() {
        "void kick(sim::Simulation& s) { Req r; s.spawn(handle(r)); }",
        "Pass by value (the frame copies it), or keep the object alive in "
        "a container owned by the caller for the coroutine's lifetime."},
-      {"hotpath.std-function",
-       "std::function construction in hot-path files",
-       "std::function type-erases through a possible heap allocation and "
-       "an indirect call; in files tagged hot-path that cost lands on the "
-       "per-event path the tag protects.",
-       "std::function<void()> cb = [this] { fire(); };",
-       "Use a template parameter or a concrete functor/member pointer."},
-      {"hotpath.by-value-param",
-       "by-value heavy parameters (ldap::Entry, rdbms::Row, vectors, ...) "
-       "in hot-path files",
-       "Copying a heavy aggregate per call multiplies allocator traffic "
-       "on the per-event path.",
-       "void index(ldap::Entry e);",
-       "Take const& (or && when ownership transfers)."},
-      {"hotpath.copy-loop",
-       "copying range-for over heavy element types in hot-path files",
-       "`for (auto e : rows)` copies every element; on the hot path this "
-       "is an allocation per row.",
-       "for (auto row : result.rows) emit(row);",
-       "Bind const auto& (or auto& when mutating in place)."},
-      {"store.wal-append-outside-txn",
-       "raw WAL frame appends outside store/ bypass Log::append's "
-       "sequencing and group commit",
-       "Log::append owns LSN assignment, CRC framing, and group-commit "
-       "batching. A raw frame write from outside produces WALs that "
-       "recovery cannot order.",
-       "wal_file.write(frame_bytes);",
-       "Go through store::Log::append and co_await Log::commit()."},
-      {"store.sync-in-hot-path",
-       "synchronous fsync/flush outside store/; append and 'co_await "
-       "Log::commit()' instead",
-       "A synchronous durability wait on a request path stalls the event "
-       "loop for a device round trip; group commit exists so requests "
-       "share that wait.",
-       "fsync(fd);",
-       "Append, then co_await store::Log::commit() (batched)."},
-      {"resilience.retry-without-budget",
-       "retry loops that back off and re-send without consulting a retry "
-       "budget or breaker amplify load unboundedly during outages",
-       "Unbudgeted retries turn a brown-out into a storm: every client "
-       "multiplies offered load exactly when capacity is lowest. The "
-       "resilience layer's budgets/breakers cap the amplification factor.",
-       "for (int a = 0; a < 5; ++a) { co_await backoff(); resend(); }",
-       "Gate each re-send on resilience::RetryBudget::try_spend (or run "
-       "the call through a Breaker)."},
-      {"spec.direct-mutation",
-       "direct ScenarioSpec field assignment bypasses SpecBuilder's "
-       "collect-all-errors validation; build specs through the builder",
-       "SpecBuilder validates the whole spec and reports every config "
-       "error at once; direct field pokes skip validation and reintroduce "
-       "fail-on-first-error debugging.",
-       "spec.users = 1000; spec.collectors = 4;",
-       "ScenarioSpec::build().users(1000).collectors(4).build() — or "
-       "SpecBuilder(base) to modify a copy."},
       {"shard.unguarded-post-horizon",
        "post() in a function with no lookahead/horizon term near the "
        "deliver_at",
@@ -278,41 +224,6 @@ std::vector<CheckInfo> all_checks() {
        "bool before(const ShardMessage& a, const ShardMessage& b) {\n"
        "  return a.from < b.from; }",
        "Order on (deliver_at, uid, seq) only (see shard_message_before)."},
-      {"concurrency.lock-across-await",
-       "a mutex lock held across co_await/co_yield",
-       "A coroutine that suspends while holding a lock parks the mutex "
-       "for wall-clock-unbounded time; the frame may resume on another "
-       "thread still 'owning' a lock acquired on this one (UB for "
-       "std::mutex), and a resumer needing the lock deadlocks.",
-       "std::unique_lock<std::mutex> l(mu_); co_await gate.wait();",
-       "Scope the lock to end before the suspension point, or use a "
-       "sim-level gate (WaitGroup/Gate) instead of a mutex."},
-      {"concurrency.detached-thread",
-       "thread detach() — no join point at shutdown",
-       "A detached thread cannot be joined, so teardown races against its "
-       "last writes (TSan findings that reproduce once a week). The "
-       "worker-pool pattern keeps handles and joins in stop_workers().",
-       "std::thread([&] { pump(); }).detach();",
-       "Store the std::thread and join it at shutdown."},
-      {"concurrency.cv-wait-no-predicate",
-       "condition_variable wait without a predicate",
-       "A bare wait() misses notifications that fire before the wait "
-       "begins (lost wakeup) and returns on spurious wakeups with the "
-       "condition still false. Both bugs vanish under a predicate, which "
-       "re-checks under the lock.",
-       "cv_.wait(lock);",
-       "cv_.wait(lock, [&] { return ready_; });"},
-      {"concurrency.unguarded-shared-write",
-       "a member written from a worker-thread closure with no lock held "
-       "and not atomic",
-       "Any member a std::thread closure writes is shared with the "
-       "spawning thread; an unsynchronized write is a data race (UB), "
-       "visible under TSan only on the interleavings that happen to run. "
-       "The rule walks the closure's same-file call graph, so writes in "
-       "helpers the thread calls are caught too.",
-       "workers_.emplace_back([this] { ++done_count_; });",
-       "Take the pool's mutex around the write, or declare the member "
-       "std::atomic."},
       {"lint.bare-suppression",
        "suppression comments must carry a justification after '--'",
        "An escape hatch without a recorded reason rots: nobody can later "
@@ -338,12 +249,7 @@ FileAnalysis analyze_model(const std::string& path, const Model& m,
   check_determinism(path, m, raw);
   check_iteration(path, m, raw);
   check_coroutine(path, m, raw);
-  check_hotpath(path, m, raw);
-  check_store(path, m, raw);
-  check_resilience(path, m, raw);
-  check_spec(path, m, raw);
   check_shard(path, m, raw);
-  check_concurrency(path, m, raw);
   check_lifetime(path, m, raw);
   check_taint(path, m, opts.project, raw);
   if (opts.project != nullptr) {
@@ -362,7 +268,7 @@ FileAnalysis analyze_model(const std::string& path, const Model& m,
       s.used = true;
       if (s.justification.empty()) {
         // An unjustified suppression is itself a violation AND does not
-        // silence anything: the zero-baseline gate requires every escape
+        // silence anything: the zero-finding gate requires every escape
         // hatch to explain itself.
         continue;
       }
@@ -490,70 +396,6 @@ std::vector<std::string> collect_sources(const std::string& root) {
     }
   }
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> compile_db_files(const std::string& json) {
-  // compile_commands.json is an array of flat objects; we need only the
-  // "file" (and "directory", to absolutize) string members, so a focused
-  // scanner beats dragging in a JSON library the container may not have.
-  std::vector<std::string> out;
-  std::string cur_dir, cur_file;
-  std::size_t i = 0;
-  auto parse_string = [&]() -> std::string {
-    std::string s;
-    ++i;  // opening quote
-    while (i < json.size() && json[i] != '"') {
-      if (json[i] == '\\' && i + 1 < json.size()) {
-        char c = json[i + 1];
-        s += (c == 'n' ? '\n' : c == 't' ? '\t' : c);
-        i += 2;
-      } else {
-        s += json[i++];
-      }
-    }
-    ++i;  // closing quote
-    return s;
-  };
-  auto flush_entry = [&]() {
-    if (cur_file.empty()) return;
-    std::filesystem::path p(cur_file);
-    if (p.is_relative() && !cur_dir.empty()) p = fs::path(cur_dir) / p;
-    out.push_back(p.lexically_normal().string());
-    cur_dir.clear();
-    cur_file.clear();
-  };
-  while (i < json.size()) {
-    char c = json[i];
-    if (c == '"') {
-      std::string key = parse_string();
-      // Skip whitespace; a ':' means `key` really was a key.
-      while (i < json.size() && std::isspace(static_cast<unsigned char>(
-                                    json[i]))) {
-        ++i;
-      }
-      if (i < json.size() && json[i] == ':') {
-        ++i;
-        while (i < json.size() && std::isspace(static_cast<unsigned char>(
-                                      json[i]))) {
-          ++i;
-        }
-        if (i < json.size() && json[i] == '"') {
-          std::string value = parse_string();
-          if (key == "file") cur_file = value;
-          if (key == "directory") cur_dir = value;
-        }
-      }
-    } else if (c == '}') {
-      flush_entry();
-      ++i;
-    } else {
-      ++i;
-    }
-  }
-  flush_entry();
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -290,8 +290,8 @@ struct TaintBody {
   }
 };
 
-/// ScenarioSpec-typed variable names declared anywhere in the file (the
-/// same `ScenarioSpec [&*] name` shape check_spec recognizes).
+/// ScenarioSpec-typed variable names declared anywhere in the file
+/// (`ScenarioSpec [&*] name`).
 std::set<std::string> spec_vars(const Model& m) {
   std::set<std::string> out;
   const auto& t = m.toks;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file checks.hpp
-/// The four gridmon check families. Each takes the structural model and
+/// The gridmon check families. Each takes the structural model and
 /// appends raw diagnostics; suppression filtering happens afterwards in
 /// analyze_source so a suppression can silence any family uniformly.
 
@@ -31,43 +31,12 @@ void check_iteration(const std::string& path, const Model& m,
 void check_coroutine(const std::string& path, const Model& m,
                      std::vector<Diagnostic>& out);
 
-/// hotpath.*: in files tagged `// gridmon-lint: hot-path`, flag
-/// std::function construction, by-value heavy parameters, and copying
-/// range-for loops over heavy element types.
-void check_hotpath(const std::string& path, const Model& m,
-                   std::vector<Diagnostic>& out);
-
-/// store.*: durability discipline outside src/gridmon/store — WAL frames
-/// may only be produced by Log::append (group commit owns sequencing), and
-/// no service may issue a synchronous fsync/flush on its request path;
-/// durability waits go through `co_await Log::commit()`.
-void check_store(const std::string& path, const Model& m,
-                 std::vector<Diagnostic>& out);
-
-/// resilience.*: retry loops outside src/gridmon/resilience that back off
-/// and re-send without consulting a retry budget or circuit breaker
-/// amplify load unboundedly during an outage (retry storms).
-void check_resilience(const std::string& path, const Model& m,
-                      std::vector<Diagnostic>& out);
-
-/// spec.*: outside the builder implementation, ScenarioSpec fields must
-/// not be assigned directly — construction goes through SpecBuilder so
-/// every config error is validated and reported at once.
-void check_spec(const std::string& path, const Model& m,
-                std::vector<Diagnostic>& out);
-
 /// shard.*: the sharded engine's determinism contract — mailbox-only
 /// cross-shard influence, lookahead-respecting deliver_at, merge order a
 /// pure function of (deliver_at, uid, seq). Runs only in files that touch
 /// the shard engine; the engine's own implementation is exempt by path.
 void check_shard(const std::string& path, const Model& m,
                  std::vector<Diagnostic>& out);
-
-/// concurrency.*: real-thread rules (worker pools, benchmark drivers) —
-/// locks across suspension points, detached threads, predicate-less CV
-/// waits, unguarded shared writes from worker closures.
-void check_concurrency(const std::string& path, const Model& m,
-                       std::vector<Diagnostic>& out);
 
 /// coroutine.stale-ref-across-suspend / coroutine.use-after-move: the
 /// flow-sensitive lifetime rules. Built on the per-function CFG

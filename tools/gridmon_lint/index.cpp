@@ -1,7 +1,6 @@
 /// \file index.cpp
-/// Pass 1: per-file fact extraction and the content-hash keyed fact cache.
-/// See index.hpp for the resolution policy; the fixpoint itself lives in
-/// callgraph.cpp.
+/// Pass 1: per-file fact extraction. See index.hpp for the resolution
+/// policy; the fixpoint itself lives in callgraph.cpp.
 
 #include "index.hpp"
 
@@ -178,199 +177,34 @@ std::vector<IndexedFunc> index_file(const std::string& path, const Model& m) {
   return out;
 }
 
-ProjectIndex build_project_index(const std::vector<std::string>& files,
-                                 IndexCache* cache) {
+ProjectIndex build_project_index(const std::vector<std::string>& files) {
   ProjectIndex pi;
   for (const std::string& f : files) {
     std::string src = read_file(f);
     if (src.empty()) continue;
-    std::uint64_t h = content_hash(src);
-    std::vector<IndexedFunc> funcs;
-    const std::vector<IndexedFunc>* hit =
-        cache ? cache->lookup(f, h) : nullptr;
-    if (hit) {
-      funcs = *hit;
-      if (cache) ++cache->hits;
-    } else {
-      LexResult lexed = lex(src);
-      LexResult sibling;
-      bool have_sibling = false;
-      fs::path p(f);
-      if (p.extension() == ".cpp") {
-        fs::path header = p;
-        header.replace_extension(".hpp");
-        std::error_code ec;
-        if (fs::exists(header, ec)) {
-          std::string sib = read_file(header.string());
-          if (!sib.empty()) {
-            sibling = lex(sib);
-            have_sibling = true;
-          }
+    LexResult lexed = lex(src);
+    LexResult sibling;
+    bool have_sibling = false;
+    fs::path p(f);
+    if (p.extension() == ".cpp") {
+      fs::path header = p;
+      header.replace_extension(".hpp");
+      std::error_code ec;
+      if (fs::exists(header, ec)) {
+        std::string sib = read_file(header.string());
+        if (!sib.empty()) {
+          sibling = lex(sib);
+          have_sibling = true;
         }
       }
-      Model m = build_model(lexed, have_sibling ? &sibling : nullptr);
-      funcs = index_file(f, m);
-      if (cache) {
-        ++cache->misses;
-        cache->store(f, h, funcs);
-      }
     }
-    for (IndexedFunc& fn : funcs) {
+    Model m = build_model(lexed, have_sibling ? &sibling : nullptr);
+    for (IndexedFunc& fn : index_file(f, m)) {
       pi.funcs[fn.name].push_back(std::move(fn));
     }
   }
   resolve_index(pi);
   return pi;
-}
-
-std::uint64_t content_hash(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
-// ---- IndexCache -----------------------------------------------------------
-//
-// Line-oriented, versioned:
-//   gridmon-lint-index-cache v3
-//   F <hash> <path>
-//   D <name> <line> <wall> <rng> <unordered> <wall_label> <rng_label>
-//   C <callee> <callee> ...
-//   T <taint_return_bits> <taint_label>
-//   R <return_call> <return_call> ...
-//   S <sink_param_idx> ...
-//   P <param_idx> <callee> <arg_idx>
-// T/R/S/P carry the dataflow taint summary and follow their D line; they
-// are omitted when empty. Labels use "-" for empty (they are single tokens
-// by construction). Any parse surprise drops the rest of the cache: a
-// stale cache must cost a re-index, never a wrong answer. v2 caches (no
-// dataflow facts) fail the magic check and re-index, by design.
-
-static const char* kCacheMagic = "gridmon-lint-index-cache v3";
-
-IndexCache IndexCache::load(const std::string& path) {
-  IndexCache cache;
-  std::ifstream in(path);
-  if (!in) return cache;
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheMagic) return cache;
-  std::string cur_file;
-  std::uint64_t cur_hash = 0;
-  std::vector<IndexedFunc> cur_funcs;
-  auto flush = [&] {
-    if (!cur_file.empty()) {
-      cache.entries_[cur_file] = Entry{cur_hash, std::move(cur_funcs)};
-    }
-    cur_funcs.clear();
-  };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ss(line);
-    std::string tag;
-    ss >> tag;
-    if (tag == "F") {
-      flush();
-      ss >> cur_hash;
-      ss.get();  // single separating space
-      std::getline(ss, cur_file);  // path may contain spaces
-      if (!ss && cur_file.empty()) return IndexCache{};
-    } else if (tag == "D") {
-      IndexedFunc fn;
-      fn.file = cur_file;
-      int wall = 0, rng = 0, unordered = 0;
-      ss >> fn.name >> fn.line >> wall >> rng >> unordered >>
-          fn.wall_label >> fn.rng_label;
-      if (!ss) return IndexCache{};
-      fn.wall_clock_sink = wall != 0;
-      fn.rng_sink = rng != 0;
-      fn.returns_unordered = unordered != 0;
-      if (fn.wall_label == "-") fn.wall_label.clear();
-      if (fn.rng_label == "-") fn.rng_label.clear();
-      cur_funcs.push_back(std::move(fn));
-    } else if (tag == "C") {
-      if (cur_funcs.empty()) return IndexCache{};
-      std::string callee;
-      while (ss >> callee) cur_funcs.back().callees.push_back(callee);
-    } else if (tag == "T") {
-      if (cur_funcs.empty()) return IndexCache{};
-      ss >> cur_funcs.back().taint_return >> cur_funcs.back().taint_label;
-      if (!ss) return IndexCache{};
-      if (cur_funcs.back().taint_label == "-") {
-        cur_funcs.back().taint_label.clear();
-      }
-    } else if (tag == "R") {
-      if (cur_funcs.empty()) return IndexCache{};
-      std::string callee;
-      while (ss >> callee) cur_funcs.back().return_calls.push_back(callee);
-    } else if (tag == "S") {
-      if (cur_funcs.empty()) return IndexCache{};
-      int p = 0;
-      while (ss >> p) cur_funcs.back().sink_params.push_back(p);
-    } else if (tag == "P") {
-      if (cur_funcs.empty()) return IndexCache{};
-      ParamCall pc;
-      ss >> pc.param >> pc.callee >> pc.arg;
-      if (!ss) return IndexCache{};
-      cur_funcs.back().param_calls.push_back(std::move(pc));
-    } else {
-      return IndexCache{};
-    }
-  }
-  flush();
-  return cache;
-}
-
-void IndexCache::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return;
-  out << kCacheMagic << "\n";
-  for (const auto& [file, entry] : entries_) {
-    out << "F " << entry.hash << " " << file << "\n";
-    for (const IndexedFunc& fn : entry.funcs) {
-      out << "D " << fn.name << " " << fn.line << " "
-          << (fn.wall_clock_sink ? 1 : 0) << " " << (fn.rng_sink ? 1 : 0)
-          << " " << (fn.returns_unordered ? 1 : 0) << " "
-          << (fn.wall_label.empty() ? "-" : fn.wall_label) << " "
-          << (fn.rng_label.empty() ? "-" : fn.rng_label) << "\n";
-      if (!fn.callees.empty()) {
-        out << "C";
-        for (const std::string& c : fn.callees) out << " " << c;
-        out << "\n";
-      }
-      if (fn.taint_return != 0 || !fn.taint_label.empty()) {
-        out << "T " << fn.taint_return << " "
-            << (fn.taint_label.empty() ? "-" : fn.taint_label) << "\n";
-      }
-      if (!fn.return_calls.empty()) {
-        out << "R";
-        for (const std::string& c : fn.return_calls) out << " " << c;
-        out << "\n";
-      }
-      if (!fn.sink_params.empty()) {
-        out << "S";
-        for (int p : fn.sink_params) out << " " << p;
-        out << "\n";
-      }
-      for (const ParamCall& pc : fn.param_calls) {
-        out << "P " << pc.param << " " << pc.callee << " " << pc.arg << "\n";
-      }
-    }
-  }
-}
-
-const std::vector<IndexedFunc>* IndexCache::lookup(
-    const std::string& file, std::uint64_t hash) const {
-  auto it = entries_.find(file);
-  if (it == entries_.end() || it->second.hash != hash) return nullptr;
-  return &it->second.funcs;
-}
-
-void IndexCache::store(const std::string& file, std::uint64_t hash,
-                       std::vector<IndexedFunc> funcs) {
-  entries_[file] = Entry{hash, std::move(funcs)};
 }
 
 }  // namespace gridmon::lint

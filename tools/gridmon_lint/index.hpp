@@ -101,42 +101,7 @@ struct ProjectIndex {
 std::vector<IndexedFunc> index_file(const std::string& path, const Model& m);
 
 /// Lex + model + index every file, then resolve the call graph. The
-/// convenience entry point for tests and the CLI; `cache` (optional) is a
-/// content-hash keyed facts cache reused across runs (see index cache in
-/// docs/STATIC_ANALYSIS.md).
-class IndexCache;
-ProjectIndex build_project_index(const std::vector<std::string>& files,
-                                 IndexCache* cache = nullptr);
-
-/// Content-hash keyed persistence for pass-1 facts: unchanged files skip
-/// lexing entirely on the next run (ccache for the symbol index). The
-/// format is a line-oriented text file, versioned; a mismatched version or
-/// a corrupt line drops the cache rather than erroring.
-class IndexCache {
- public:
-  /// Load from `path` (missing file = empty cache, not an error).
-  static IndexCache load(const std::string& path);
-  /// Persist the post-run state back to `path`.
-  void save(const std::string& path) const;
-
-  /// Facts for `file` if cached under the same content hash.
-  const std::vector<IndexedFunc>* lookup(const std::string& file,
-                                         std::uint64_t content_hash) const;
-  void store(const std::string& file, std::uint64_t content_hash,
-             std::vector<IndexedFunc> funcs);
-
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-
- private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::vector<IndexedFunc> funcs;
-  };
-  std::map<std::string, Entry> entries_;
-};
-
-/// FNV-1a 64 over the raw bytes — the cache key.
-std::uint64_t content_hash(const std::string& bytes);
+/// entry point for tests and the CLI.
+ProjectIndex build_project_index(const std::vector<std::string>& files);
 
 }  // namespace gridmon::lint

@@ -6,7 +6,7 @@
 /// side table of comments and preprocessor lines. Comments never appear in
 /// the code stream, so checks cannot be fooled by banned names inside
 /// comments or string literals; the comment table is what suppression
-/// handling and hot-path tagging read.
+/// handling reads.
 
 #include <string>
 #include <string_view>

@@ -4,10 +4,7 @@
 /// Public interface of gridmon_lint, the gridmon-specific determinism and
 /// coroutine-safety analyzer. The analyzer is a self-contained C++ frontend
 /// (lexer + lightweight structural analysis) so it runs in any environment
-/// with nothing but the C++ toolchain; when a libclang development setup is
-/// available the same checks could be rehosted on AST matchers, but the
-/// container this repo builds in ships no clang headers, so the token
-/// frontend is the supported implementation (see docs/STATIC_ANALYSIS.md).
+/// with nothing but the C++ toolchain (see docs/STATIC_ANALYSIS.md).
 ///
 /// Every check exists to defend one contract: **a gridmon run is a pure
 /// function of its seed**. Simulated time comes from sim::Simulation::now(),
@@ -34,23 +31,10 @@ struct WitnessStep {
   std::string note;
 };
 
-/// A mechanical repair: replace `original` at (line, col) with
-/// `replacement`. Only attached when the rewrite is provably behavior-
-/// preserving; --fix-apply performs it after re-verifying `original` is
-/// still at that position.
-struct FixEdit {
-  int line = 0;
-  int col = 0;
-  std::string original;
-  std::string replacement;
-};
-
 /// One finding. `check` is a dotted id (family.rule), e.g.
 /// "determinism.wall-clock"; `message` is human-readable; `suggestion`
-/// (optional) is a safe replacement hint printed in --fix mode. `path`
-/// (optional) is the witness chain for flow-sensitive findings; `edit`
-/// (optional, signaled by a non-empty `edit.original`) is a mechanical
-/// repair --fix-apply can perform.
+/// (optional) is a safe replacement hint printed under the finding.
+/// `path` (optional) is the witness chain for flow-sensitive findings.
 struct Diagnostic {
   std::string file;
   int line = 0;
@@ -59,7 +43,6 @@ struct Diagnostic {
   std::string message;
   std::string suggestion;
   std::vector<WitnessStep> path;
-  FixEdit edit;
 
   Diagnostic() = default;
   Diagnostic(std::string file_, int line_, int col_, std::string check_,
@@ -74,8 +57,6 @@ struct Options {
   /// Check-id prefixes to run; empty means all. "determinism" enables the
   /// whole family, "coroutine.ref-capture" exactly one rule.
   std::vector<std::string> enabled_checks;
-  /// Emit fix suggestions alongside diagnostics.
-  bool fix_suggestions = false;
   /// When set, the interprocedural checks run against this resolved
   /// cross-TU index (--project mode); when null only per-file checks run.
   const ProjectIndex* project = nullptr;
@@ -94,14 +75,14 @@ struct CheckInfo {
 std::vector<CheckInfo> all_checks();
 
 /// Result of analyzing one file: the findings plus the file's justified
-/// suppression count per check family ("determinism", "hotpath", ...),
+/// suppression count per check family ("determinism", "iteration", ...),
 /// which the suppression-debt budget aggregates.
 struct FileAnalysis {
   std::vector<Diagnostic> diagnostics;
   std::map<std::string, int> suppressions_by_family;
 };
 
-/// Analyze one file (path is used for reporting and hot-path tagging;
+/// Analyze one file (path is used for reporting and path exemptions;
 /// `source` is the file contents). Diagnostics already filtered through
 /// inline suppressions; unused or unjustified suppressions are themselves
 /// reported (lint.bare-suppression / lint.unused-suppression).
@@ -138,11 +119,6 @@ std::string format_suppression_budget(
 /// Serialize findings as SARIF 2.1.0 (one run, rule metadata from
 /// all_checks()) for CI annotation upload.
 std::string sarif_report(const std::vector<Diagnostic>& findings);
-
-/// Extract the unique source-file list from a compile_commands.json.
-/// Returns file paths (made absolute against each entry's "directory").
-/// Throws std::runtime_error on malformed input.
-std::vector<std::string> compile_db_files(const std::string& json);
 
 /// Recursively collect .hpp/.cpp files under `root`, sorted (deterministic
 /// walk order — the linter practices what it preaches).

@@ -4,7 +4,6 @@
 /// rule catalogue and the two-pass project mode.
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -25,33 +24,15 @@ using gridmon::lint::Options;
 int usage(std::ostream& os, int code) {
   os << "usage: gridmon_lint [options] [file-or-dir...]\n"
         "\n"
-        "gridmon-specific determinism & concurrency-safety analyzer.\n"
+        "gridmon-specific determinism & coroutine-safety analyzer.\n"
         "\n"
-        "  -p, --compile-db <json>   analyze every file listed in a\n"
-        "                            compile_commands.json\n"
-        "  --filter <substr>         keep only paths containing <substr>\n"
-        "                            (repeatable; applies to -p and dirs)\n"
         "  --exclude <substr>        drop paths containing <substr>\n"
-        "                            (repeatable; runs after --filter, so\n"
-        "                            a dir walk can skip its fixture trees)\n"
+        "                            (repeatable, so a dir walk can skip\n"
+        "                            its fixture trees)\n"
         "  --checks <a,b,...>        run only checks with these id prefixes\n"
         "  --project                 two-pass mode: index every input file\n"
         "                            (cross-TU call graph), then run the\n"
         "                            interprocedural checks too\n"
-        "  --index-cache <file>      reuse pass-1 facts for files whose\n"
-        "                            content hash is unchanged (implies\n"
-        "                            nothing without --project)\n"
-        "  --fix                     print fix suggestions with findings\n"
-        "  --fix-apply               rewrite files in place with the\n"
-        "                            mechanical repairs some findings\n"
-        "                            carry (prints what it changed; use on\n"
-        "                            a scratch tree, see lint.sh\n"
-        "                            --fix-verify)\n"
-        "  --baseline <file>         allowed findings, one 'path:check' per\n"
-        "                            line; '#' comments ignored. The shipped\n"
-        "                            baseline is empty and must stay empty.\n"
-        "  --write-baseline <file>   write current findings in baseline\n"
-        "                            format and exit 0\n"
         "  --sarif <file>            also write findings as SARIF 2.1.0\n"
         "  --suppression-budget <f>  enforce the per-family suppression\n"
         "                            debt budget (strict equality)\n"
@@ -63,8 +44,6 @@ int usage(std::ostream& os, int code) {
         "  -h, --help                this text\n";
   return code;
 }
-
-std::string base_key(const Diagnostic& d) { return d.file + ":" + d.check; }
 
 int explain(const std::string& id) {
   for (const auto& c : gridmon::lint::all_checks()) {
@@ -87,11 +66,9 @@ int explain(const std::string& id) {
 int main(int argc, char** argv) {
   Options opts;
   std::vector<std::string> inputs;
-  std::vector<std::string> filters;
   std::vector<std::string> excludes;
-  std::string compile_db, baseline_path, write_baseline;
-  std::string sarif_path, budget_path, write_budget, index_cache_path;
-  bool quiet = false, project = false, fix_apply = false;
+  std::string sarif_path, budget_path, write_budget;
+  bool quiet = false, project = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -110,11 +87,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (a == "--explain") return explain(need_value("--explain"));
-    if (a == "-p" || a == "--compile-db") {
-      compile_db = need_value("--compile-db");
-    } else if (a == "--filter") {
-      filters.push_back(need_value("--filter"));
-    } else if (a == "--exclude") {
+    if (a == "--exclude") {
       excludes.push_back(need_value("--exclude"));
     } else if (a == "--checks") {
       std::stringstream ss(need_value("--checks"));
@@ -124,16 +97,6 @@ int main(int argc, char** argv) {
       }
     } else if (a == "--project") {
       project = true;
-    } else if (a == "--index-cache") {
-      index_cache_path = need_value("--index-cache");
-    } else if (a == "--fix") {
-      opts.fix_suggestions = true;
-    } else if (a == "--fix-apply") {
-      fix_apply = true;
-    } else if (a == "--baseline") {
-      baseline_path = need_value("--baseline");
-    } else if (a == "--write-baseline") {
-      write_baseline = need_value("--write-baseline");
     } else if (a == "--sarif") {
       sarif_path = need_value("--sarif");
     } else if (a == "--suppression-budget") {
@@ -150,21 +113,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Resolve the file set: compile db entries + explicit files + dir walks.
+  // Resolve the file set: explicit files + dir walks.
   std::vector<std::string> files;
   try {
-    if (!compile_db.empty()) {
-      std::ifstream in(compile_db);
-      if (!in) {
-        std::cerr << "gridmon_lint: cannot read " << compile_db << "\n";
-        return 2;
-      }
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      for (auto& f : gridmon::lint::compile_db_files(ss.str())) {
-        files.push_back(std::move(f));
-      }
-    }
     for (const std::string& in : inputs) {
       std::error_code ec;
       if (std::filesystem::is_directory(in, ec)) {
@@ -181,14 +132,6 @@ int main(int argc, char** argv) {
     std::cerr << "gridmon_lint: " << e.what() << "\n";
     return 2;
   }
-  if (!filters.empty()) {
-    std::erase_if(files, [&](const std::string& f) {
-      for (const std::string& s : filters) {
-        if (f.find(s) != std::string::npos) return false;
-      }
-      return true;
-    });
-  }
   if (!excludes.empty()) {
     std::erase_if(files, [&](const std::string& f) {
       for (const std::string& s : excludes) {
@@ -204,37 +147,9 @@ int main(int argc, char** argv) {
 
   // Pass 1 (project mode): index every input, resolve the call graph.
   gridmon::lint::ProjectIndex index;
-  gridmon::lint::IndexCache cache;
   if (project) {
-    if (!index_cache_path.empty()) {
-      cache = gridmon::lint::IndexCache::load(index_cache_path);
-    }
-    index = gridmon::lint::build_project_index(
-        files, index_cache_path.empty() ? nullptr : &cache);
-    if (!index_cache_path.empty()) {
-      cache.save(index_cache_path);
-      if (!quiet) {
-        std::cout << "gridmon_lint: index cache " << cache.hits << " hit"
-                  << (cache.hits == 1 ? "" : "s") << ", " << cache.misses
-                  << " miss" << (cache.misses == 1 ? "" : "es") << "\n";
-      }
-    }
+    index = gridmon::lint::build_project_index(files);
     opts.project = &index;
-  }
-
-  std::set<std::string> allowed;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::cerr << "gridmon_lint: cannot read baseline " << baseline_path
-                << "\n";
-      return 2;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      allowed.insert(line);
-    }
   }
 
   std::vector<Diagnostic> findings;
@@ -245,7 +160,6 @@ int main(int argc, char** argv) {
       auto analysis = gridmon::lint::analyze_file_full(f, opts);
       ++analyzed;
       for (Diagnostic& d : analysis.diagnostics) {
-        if (allowed.count(base_key(d))) continue;
         findings.push_back(std::move(d));
       }
       for (const auto& [family, count] : analysis.suppressions_by_family) {
@@ -255,67 +169,6 @@ int main(int argc, char** argv) {
       std::cerr << "gridmon_lint: " << e.what() << "\n";
       return 2;
     }
-  }
-
-  if (fix_apply) {
-    // Group mechanical repairs by file, apply bottom-up so earlier edits
-    // cannot shift later positions, and only rewrite when the text at
-    // the target location still matches what the analysis saw.
-    std::map<std::string, std::vector<const Diagnostic*>> by_file;
-    for (const Diagnostic& d : findings) {
-      if (!d.edit.original.empty()) by_file[d.file].push_back(&d);
-    }
-    int applied = 0, skipped = 0;
-    for (auto& [file, edits] : by_file) {
-      std::ifstream in(file);
-      std::vector<std::string> lines;
-      std::string line;
-      while (std::getline(in, line)) lines.push_back(line);
-      in.close();
-      std::sort(edits.begin(), edits.end(),
-                [](const Diagnostic* a, const Diagnostic* b) {
-                  if (a->edit.line != b->edit.line) {
-                    return a->edit.line > b->edit.line;
-                  }
-                  return a->edit.col > b->edit.col;
-                });
-      bool changed = false;
-      for (const Diagnostic* d : edits) {
-        const auto& e = d->edit;
-        std::size_t row = static_cast<std::size_t>(e.line - 1);
-        std::size_t at = static_cast<std::size_t>(e.col - 1);
-        if (row >= lines.size() ||
-            lines[row].compare(at, e.original.size(), e.original) != 0) {
-          ++skipped;
-          continue;
-        }
-        lines[row].replace(at, e.original.size(), e.replacement);
-        changed = true;
-        ++applied;
-        if (!quiet) {
-          std::cout << "fixed " << file << ":" << e.line << ":" << e.col
-                    << ": '" << e.original << "' -> '" << e.replacement
-                    << "' [" << d->check << "]\n";
-        }
-      }
-      if (changed) {
-        std::ofstream outf(file);
-        for (const std::string& l : lines) outf << l << "\n";
-      }
-    }
-    std::cout << "gridmon_lint: applied " << applied << " fix"
-              << (applied == 1 ? "" : "es");
-    if (skipped > 0) std::cout << " (" << skipped << " stale, skipped)";
-    std::cout << "\n";
-  }
-
-  if (!write_baseline.empty()) {
-    std::ofstream out(write_baseline);
-    out << "# gridmon_lint baseline — keep empty; every entry is a debt.\n";
-    for (const Diagnostic& d : findings) out << base_key(d) << "\n";
-    std::cout << "wrote " << findings.size() << " entries to "
-              << write_baseline << "\n";
-    return 0;
   }
 
   if (!write_budget.empty()) {
@@ -393,7 +246,7 @@ int main(int argc, char** argv) {
                   << step.line << ":" << step.col << ": " << step.note
                   << "\n";
       }
-      if (opts.fix_suggestions && !d.suggestion.empty()) {
+      if (!d.suggestion.empty()) {
         std::cout << "    fix: " << d.suggestion << "\n";
       }
     }

@@ -114,7 +114,7 @@ Model build_model(const LexResult& lexed, const LexResult* extra_decls) {
     }
   }
 
-  // --- comments: hot-path tag + suppressions -------------------------------
+  // --- comments: suppressions ----------------------------------------------
   for (const Comment& c : lexed.comments) {
     const std::string marker = "gridmon-lint:";
     auto at = c.text.find(marker);
@@ -122,10 +122,6 @@ Model build_model(const LexResult& lexed, const LexResult* extra_decls) {
     std::string rest = c.text.substr(at + marker.size());
     // trim
     while (!rest.empty() && rest.front() == ' ') rest.erase(rest.begin());
-    if (rest.rfind("hot-path", 0) == 0) {
-      m.hot_path = true;
-      continue;
-    }
     Suppression s;
     s.comment_line = c.line;
     if (c.own_line) {
@@ -207,11 +203,11 @@ Model build_model(const LexResult& lexed, const LexResult* extra_decls) {
   if (extra_decls) scan_decls(extra_decls->tokens, m);
   scan_decls(m.toks, m);
 
-  // --- concurrency/shard declaration scan ----------------------------------
-  // Atomics, condition variables, ShardRunner-derived classes and the
-  // variables typed as them. Runs over the sibling header too, so members
-  // declared in the .hpp participate when the .cpp is analyzed.
-  auto scan_conc = [&](const std::vector<Token>& toks, Model& into) {
+  // --- shard declaration scan ----------------------------------------------
+  // ShardRunner-derived classes and the variables typed as them. Runs over
+  // the sibling header too, so members declared in the .hpp participate
+  // when the .cpp is analyzed.
+  auto scan_runners = [&](const std::vector<Token>& toks, Model& into) {
     int tn = static_cast<int>(toks.size());
     // Classes deriving (directly or via a chain in the same stream) from
     // sim::ShardRunner. Two passes so `struct B : A` after `struct A :
@@ -246,14 +242,11 @@ Model build_model(const LexResult& lexed, const LexResult* extra_decls) {
     }
     for (int i = 0; i < tn; ++i) {
       if (!is_ident(toks[i])) continue;
-      bool is_atomic = toks[i].text == "atomic";
-      bool is_condvar = toks[i].text == "condition_variable" ||
-                        toks[i].text == "condition_variable_any";
       bool is_runner = toks[i].text == "ShardRunner" ||
                        into.runner_classes.count(toks[i].text) > 0;
       bool is_smart =
           toks[i].text == "unique_ptr" || toks[i].text == "shared_ptr";
-      if (!is_atomic && !is_condvar && !is_runner && !is_smart) continue;
+      if (!is_runner && !is_smart) continue;
       int j = i + 1;
       if (j < tn && is(toks[j], "<")) {
         int after = skip_angles(toks, j);
@@ -272,7 +265,7 @@ Model build_model(const LexResult& lexed, const LexResult* extra_decls) {
           }
         }
         j = after;
-      } else if (is_atomic || is_smart) {
+      } else if (is_smart) {
         continue;  // without template args these are not the std types
       }
       while (j < tn && (is(toks[j], "&") || is(toks[j], "*") ||
@@ -283,8 +276,6 @@ Model build_model(const LexResult& lexed, const LexResult* extra_decls) {
           (is(toks[j + 1], ";") || is(toks[j + 1], "=") ||
            is(toks[j + 1], "{") || is(toks[j + 1], ",") ||
            is(toks[j + 1], ")") || is(toks[j + 1], ":"))) {
-        if (is_atomic) into.atomic_vars.insert(toks[j].text);
-        if (is_condvar) into.condvar_vars.insert(toks[j].text);
         if (is_runner) into.runner_vars.insert(toks[j].text);
       }
     }
@@ -299,8 +290,8 @@ Model build_model(const LexResult& lexed, const LexResult* extra_decls) {
       }
     }
   };
-  if (extra_decls) scan_conc(extra_decls->tokens, m);
-  scan_conc(m.toks, m);
+  if (extra_decls) scan_runners(extra_decls->tokens, m);
+  scan_runners(m.toks, m);
 
   // --- parameter-list parsing (shared by lambdas and functions) -----------
   auto parse_params = [&](int open, int close, std::vector<Param>& out) {

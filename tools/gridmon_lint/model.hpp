@@ -8,7 +8,7 @@
 /// The model is deliberately approximate — it resolves only what the
 /// checks need (is this name an unordered container? is this lambda a
 /// coroutine? is this identifier a local of the enclosing function?) and
-/// errs toward *not* flagging when it cannot resolve, so the zero-baseline
+/// errs toward *not* flagging when it cannot resolve, so the zero-finding
 /// gate stays meaningful rather than noisy.
 
 #include <map>
@@ -80,8 +80,6 @@ struct Model {
   std::set<std::string> unordered_types;  // using-aliases of unordered containers
   std::map<std::string, std::string> container_elem;  // var -> element type text
 
-  std::set<std::string> atomic_vars;   // names declared std::atomic<...>
-  std::set<std::string> condvar_vars;  // names declared condition_variable[_any]
   std::set<std::string> runner_classes;  // classes derived from sim::ShardRunner
   std::set<std::string> runner_vars;     // vars whose type mentions a runner class
 
@@ -89,7 +87,6 @@ struct Model {
   std::vector<Func> funcs;
   std::vector<Local> locals;
 
-  bool hot_path = false;  // file carries a "gridmon-lint: hot-path" tag
   std::vector<Suppression> suppressions;
 
   /// Innermost function whose body contains token index i, or nullptr.

@@ -1,9 +1,9 @@
 /// \file sarif.cpp
 /// SARIF 2.1.0 serialization of findings, for CI annotation upload
 /// (github/codeql-action/upload-sarif renders results inline on PRs).
-/// Hand-rolled emission for the same reason compile_db_files hand-parses:
-/// the container ships no JSON library, and the subset SARIF needs —
-/// objects, arrays, strings, ints — is small enough to write safely.
+/// Hand-rolled emission: the container ships no JSON library, and the
+/// subset SARIF needs — objects, arrays, strings, ints — is small enough
+/// to write safely.
 
 #include <cstdio>
 #include <set>
