@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "gridmon/classad/classad.hpp"
 #include "gridmon/classad/matchmaker.hpp"
 #include "gridmon/classad/parser.hpp"
@@ -149,6 +151,28 @@ void BM_LdapSubtreeSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 10);
 }
 BENCHMARK(BM_LdapSubtreeSearch)->Arg(10)->Arg(100);
+
+// The GIIS cache-refresh merge: drop one registrant's 42-entry slice from a
+// ~1,400-entry aggregate tree and add it back, parents first.
+void BM_DitMergeSlice(benchmark::State& state) {
+  auto dit = build_dit(33, 41);
+  const auto suffix = ldap::Dn::parse("Mds-Host-hn=host16, o=grid");
+  auto slice = dit.search(suffix, ldap::Scope::Subtree,
+                          *ldap::Filter::match_all())
+                   .entries;
+  std::stable_sort(slice.begin(), slice.end(),
+                   [](const ldap::Entry& a, const ldap::Entry& b) {
+                     return a.dn().depth() < b.dn().depth();
+                   });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dit.remove_subtree(suffix));
+    for (const auto& e : slice) dit.add(e);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(slice.size()));
+}
+BENCHMARK(BM_DitMergeSlice);
 
 // ---- SQL ----
 

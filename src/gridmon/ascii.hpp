@@ -1,12 +1,14 @@
 #pragma once
 
 /// \file ascii.hpp
-/// Locale-free ASCII character classes for the ClassAd lexer, parser and
-/// builtins. The C library's character classes consult the global locale
-/// on every call; ClassAd names and keywords are ASCII by definition, so
-/// these fold and classify plain bytes and leave every other byte alone.
+/// Locale-free ASCII character classes for the ClassAd, LDAP and SQL
+/// lexers, parsers and matchers. The C library's character classes consult
+/// the global locale on every call; names, keywords and the case-folded
+/// directory strings are ASCII by definition, so these fold and classify
+/// plain bytes and leave every other byte alone — bytes >= 0x80 fold and
+/// classify exactly as in the "C" locale.
 
-namespace gridmon::classad::ascii {
+namespace gridmon::ascii {
 
 constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
@@ -31,4 +33,4 @@ constexpr char to_upper(char c) {
   return is_lower(c) ? static_cast<char>(c - 'a' + 'A') : c;
 }
 
-}  // namespace gridmon::classad::ascii
+}  // namespace gridmon::ascii

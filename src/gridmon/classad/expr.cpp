@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "gridmon/classad/ascii.hpp"
+#include "gridmon/ascii.hpp"
 #include "gridmon/classad/classad.hpp"
 
 namespace gridmon::classad {

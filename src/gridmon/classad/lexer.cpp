@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "gridmon/classad/ascii.hpp"
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::classad {
 namespace {

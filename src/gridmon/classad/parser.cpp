@@ -1,6 +1,6 @@
 #include "gridmon/classad/parser.hpp"
 
-#include "gridmon/classad/ascii.hpp"
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::classad {
 namespace {

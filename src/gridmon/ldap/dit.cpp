@@ -1,51 +1,54 @@
 #include "gridmon/ldap/dit.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gridmon::ldap {
 
+std::vector<Dit::Node*>::iterator Dit::child_slot(std::vector<Node*>& children,
+                                                  std::string_view key) {
+  return std::lower_bound(
+      children.begin(), children.end(), key,
+      [](const Node* c, std::string_view k) { return c->key < k; });
+}
+
 void Dit::add(Entry entry) {
   const Dn& dn = entry.dn();
   if (dn.empty()) throw DnError("cannot add entry with empty DN");
-  std::string key = dn.normalized();
-  Dn parent = dn.parent();
-  if (!parent.empty()) {
-    auto pit = nodes_.find(parent.normalized());
+  Node* parent = nullptr;
+  Dn parent_dn = dn.parent();
+  if (!parent_dn.empty()) {
+    auto pit = nodes_.find(parent_dn.normalized());
     if (pit == nodes_.end()) {
-      throw DnError("parent entry does not exist: " + parent.to_string());
+      throw DnError("parent entry does not exist: " + parent_dn.to_string());
     }
-    pit->second.children.insert(key);
+    parent = &pit->second;
   }
-  auto it = nodes_.find(key);
-  if (it != nodes_.end()) {
-    it->second.entry = std::move(entry);  // replace, keep children
-  } else {
-    Node node;
-    node.entry = std::move(entry);
-    nodes_.emplace(std::move(key), std::move(node));
+  auto [it, inserted] = nodes_.try_emplace(dn.normalized());
+  Node& node = it->second;
+  node.entry = std::move(entry);  // a replace keeps the children
+  if (!inserted) return;
+  node.key = it->first;
+  node.parent = parent;
+  if (parent) {
+    parent->children.insert(child_slot(parent->children, node.key), &node);
   }
 }
 
 std::size_t Dit::remove_subtree(const Dn& dn) {
-  std::string key = dn.normalized();
-  auto it = nodes_.find(key);
+  auto it = nodes_.find(dn.normalized());
   if (it == nodes_.end()) return 0;
-  std::size_t removed = 0;
-  // Depth-first removal of children (copy the set: we mutate nodes_).
-  auto children = it->second.children;
-  for (const auto& child : children) {
-    auto cit = nodes_.find(child);
-    if (cit != nodes_.end()) {
-      removed += remove_subtree(cit->second.entry.dn());
-    }
+  Node* top = &it->second;
+  if (Node* parent = top->parent) {
+    parent->children.erase(child_slot(parent->children, top->key));
   }
-  Dn parent = dn.parent();
-  if (!parent.empty()) {
-    auto pit = nodes_.find(parent.normalized());
-    if (pit != nodes_.end()) pit->second.children.erase(key);
+  std::vector<Node*> doomed{top};
+  for (std::size_t i = 0; i < doomed.size(); ++i) {
+    doomed.insert(doomed.end(), doomed[i]->children.begin(),
+                  doomed[i]->children.end());
   }
-  nodes_.erase(key);
-  return removed + 1;
+  for (Node* node : doomed) nodes_.erase(nodes_.find(node->key));
+  return doomed.size();
 }
 
 bool Dit::contains(const Dn& dn) const {
@@ -72,43 +75,36 @@ SearchResult Dit::search(const Dn& base, Scope scope, const Filter& filter,
     return true;
   };
 
+  if (base.empty()) {
+    // Whole-tree search from the (virtual) root, in key order.
+    if (scope != Scope::Subtree) return result;
+    for (const auto& [key, node] : nodes_) {
+      if (!consider(node.entry)) break;
+    }
+    return result;
+  }
   auto base_it = nodes_.find(base.normalized());
-  if (base_it == nodes_.end() && !base.empty()) return result;
+  if (base_it == nodes_.end()) return result;
+  const Node& top = base_it->second;
 
   switch (scope) {
     case Scope::Base:
-      if (base_it != nodes_.end()) consider(base_it->second.entry);
+      consider(top.entry);
       break;
-    case Scope::One: {
-      if (base_it == nodes_.end()) break;
-      for (const auto& child : base_it->second.children) {
-        auto cit = nodes_.find(child);
-        if (cit != nodes_.end() && !consider(cit->second.entry)) break;
+    case Scope::One:
+      for (const Node* child : top.children) {
+        if (!consider(child->entry)) break;
       }
       break;
-    }
     case Scope::Subtree: {
-      if (base.empty()) {
-        // Whole-tree search from the (virtual) root.
-        for (const auto& [key, node] : nodes_) {
-          if (!consider(node.entry)) break;
-        }
-        break;
-      }
-      // Iterative DFS from the base.
-      std::vector<const Node*> stack{&base_it->second};
-      bool stopped = false;
-      while (!stack.empty() && !stopped) {
+      // Iterative DFS: children pushed in key order, so popped in reverse.
+      std::vector<const Node*> stack{&top};
+      while (!stack.empty()) {
         const Node* node = stack.back();
         stack.pop_back();
-        if (!consider(node->entry)) {
-          stopped = true;
-          break;
-        }
-        for (const auto& child : node->children) {
-          auto cit = nodes_.find(child);
-          if (cit != nodes_.end()) stack.push_back(&cit->second);
-        }
+        if (!consider(node->entry)) break;
+        stack.insert(stack.end(), node->children.begin(),
+                     node->children.end());
       }
       break;
     }

@@ -4,11 +4,17 @@
 /// Directory Information Tree: the hierarchical entry store behind a GRIS
 /// or GIIS. Supports add/replace/remove and base/one-level/subtree search
 /// with filter, attribute selection and a size limit (slapd semantics).
+///
+/// Nodes live in a map keyed by normalized DN (which owns them and gives
+/// the whole-tree order); each node links straight to its children, kept
+/// in key order, so a scoped search walks pointers and never looks a DN up
+/// again. The links point into the map's own nodes, which stay put when
+/// the map is moved, so a Dit moves but never copies.
 
+#include <functional>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gridmon/ldap/entry.hpp"
@@ -33,6 +39,12 @@ struct SearchResult {
 
 class Dit {
  public:
+  Dit() = default;
+  Dit(Dit&&) = default;
+  Dit& operator=(Dit&&) = default;
+  Dit(const Dit&) = delete;
+  Dit& operator=(const Dit&) = delete;
+
   /// Add an entry; its parent must already exist unless the entry is a
   /// suffix (top-level) entry. Replaces an existing entry at the same DN.
   void add(Entry entry);
@@ -58,10 +70,16 @@ class Dit {
  private:
   struct Node {
     Entry entry;
-    std::set<std::string> children;  // normalized child DNs
+    std::string_view key;         // this node's key in nodes_
+    Node* parent = nullptr;       // null for a suffix entry
+    std::vector<Node*> children;  // ordered by key
   };
 
-  std::map<std::string, Node> nodes_;
+  /// Where a child keyed `key` sits (or belongs) in `children`.
+  static std::vector<Node*>::iterator child_slot(std::vector<Node*>& children,
+                                                 std::string_view key);
+
+  std::map<std::string, Node, std::less<>> nodes_;
 };
 
 }  // namespace gridmon::ldap

@@ -1,16 +1,15 @@
 #include "gridmon/ldap/dn.hpp"
 
 #include <algorithm>
-#include <cctype>
+
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::ldap {
 namespace {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  std::transform(out.begin(), out.end(), out.begin(), ascii::to_lower);
   return out;
 }
 

@@ -1,7 +1,8 @@
 #include "gridmon/ldap/entry.hpp"
 
 #include <algorithm>
-#include <cctype>
+
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::ldap {
 namespace {
@@ -9,10 +10,7 @@ namespace {
 bool iequal(const std::string& a, const std::string& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ascii::to_lower(a[i]) != ascii::to_lower(b[i])) return false;
   }
   return true;
 }
@@ -22,21 +20,18 @@ const Dn& empty_dn() {
   return kEmpty;
 }
 
+const std::vector<std::string> kNoValues;
+
 }  // namespace
 
 std::string Entry::norm(const std::string& s) {
   std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  std::transform(out.begin(), out.end(), out.begin(), ascii::to_lower);
   return out;
 }
 
 bool Entry::is_norm(const std::string& s) noexcept {
-  for (unsigned char c : s) {
-    if (std::tolower(c) != c) return false;
-  }
-  return true;
+  return std::none_of(s.begin(), s.end(), ascii::is_upper);
 }
 
 Entry::Entry(Dn dn) : rep_(std::make_shared<Rep>()) {
@@ -47,13 +42,30 @@ Entry::Rep& Entry::mut() {
   if (!rep_) {
     rep_ = std::make_shared<Rep>();
   } else if (rep_.use_count() > 1) {
-    auto clone = std::make_shared<Rep>();
-    clone->dn = rep_->dn;
-    clone->attrs = rep_->attrs;
-    rep_ = std::move(clone);
+    rep_ = std::make_shared<Rep>(*rep_);
   }
   rep_->wire_cache = -1;
   return *rep_;
+}
+
+const Entry::Attr* Entry::find(std::string_view lc) const noexcept {
+  if (!rep_) return nullptr;
+  const auto& attrs = rep_->attrs;
+  auto it = std::lower_bound(
+      attrs.begin(), attrs.end(), lc,
+      [](const Attr& a, std::string_view n) { return a.name < n; });
+  return it != attrs.end() && it->name == lc ? &*it : nullptr;
+}
+
+std::vector<std::string>& Entry::slot(std::string lc) {
+  auto& attrs = mut().attrs;
+  auto it = std::lower_bound(
+      attrs.begin(), attrs.end(), lc,
+      [](const Attr& a, const std::string& n) { return a.name < n; });
+  if (it == attrs.end() || it->name != lc) {
+    it = attrs.insert(it, Attr{std::move(lc), {}});
+  }
+  return it->values;
 }
 
 const Dn& Entry::dn() const noexcept { return rep_ ? rep_->dn : empty_dn(); }
@@ -61,28 +73,26 @@ const Dn& Entry::dn() const noexcept { return rep_ ? rep_->dn : empty_dn(); }
 void Entry::set_dn(Dn dn) { mut().dn = std::move(dn); }
 
 void Entry::add(const std::string& attr, std::string value) {
-  mut().attrs[norm(attr)].push_back(std::move(value));
+  slot(norm(attr)).push_back(std::move(value));
 }
 
 void Entry::set(const std::string& attr, std::string value) {
-  auto& vals = mut().attrs[norm(attr)];
+  auto& vals = slot(norm(attr));
   vals.clear();
   vals.push_back(std::move(value));
 }
 
 bool Entry::has_attribute(const std::string& attr) const {
-  if (!rep_) return false;
-  const AttrMap& attrs = rep_->attrs;
-  auto it = is_norm(attr) ? attrs.find(attr) : attrs.find(norm(attr));
-  return it != attrs.end();
+  return (is_norm(attr) ? find(attr) : find(norm(attr))) != nullptr;
 }
 
 const std::vector<std::string>& Entry::values(const std::string& attr) const {
-  static const std::vector<std::string> kEmpty;
-  if (!rep_) return kEmpty;
-  const AttrMap& attrs = rep_->attrs;
-  auto it = is_norm(attr) ? attrs.find(attr) : attrs.find(norm(attr));
-  return it == attrs.end() ? kEmpty : it->second;
+  return is_norm(attr) ? values_lc(attr) : values_lc(norm(attr));
+}
+
+const std::vector<std::string>& Entry::values_lc(std::string_view attr) const {
+  const Attr* a = find(attr);
+  return a ? a->values : kNoValues;
 }
 
 const std::string& Entry::value(const std::string& attr) const {
@@ -103,7 +113,7 @@ std::vector<std::string> Entry::attribute_names() const {
   std::vector<std::string> names;
   if (!rep_) return names;
   names.reserve(rep_->attrs.size());
-  for (const auto& [name, values] : rep_->attrs) names.push_back(name);
+  for (const auto& a : rep_->attrs) names.push_back(a.name);
   return names;
 }
 
@@ -114,10 +124,9 @@ std::size_t Entry::attribute_count() const noexcept {
 Entry Entry::project(const std::vector<std::string>& attrs) const {
   if (attrs.empty()) return *this;  // shares the representation
   Entry out(dn());
-  if (!rep_) return out;
   for (const auto& want : attrs) {
-    auto it = rep_->attrs.find(norm(want));
-    if (it != rep_->attrs.end()) out.rep_->attrs[it->first] = it->second;
+    const Attr* a = find(norm(want));
+    if (a) out.slot(a->name) = a->values;
   }
   return out;
 }
@@ -126,9 +135,9 @@ double Entry::wire_bytes() const {
   if (!rep_) return 8;  // bare envelope: empty DN + no attributes
   if (rep_->wire_cache >= 0) return rep_->wire_cache;
   double bytes = static_cast<double>(rep_->dn.to_string().size()) + 8;
-  for (const auto& [name, values] : rep_->attrs) {
-    for (const auto& v : values) {
-      bytes += static_cast<double>(name.size() + v.size() + 3);
+  for (const auto& a : rep_->attrs) {
+    for (const auto& v : a.values) {
+      bytes += static_cast<double>(a.name.size() + v.size() + 3);
     }
   }
   rep_->wire_cache = bytes;

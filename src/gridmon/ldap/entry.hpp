@@ -10,10 +10,14 @@
 /// the mutators clone it. Search-heavy services hand out thousands of
 /// entry copies per simulated query, so the share-on-copy behaviour is
 /// what keeps the hot query path allocation-free.
+///
+/// Attributes live in one vector sorted by lowercased name, so a lookup is
+/// a binary search over contiguous storage and iteration yields the names
+/// in the same order a name-keyed map would.
 
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gridmon/ldap/dn.hpp"
@@ -36,6 +40,9 @@ class Entry {
   bool has_attribute(const std::string& attr) const;
   /// All values of an attribute ([] if absent).
   const std::vector<std::string>& values(const std::string& attr) const;
+  /// values() for a name the caller already lowercased (search filters
+  /// normalize theirs once at parse time).
+  const std::vector<std::string>& values_lc(std::string_view attr) const;
   /// First value, or "" if absent.
   const std::string& value(const std::string& attr) const;
 
@@ -56,17 +63,26 @@ class Entry {
   double wire_bytes() const;
 
  private:
-  using AttrMap = std::map<std::string, std::vector<std::string>>;
+  struct Attr {
+    std::string name;  // lowercased
+    std::vector<std::string> values;
+  };
   struct Rep {
     Dn dn;
-    AttrMap attrs;  // key lowercased
-    double wire_cache = -1;  // < 0: not yet computed
+    std::vector<Attr> attrs;  // sorted by unique name; values never empty
+    double wire_cache = -1;   // < 0: not yet computed
   };
 
   static std::string norm(const std::string& s);
   /// True if `s` contains no character that normalization would change —
   /// lets lookups with already-lowercase names skip the allocation.
   static bool is_norm(const std::string& s) noexcept;
+
+  /// The attribute named `lc` (lowercase), or null.
+  const Attr* find(std::string_view lc) const noexcept;
+  /// Values of the attribute named `lc` (lowercase), inserted empty if
+  /// absent.
+  std::vector<std::string>& slot(std::string lc);
 
   /// Writable rep, cloned first if shared (copy-on-write).
   Rep& mut();

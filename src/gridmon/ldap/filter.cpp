@@ -1,43 +1,57 @@
 #include "gridmon/ldap/filter.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cmath>
 #include <cstdlib>
-#include <optional>
+
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::ldap {
 namespace {
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  std::transform(out.begin(), out.end(), out.begin(), ascii::to_lower);
   return out;
 }
 
+/// `s` as a number when it is a finite decimal one in any form strtod
+/// reads (leading white space, sign, fraction, exponent). strtod also
+/// reads "nan", "inf" and hexadecimal; those stay strings, as does a
+/// decimal that overflows to infinity.
 std::optional<double> as_number(const std::string& s) {
-  if (s.empty()) return std::nullopt;
+  std::size_t i = 0;
+  while (i < s.size() && ascii::is_space(s[i])) ++i;
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+  if (i == s.size() || !(ascii::is_digit(s[i]) || s[i] == '.')) {
+    return std::nullopt;
+  }
+  if (s[i] == '0' && i + 1 < s.size() && ascii::to_lower(s[i + 1]) == 'x') {
+    return std::nullopt;
+  }
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return std::nullopt;
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 
-/// Case-insensitive three-way comparison; numeric when both parse.
-/// The character loop has the same sign as comparing lowercased copies
-/// (std::string compares bytes as unsigned char) without allocating them.
-int compare_values(const std::string& a, const std::string& b) {
-  auto na = as_number(a), nb = as_number(b);
-  if (na && nb) {
-    if (*na < *nb) return -1;
-    if (*na > *nb) return 1;
-    return 0;
+/// Case-insensitive three-way comparison of `a` against `b`, numeric when
+/// both are numbers (`nb` is `b` parsed by as_number). The character loop
+/// has the same sign as comparing lowercased copies (std::string compares
+/// bytes as unsigned char) without allocating them.
+int compare_values(const std::string& a, const std::string& b,
+                   const std::optional<double>& nb) {
+  if (nb) {
+    if (auto na = as_number(a)) {
+      if (*na < *nb) return -1;
+      if (*na > *nb) return 1;
+      return 0;
+    }
   }
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
-    int ca = std::tolower(static_cast<unsigned char>(a[i]));
-    int cb = std::tolower(static_cast<unsigned char>(b[i]));
+    auto ca = static_cast<unsigned char>(ascii::to_lower(a[i]));
+    auto cb = static_cast<unsigned char>(ascii::to_lower(b[i]));
     if (ca != cb) return ca < cb ? -1 : 1;
   }
   if (a.size() == b.size()) return 0;
@@ -52,9 +66,7 @@ std::size_t ci_find(const std::string& v, const std::string& needle,
   if (needle.size() > v.size()) return std::string::npos;
   for (; pos + needle.size() <= v.size(); ++pos) {
     std::size_t i = 0;
-    while (i < needle.size() &&
-           std::tolower(static_cast<unsigned char>(v[pos + i])) ==
-               static_cast<unsigned char>(needle[i])) {
+    while (i < needle.size() && ascii::to_lower(v[pos + i]) == needle[i]) {
       ++i;
     }
     if (i == needle.size()) return pos;
@@ -67,10 +79,7 @@ std::size_t ci_find(const std::string& v, const std::string& needle,
 bool ci_equal_at(const std::string& v, std::size_t pos,
                  const std::string& needle) {
   for (std::size_t i = 0; i < needle.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(v[pos + i])) !=
-        static_cast<unsigned char>(needle[i])) {
-      return false;
-    }
+    if (ascii::to_lower(v[pos + i]) != needle[i]) return false;
   }
   return true;
 }
@@ -91,10 +100,7 @@ class FilterParser {
 
  private:
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && ascii::is_space(text_[pos_])) ++pos_;
   }
 
   char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
@@ -147,7 +153,7 @@ class FilterParser {
       ++pos_;
     }
     if (pos_ == start) throw FilterError("missing attribute name");
-    std::string attr = to_lower(text_.substr(start, pos_ - start));
+    std::string attr(text_.substr(start, pos_ - start));
 
     CompareOp op = CompareOp::Equal;
     switch (peek()) {
@@ -249,18 +255,26 @@ std::string NotFilter::to_string() const {
   return "(!" + child_->to_string() + ")";
 }
 
+PresenceFilter::PresenceFilter(std::string attr) : attr_(to_lower(attr)) {}
+
 bool PresenceFilter::matches(const Entry& e) const {
   if (attr_ == "objectclass") return true;  // every entry has a class
-  return e.has_attribute(attr_);
+  return !e.values_lc(attr_).empty();
 }
 
 std::string PresenceFilter::to_string() const {
   return "(" + attr_ + "=*)";
 }
 
+CompareFilter::CompareFilter(std::string attr, CompareOp op, std::string value)
+    : attr_(to_lower(attr)),
+      op_(op),
+      value_(std::move(value)),
+      number_(as_number(value_)) {}
+
 bool CompareFilter::matches(const Entry& e) const {
-  for (const auto& v : e.values(attr_)) {
-    int cmp = compare_values(v, value_);
+  for (const auto& v : e.values_lc(attr_)) {
+    int cmp = compare_values(v, value_, number_);
     switch (op_) {
       case CompareOp::Equal:
       case CompareOp::Approx:
@@ -288,7 +302,7 @@ std::string CompareFilter::to_string() const {
 SubstringFilter::SubstringFilter(std::string attr, std::string initial,
                                  std::vector<std::string> any,
                                  std::string final_part)
-    : attr_(std::move(attr)),
+    : attr_(to_lower(attr)),
       initial_(std::move(initial)),
       any_(std::move(any)),
       final_(std::move(final_part)),
@@ -299,7 +313,7 @@ SubstringFilter::SubstringFilter(std::string attr, std::string initial,
 }
 
 bool SubstringFilter::matches(const Entry& e) const {
-  for (const auto& v : e.values(attr_)) {
+  for (const auto& v : e.values_lc(attr_)) {
     std::size_t pos = 0;
     if (!initial_lc_.empty()) {
       if (v.size() < initial_lc_.size() || !ci_equal_at(v, 0, initial_lc_)) {

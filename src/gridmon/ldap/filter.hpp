@@ -9,10 +9,12 @@
 ///   (description=*)
 ///
 /// Supported item types: equality, presence, substring (initial/any/final),
-/// >=, <=, ~= (treated as equality). Values compare case-insensitively;
-/// ordering comparisons go numeric when both sides parse as numbers.
+/// >=, <=, ~= (treated as equality). Attribute names are folded to
+/// lowercase. Values compare case-insensitively; comparisons go numeric
+/// when both sides are finite decimal numbers.
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -77,7 +79,7 @@ class NotFilter final : public Filter {
 
 class PresenceFilter final : public Filter {
  public:
-  explicit PresenceFilter(std::string attr) : attr_(std::move(attr)) {}
+  explicit PresenceFilter(std::string attr);
   bool matches(const Entry& e) const override;
   std::string to_string() const override;
 
@@ -89,8 +91,7 @@ enum class CompareOp { Equal, GreaterEq, LessEq, Approx };
 
 class CompareFilter final : public Filter {
  public:
-  CompareFilter(std::string attr, CompareOp op, std::string value)
-      : attr_(std::move(attr)), op_(op), value_(std::move(value)) {}
+  CompareFilter(std::string attr, CompareOp op, std::string value);
   bool matches(const Entry& e) const override;
   std::string to_string() const override;
 
@@ -98,6 +99,7 @@ class CompareFilter final : public Filter {
   std::string attr_;
   CompareOp op_;
   std::string value_;
+  std::optional<double> number_;  // value_ as a number, parsed once
 };
 
 /// attr=initial*any*any*final — any component may be empty.

@@ -4,10 +4,11 @@
 /// Table schemas: ordered, case-insensitively named, typed columns.
 
 #include <algorithm>
-#include <cctype>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::rdbms {
 
@@ -20,9 +21,7 @@ struct ColumnDef {
 
 inline std::string sql_lower(const std::string& s) {
   std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  std::transform(out.begin(), out.end(), out.begin(), ascii::to_lower);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "gridmon/rdbms/sql_ast.hpp"
 
-#include <cctype>
-
+#include "gridmon/ascii.hpp"
 #include "gridmon/rdbms/sql_lexer.hpp"  // SqlError
 
 namespace gridmon::rdbms {
@@ -10,10 +9,6 @@ namespace {
 Value bool_value(std::optional<bool> b) {
   if (!b) return Value::null();
   return Value::integer(*b ? 1 : 0);
-}
-
-char fold(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
 
 }  // namespace
@@ -175,7 +170,8 @@ bool SqlLike::like_match(const std::string& text, const std::string& pattern) {
   std::size_t star_p = std::string::npos, star_t = 0;
   while (t < text.size()) {
     if (p < pattern.size() &&
-        (pattern[p] == '_' || fold(pattern[p]) == fold(text[t]))) {
+        (pattern[p] == '_' ||
+         ascii::to_lower(pattern[p]) == ascii::to_lower(text[t]))) {
       ++t;
       ++p;
     } else if (p < pattern.size() && pattern[p] == '%') {

@@ -1,7 +1,8 @@
 #include "gridmon/rdbms/sql_lexer.hpp"
 
-#include <cctype>
 #include <cstdlib>
+
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::rdbms {
 
@@ -9,8 +10,7 @@ bool SqlToken::is_keyword(const char* kw) const {
   if (kind != SqlTokenKind::Identifier) return false;
   std::size_t i = 0;
   for (; i < text.size() && kw[i] != '\0'; ++i) {
-    if (std::toupper(static_cast<unsigned char>(text[i])) !=
-        std::toupper(static_cast<unsigned char>(kw[i]))) {
+    if (ascii::to_upper(text[i]) != ascii::to_upper(kw[i])) {
       return false;
     }
   }
@@ -31,39 +31,35 @@ std::vector<SqlToken> sql_lex(std::string_view in) {
 
   while (i < n) {
     char c = in[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (ascii::is_space(c)) {
       ++i;
       continue;
     }
     std::size_t start = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (ascii::is_alpha(c) || c == '_') {
       std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(in[j])) ||
-                       in[j] == '_')) {
-        ++j;
-      }
+      while (j < n && (ascii::is_alnum(in[j]) || in[j] == '_')) ++j;
       push(SqlTokenKind::Identifier, start, std::string(in.substr(i, j - i)));
       i = j;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(in[i + 1])))) {
+    if (ascii::is_digit(c) ||
+        (c == '.' && i + 1 < n && ascii::is_digit(in[i + 1]))) {
       std::size_t j = i;
       bool is_real = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(in[j]))) ++j;
+      while (j < n && ascii::is_digit(in[j])) ++j;
       if (j < n && in[j] == '.') {
         is_real = true;
         ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(in[j]))) ++j;
+        while (j < n && ascii::is_digit(in[j])) ++j;
       }
       if (j < n && (in[j] == 'e' || in[j] == 'E')) {
         std::size_t k = j + 1;
         if (k < n && (in[k] == '+' || in[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(in[k]))) {
+        if (k < n && ascii::is_digit(in[k])) {
           is_real = true;
           j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(in[j]))) ++j;
+          while (j < n && ascii::is_digit(in[j])) ++j;
         }
       }
       std::string text(in.substr(i, j - i));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "gridmon/ldap/ldif.hpp"
 
 namespace gridmon::ldap {
@@ -148,6 +150,159 @@ TEST(DitTest, WireBytesPositive) {
   auto r = dit.search(Dn::parse("o=grid"), Scope::Subtree,
                       *Filter::match_all());
   EXPECT_GT(r.wire_bytes(), 13 * 8.0);
+}
+
+// ---- pins: result order, size-limit cut, entry layout, crash path ----
+
+std::vector<std::string> dns_of(const SearchResult& r) {
+  std::vector<std::string> out;
+  for (const auto& e : r.entries) out.push_back(e.dn().normalized());
+  return out;
+}
+
+const std::vector<std::string> kSubtreeFromRoot = {
+    "o=grid",
+    "mds-host-hn=lucky2,o=grid",
+    "mds-device-name=memory,mds-host-hn=lucky2,o=grid",
+    "mds-device-name=filesystem,mds-host-hn=lucky2,o=grid",
+    "mds-device-name=cpu,mds-host-hn=lucky2,o=grid",
+    "mds-host-hn=lucky1,o=grid",
+    "mds-device-name=memory,mds-host-hn=lucky1,o=grid",
+    "mds-device-name=filesystem,mds-host-hn=lucky1,o=grid",
+    "mds-device-name=cpu,mds-host-hn=lucky1,o=grid",
+    "mds-host-hn=lucky0,o=grid",
+    "mds-device-name=memory,mds-host-hn=lucky0,o=grid",
+    "mds-device-name=filesystem,mds-host-hn=lucky0,o=grid",
+    "mds-device-name=cpu,mds-host-hn=lucky0,o=grid",
+};
+
+TEST(DitPin, SubtreeOrderFromRoot) {
+  auto dit = sample_tree();
+  auto r = dit.search(Dn::parse("o=grid"), Scope::Subtree,
+                      *Filter::match_all());
+  EXPECT_EQ(dns_of(r), kSubtreeFromRoot);
+  EXPECT_EQ(r.entries_examined, 13u);
+}
+
+TEST(DitPin, SubtreeOrderFromMidTree) {
+  auto dit = sample_tree();
+  auto r = dit.search(Dn::parse("MDS-Host-hn=Lucky1, o=grid"),
+                      Scope::Subtree, *Filter::match_all());
+  EXPECT_EQ(dns_of(r), (std::vector<std::string>{
+                           "mds-host-hn=lucky1,o=grid",
+                           "mds-device-name=memory,mds-host-hn=lucky1,o=grid",
+                           "mds-device-name=filesystem,mds-host-hn=lucky1,"
+                           "o=grid",
+                           "mds-device-name=cpu,mds-host-hn=lucky1,o=grid",
+                       }));
+  EXPECT_EQ(r.entries_examined, 4u);
+}
+
+TEST(DitPin, OneLevelOrder) {
+  auto dit = sample_tree();
+  auto r = dit.search(Dn::parse("Mds-Host-hn=lucky0, o=grid"), Scope::One,
+                      *Filter::match_all());
+  EXPECT_EQ(dns_of(r), (std::vector<std::string>{
+                           "mds-device-name=cpu,mds-host-hn=lucky0,o=grid",
+                           "mds-device-name=filesystem,mds-host-hn=lucky0,"
+                           "o=grid",
+                           "mds-device-name=memory,mds-host-hn=lucky0,o=grid",
+                       }));
+  auto hosts =
+      dit.search(Dn::parse("o=grid"), Scope::One, *Filter::match_all());
+  EXPECT_EQ(dns_of(hosts), (std::vector<std::string>{
+                               "mds-host-hn=lucky0,o=grid",
+                               "mds-host-hn=lucky1,o=grid",
+                               "mds-host-hn=lucky2,o=grid",
+                           }));
+}
+
+TEST(DitPin, SizeLimitKeepsTheFirstMatchesInWalkOrder) {
+  auto dit = sample_tree();
+  auto r = dit.search(Dn::parse("o=grid"), Scope::Subtree,
+                      *Filter::parse("(objectclass=MdsDevice)"), {}, 4);
+  EXPECT_EQ(dns_of(r), (std::vector<std::string>{
+                           kSubtreeFromRoot[2], kSubtreeFromRoot[3],
+                           kSubtreeFromRoot[4], kSubtreeFromRoot[6]}));
+  EXPECT_TRUE(r.size_limit_exceeded);
+  // The walk stops at the fifth match: o=grid, lucky2 + 3 devices,
+  // lucky1 + 2 devices.
+  EXPECT_EQ(r.entries_examined, 8u);
+}
+
+TEST(DitPin, MixedCaseAttributeLayout) {
+  Entry e(Dn::parse("CN=Mixed, O=Grid"));
+  e.add("Zeta", "z1");
+  e.add("alpha", "A");
+  e.add("Mds-Os-name", "Linux");
+  e.add("MDS-cpu", "4");
+  e.add("zeta", "z2");
+  EXPECT_EQ(e.attribute_names(),
+            (std::vector<std::string>{"alpha", "mds-cpu", "mds-os-name",
+                                      "zeta"}));
+  EXPECT_EQ(e.attribute_count(), 4u);
+  EXPECT_EQ(e.values("ZETA"), (std::vector<std::string>{"z1", "z2"}));
+  // dn "cn=Mixed, o=Grid" (16) + 8, then name + value + 3 per value.
+  EXPECT_DOUBLE_EQ(e.wire_bytes(),
+                   16 + 8 + (5 + 1 + 3) + (7 + 1 + 3) + (11 + 5 + 3) +
+                       (4 + 2 + 3) * 2);
+
+  Entry p = e.project({"ZETA", "Alpha", "missing"});
+  EXPECT_EQ(p.dn().to_string(), "cn=Mixed, o=Grid");
+  EXPECT_EQ(p.attribute_names(),
+            (std::vector<std::string>{"alpha", "zeta"}));
+  EXPECT_EQ(p.value("alpha"), "A");
+  EXPECT_EQ(p.values("zeta"), (std::vector<std::string>{"z1", "z2"}));
+  EXPECT_DOUBLE_EQ(p.wire_bytes(), 16 + 8 + (5 + 1 + 3) + (4 + 2 + 3) * 2);
+
+  // Mutating the projection leaves the source alone.
+  p.set("Alpha", "B");
+  EXPECT_EQ(e.value("alpha"), "A");
+  EXPECT_EQ(p.value("ALPHA"), "B");
+}
+
+TEST(DitPin, RemoveAndReAddSliceRestoresOrder) {
+  auto dit = sample_tree();
+  const auto all = Filter::match_all();
+  const auto base = Dn::parse("o=grid");
+  auto before = dit.search(base, Scope::Subtree, *all);
+  auto slice = dit.search(Dn::parse("Mds-Host-hn=lucky1, o=grid"),
+                          Scope::Subtree, *all);
+  EXPECT_EQ(dit.remove_subtree(Dn::parse("mds-host-hn=LUCKY1,o=grid")), 4u);
+  EXPECT_EQ(dit.search(base, Scope::Subtree, *all).entries_examined, 9u);
+  for (const auto& e : slice.entries) dit.add(e);
+  auto after = dit.search(base, Scope::Subtree, *all);
+  EXPECT_EQ(dns_of(after), dns_of(before));
+  EXPECT_EQ(after.entries_examined, before.entries_examined);
+  EXPECT_EQ(dit.dns().size(), 13u);
+}
+
+// Children link to nodes inside the source tree, so a copy would alias it.
+static_assert(!std::is_copy_constructible_v<Dit>);
+static_assert(!std::is_copy_assignable_v<Dit>);
+
+TEST(DitPin, MovedTreeKeepsItsLinksAndMovedFromIsReusable) {
+  auto src = sample_tree();
+  const auto all = Filter::match_all();
+  const auto base = Dn::parse("o=grid");
+  Dit moved(std::move(src));
+  EXPECT_EQ(dns_of(moved.search(base, Scope::Subtree, *all)),
+            kSubtreeFromRoot);
+
+  // The crash path: move-assign a fresh tree over a populated one.
+  src = Dit{};
+  EXPECT_EQ(src.size(), 0u);
+  src.add(make_entry("o=grid", "organization"));
+  EXPECT_EQ(src.search(base, Scope::Subtree, *all).entries.size(), 1u);
+
+  Dit target;
+  target.add(make_entry("o=other", "organization"));
+  target = std::move(moved);
+  EXPECT_EQ(dns_of(target.search(base, Scope::Subtree, *all)),
+            kSubtreeFromRoot);
+  EXPECT_FALSE(target.contains(Dn::parse("o=other")));
+  target.remove_subtree(Dn::parse("mds-host-hn=lucky2,o=grid"));
+  EXPECT_EQ(target.search(base, Scope::Subtree, *all).entries_examined, 9u);
 }
 
 TEST(LdifTest, RenderEntry) {

@@ -39,6 +39,65 @@ TEST(FilterTest, NumericOrdering) {
   EXPECT_TRUE(Filter::parse("(Mds-Memory-Ram-Total-sizeMB>=64)")->matches(e));
 }
 
+Entry count_entry(const std::string& count) {
+  Entry e(Dn::parse("Mds-Host-hn=h, o=grid"));
+  e.add("Mds-Cpu-Total-count", count);
+  return e;
+}
+
+bool matches(const char* filter, const Entry& e) {
+  return Filter::parse(filter)->matches(e);
+}
+
+TEST(FilterTest, NanFilterValueComparesAsString) {
+  auto e = count_entry("4");
+  // As strings "4" sorts before "nan": no numeric NaN match-everything.
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count=nan)", e));
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count>=nan)", e));
+  EXPECT_TRUE(matches("(Mds-Cpu-Total-count<=NaN)", e));
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count<=NaN)", count_entry("zz")));
+}
+
+TEST(FilterTest, NanEntryValueComparesAsString) {
+  auto e = count_entry("NaN");
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count=4)", e));
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count<=0)", e));
+  // "nan" sorts after "100" as a string.
+  EXPECT_TRUE(matches("(Mds-Cpu-Total-count>=100)", e));
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count>=zzz)", e));
+  EXPECT_TRUE(matches("(Mds-Cpu-Total-count=nan)", e));
+}
+
+TEST(FilterTest, HexIsNotANumber) {
+  auto e = count_entry("4");
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count=0x4)", e));
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count=0X4)", e));
+  EXPECT_TRUE(matches("(Mds-Cpu-Total-count=0x4)", count_entry("0X4")));
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count=4)", count_entry("0x4")));
+}
+
+TEST(FilterTest, InfinityIsNotANumber) {
+  auto e = count_entry("-inf");
+  // Numerically -inf < -1; as strings "-inf" > "-1".
+  EXPECT_TRUE(matches("(Mds-Cpu-Total-count>=-1)", e));
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count=-infinity)", e));
+  // Decimals that overflow to infinity are strings too: no inf == inf.
+  EXPECT_FALSE(matches("(Mds-Cpu-Total-count=2e999)", count_entry("1e999")));
+}
+
+TEST(FilterTest, DecimalFormsStayNumeric) {
+  auto e = count_entry("4");
+  for (const char* f :
+       {"(Mds-Cpu-Total-count=4.0)", "(Mds-Cpu-Total-count=+4)",
+        "(Mds-Cpu-Total-count=4e0)", "(Mds-Cpu-Total-count=.4E1)",
+        "(Mds-Cpu-Total-count= 4)", "(Mds-Cpu-Total-count=004)",
+        "(Mds-Cpu-Total-count>=-4.5)", "(Mds-Cpu-Total-count<=10)"}) {
+    EXPECT_TRUE(matches(f, e)) << f;
+  }
+  EXPECT_TRUE(matches("(Mds-Cpu-Total-count=4)", count_entry("4.")));
+  EXPECT_TRUE(matches("(Mds-Cpu-Total-count>=1e-999)", count_entry("0.1")));
+}
+
 TEST(FilterTest, LexicographicOrderingForNonNumbers) {
   auto e = host_entry();
   EXPECT_TRUE(Filter::parse("(Mds-Os-name>=lin)")->matches(e));

@@ -1,12 +1,17 @@
 /// Parameterized/property suites for the LDAP engine: filter algebra,
-/// scope containment, and DN normalization laws.
+/// scope containment, DN normalization laws, and a seeded differential
+/// test of Dit against a string-keyed reference tree.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "gridmon/ldap/dit.hpp"
+#include "gridmon/sim/rng.hpp"
 
 namespace gridmon::ldap {
 namespace {
@@ -142,6 +147,204 @@ INSTANTIATE_TEST_SUITE_P(
                       "mds-device-name=CPU, mds-host-hn=Lucky7, o=Grid",
                       "a=1, b=2, c=3, d=4, e=5",
                       "cn = spaced out , o = grid"));
+
+// ---- differential: Dit vs a string-keyed reference tree ----
+
+/// The reference semantics of a DIT, kept deliberately naive: nodes in a
+/// map keyed by normalized DN, each holding the set of its children's
+/// keys, and every walk resolving a child back through the map.
+class RefDit {
+ public:
+  void add(Entry entry) {
+    const Dn& dn = entry.dn();
+    std::string key = dn.normalized();
+    Dn parent = dn.parent();
+    if (!parent.empty()) {
+      auto pit = nodes_.find(parent.normalized());
+      if (pit == nodes_.end()) throw DnError("no parent");
+      pit->second.children.insert(key);
+    }
+    nodes_[key].entry = std::move(entry);
+  }
+
+  std::size_t remove_subtree(const Dn& dn) {
+    std::string key = dn.normalized();
+    auto it = nodes_.find(key);
+    if (it == nodes_.end()) return 0;
+    std::size_t removed = 1;
+    for (const auto& child : std::set<std::string>(it->second.children)) {
+      removed += remove_subtree(nodes_.at(child).entry.dn());
+    }
+    Dn parent = dn.parent();
+    if (!parent.empty()) nodes_.at(parent.normalized()).children.erase(key);
+    nodes_.erase(key);
+    return removed;
+  }
+
+  SearchResult search(const Dn& base, Scope scope, const Filter& filter,
+                      const std::vector<std::string>& attrs,
+                      std::size_t size_limit) const {
+    SearchResult r;
+    auto consider = [&](const Entry& e) {
+      ++r.entries_examined;
+      if (!filter.matches(e)) return true;
+      if (size_limit != 0 && r.entries.size() >= size_limit) {
+        r.size_limit_exceeded = true;
+        return false;
+      }
+      r.entries.push_back(e.project(attrs));
+      return true;
+    };
+    auto bit = nodes_.find(base.normalized());
+    if (base.empty()) {
+      if (scope == Scope::Subtree) {
+        for (const auto& [key, node] : nodes_) {
+          if (!consider(node.entry)) break;
+        }
+      }
+      return r;
+    }
+    if (bit == nodes_.end()) return r;
+    if (scope == Scope::Base) {
+      consider(bit->second.entry);
+    } else if (scope == Scope::One) {
+      for (const auto& child : bit->second.children) {
+        if (!consider(nodes_.at(child).entry)) break;
+      }
+    } else {
+      std::vector<std::string> stack{bit->first};
+      while (!stack.empty()) {
+        const Node& node = nodes_.at(stack.back());
+        stack.pop_back();
+        if (!consider(node.entry)) break;
+        for (const auto& child : node.children) stack.push_back(child);
+      }
+    }
+    return r;
+  }
+
+  std::size_t size() const { return nodes_.size(); }
+
+ private:
+  struct Node {
+    Entry entry;
+    std::set<std::string> children;
+  };
+  std::map<std::string, Node> nodes_;
+};
+
+/// Flattened view of a result: every DN and attribute, in result order.
+std::vector<std::string> dump(const SearchResult& r) {
+  std::vector<std::string> out;
+  for (const auto& e : r.entries) {
+    out.push_back(e.dn().to_string());
+    for (const auto& name : e.attribute_names()) {
+      for (const auto& v : e.values(name)) out.push_back(name + ": " + v);
+    }
+  }
+  out.push_back("examined=" + std::to_string(r.entries_examined) +
+                " limited=" + std::to_string(r.size_limit_exceeded) +
+                " bytes=" + std::to_string(r.wire_bytes()));
+  return out;
+}
+
+std::string pick(sim::Rng& rng, const std::vector<std::string>& from) {
+  return from[rng.below(from.size())];
+}
+
+/// Random case, so the same node is addressed through many spellings.
+std::string shuffle_case(sim::Rng& rng, std::string s) {
+  for (char& c : s) {
+    if (c >= 'a' && c <= 'z' && rng.below(3) == 0) c = c - 'a' + 'A';
+  }
+  return s;
+}
+
+/// A DN somewhere in a three-level namespace under two suffixes; small
+/// enough that adds, replaces and removals keep colliding.
+std::string random_dn(sim::Rng& rng) {
+  std::string dn = rng.below(5) == 0 ? "o=other" : "o=grid";
+  const auto depth = rng.below(4);
+  if (depth >= 1) {
+    dn = "Mds-Host-hn=h" + std::to_string(rng.below(6)) + ", " + dn;
+  }
+  if (depth >= 2) {
+    dn = "Mds-Device-name=d" + std::to_string(rng.below(5)) + ", " + dn;
+  }
+  if (depth >= 3) dn = "cn=leaf" + std::to_string(rng.below(3)) + ", " + dn;
+  return shuffle_case(rng, dn);
+}
+
+Entry random_entry(sim::Rng& rng, const Dn& dn) {
+  static const std::vector<std::string> kNames = {
+      "objectclass", "Mds-Os-name", "size", "Mds-Cpu-Total-count", "descr"};
+  static const std::vector<std::string> kValues = {
+      "MdsHost", "MdsDevice", "linux", "Solaris", "0", "4", "16", "250",
+      "x y", "nan"};
+  Entry e(dn);
+  const auto n = rng.below(5);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    e.add(shuffle_case(rng, pick(rng, kNames)), pick(rng, kValues));
+  }
+  return e;
+}
+
+class DitDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DitDifferential, EveryScopeMatchesTheReference) {
+  static const std::vector<std::string> kFilterTexts = {
+      "(objectclass=*)",  "(objectclass=MdsHost)",   "(size>=16)",
+      "(size<=4)",        "(Mds-Os-name=LINUX)",     "(descr=*)",
+      "(Mds-Os-name=s*)", "(!(objectclass=MdsDevice))",
+      "(|(size=250)(Mds-Cpu-Total-count>=4))",
+      "(&(objectclass=*)(size=nan))",
+  };
+  static const std::vector<std::vector<std::string>> kSelections = {
+      {}, {"SIZE"}, {"objectclass", "mds-os-name"}, {"missing"}};
+  std::vector<FilterPtr> filters;
+  for (const auto& f : kFilterTexts) filters.push_back(Filter::parse(f));
+
+  sim::Rng rng(GetParam());
+  Dit dit;
+  RefDit ref;
+  for (int step = 0; step < 400; ++step) {
+    const Dn dn = Dn::parse(random_dn(rng));
+    const auto op = rng.below(10);
+    if (op < 6) {  // add or replace
+      Entry e = random_entry(rng, dn);
+      bool ref_threw = false, dit_threw = false;
+      try {
+        ref.add(e);
+      } catch (const DnError&) {
+        ref_threw = true;
+      }
+      try {
+        dit.add(e);
+      } catch (const DnError&) {
+        dit_threw = true;
+      }
+      ASSERT_EQ(dit_threw, ref_threw) << "step " << step;
+    } else if (op < 7) {
+      ASSERT_EQ(dit.remove_subtree(dn), ref.remove_subtree(dn))
+          << "step " << step;
+    } else {
+      const Dn base = rng.below(8) == 0 ? Dn{} : dn;
+      const Filter& filter = *filters[rng.below(filters.size())];
+      const auto& attrs = kSelections[rng.below(kSelections.size())];
+      const std::size_t limit = rng.below(3) == 0 ? rng.below(4) : 0;
+      for (Scope scope : {Scope::Base, Scope::One, Scope::Subtree}) {
+        ASSERT_EQ(dump(dit.search(base, scope, filter, attrs, limit)),
+                  dump(ref.search(base, scope, filter, attrs, limit)))
+            << "step " << step << " base " << base.to_string() << " scope "
+            << static_cast<int>(scope) << " filter " << filter.to_string();
+      }
+    }
+    ASSERT_EQ(dit.size(), ref.size()) << "step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DitDifferential,
+                         ::testing::Values(1u, 2u, 3u, 42u, 1234u, 99991u));
 
 }  // namespace
 }  // namespace gridmon::ldap
