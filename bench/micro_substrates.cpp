@@ -1,11 +1,13 @@
 /// Micro-benchmarks (google-benchmark) for the substrate engines: ClassAd
 /// parse/eval/matchmaking and Startd ad integration, LDAP filter
-/// evaluation and DIT search, SQL parse/execute, and the discrete-event
-/// kernel's event throughput.
+/// evaluation and DIT search, SQL parse/execute, the discrete-event
+/// kernel's event throughput, and the sharded engine's mailbox exchange.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "gridmon/classad/classad.hpp"
 #include "gridmon/classad/matchmaker.hpp"
@@ -14,6 +16,7 @@
 #include "gridmon/ldap/dit.hpp"
 #include "gridmon/rdbms/database.hpp"
 #include "gridmon/sim/ps_server.hpp"
+#include "gridmon/sim/shard.hpp"
 #include "gridmon/sim/simulation.hpp"
 #include "gridmon/sim/task.hpp"
 
@@ -263,6 +266,86 @@ void BM_SimPsServerChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 500);
 }
 BENCHMARK(BM_SimPsServerChurn);
+
+// ---- Shard mailboxes ----
+
+/// Posts `per_window` messages to shard 0 at the end of every window.
+/// A sorted sender spreads them over the next window in canonical order;
+/// the unsorted one posts a one-instant cohort with descending uids, the
+/// shape of the frontier gateway's batched refusal replies.
+class MailboxSender final : public sim::ShardRunner {
+ public:
+  MailboxSender(int self, int senders, int per_window, bool unsorted)
+      : self_(self), senders_(senders), per_window_(per_window),
+        unsorted_(unsorted) {}
+  void bind(sim::ShardGroup& group) { group_ = &group; }
+
+  sim::SimTime now() const override { return now_; }
+  std::size_t run(sim::SimTime until) override {
+    if (until <= now_) return 0;
+    now_ = until;
+    double lookahead = group_->lookahead();
+    for (int i = 0; i < per_window_; ++i) {
+      int rank = unsorted_ ? per_window_ - i : i;
+      double at = unsorted_ ? until + 0.5 * lookahead
+                            : until + lookahead * (i + 1) / (per_window_ + 1);
+      std::uint64_t uid = static_cast<std::uint64_t>(rank * senders_ + self_);
+      group_->post(self_, 0, sim::ShardMessage{at, uid, 0, 0, 0, 0, 0});
+    }
+    return 0;
+  }
+  void deliver(const sim::ShardMessage&) override {}
+
+ private:
+  int self_;
+  int senders_;
+  int per_window_;
+  bool unsorted_;
+  sim::ShardGroup* group_ = nullptr;
+  sim::SimTime now_ = 0;
+};
+
+class MailboxSink final : public sim::ShardRunner {
+ public:
+  sim::SimTime now() const override { return now_; }
+  std::size_t run(sim::SimTime until) override {
+    if (until > now_) now_ = until;
+    return 0;
+  }
+  void deliver(const sim::ShardMessage& m) override { sum_ += m.uid; }
+  std::uint64_t sum() const { return sum_; }
+
+ private:
+  sim::SimTime now_ = 0;
+  std::uint64_t sum_ = 0;
+};
+
+// One window per iteration: 8 senders post 600 messages each to one
+// receiver, the group exchanges them at the barrier, and the receiver
+// takes delivery. Items are messages delivered.
+void BM_ShardExchange(benchmark::State& state) {
+  constexpr int kSenders = 8;
+  constexpr int kPerWindow = 600;
+  MailboxSink sink;
+  std::vector<std::unique_ptr<MailboxSender>> senders;
+  std::vector<sim::ShardRunner*> runners{&sink};
+  for (int s = 1; s <= kSenders; ++s) {
+    senders.push_back(
+        std::make_unique<MailboxSender>(s, kSenders, kPerWindow, s == 1));
+    runners.push_back(senders.back().get());
+  }
+  sim::ShardGroup group(runners, 1.0);
+  for (auto& sender : senders) sender->bind(group);
+  double t = 0;
+  for (auto _ : state) {
+    t += 1.0;
+    group.run(t);
+  }
+  benchmark::DoNotOptimize(sink.sum());
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(group.messages_delivered()));
+}
+BENCHMARK(BM_ShardExchange);
 
 }  // namespace
 

@@ -48,59 +48,180 @@ std::uint64_t frontier_mix(std::uint64_t seed, std::uint64_t uid,
 }  // namespace
 
 /// One client shard: contiguous struct-of-arrays user slabs plus a
-/// timer heap whose keys are (fire time, uid) — canonical across shard
-/// counts. At most one timer per user is live (users are either
-/// thinking, backing off, or waiting on the gateway), so the heap never
-/// needs cancellation.
+/// calendar of timers keyed by (fire time, uid) — canonical across
+/// shard counts. At most one timer per user is live (users are either
+/// thinking, backing off, or waiting on the gateway), so the calendar
+/// never needs cancellation.
+///
+/// The calendar is a ring of kRing buckets, each one lookahead wide.
+/// arm() files a timer in O(1) at the tail of the bucket holding its
+/// fire time; run() appends every bucket it reaches, sorted, to the
+/// `near` list and fires from its head. Buckets partition time in order
+/// (the bucket index is monotone in the fire time), so `near` stays
+/// sorted and timers fire in exactly the (at, uid) order a heap would
+/// pop them. A timer armed into an already drained bucket is inserted
+/// into `near` in place; one beyond the ring's horizon waits in
+/// `overflow` until a lap start brings it within the horizon. Buckets
+/// are chains of fixed-size chunks drawn from one pool, so memory stays
+/// O(users) however the timers cluster.
 struct FrontierWorkload::ClientShard final : sim::ShardRunner {
   ClientShard(FrontierWorkload& owner_ref, int group_index)
-      : owner(owner_ref), index(group_index) {}
+      : owner(owner_ref),
+        index(group_index),
+        per_bucket(1.0 / owner_ref.lookahead_),
+        ring(static_cast<std::size_t>(kRing)) {}
 
   FrontierWorkload& owner;
   int index;  // this shard's id inside the group (1-based)
   sim::SimTime now_ = 0;
 
-  // SoA user slabs, indexed by local slot (= uid / shard count).
-  std::vector<std::uint64_t> uids;
+  // SoA user slabs, indexed by local slot. Users are dealt round-robin
+  // in uid order, so slot `local` holds uid local * shards + index - 1.
   std::vector<std::uint8_t> states;
   std::vector<std::uint16_t> retries;
   std::vector<std::uint32_t> draws;
   std::vector<double> query_starts;
 
+  /// A pending timer. Slots follow uid order, so within one shard
+  /// (at, local) orders exactly like (at, uid).
   struct Timer {
     double at;
-    std::uint64_t uid;
     std::uint32_t local;
   };
-  std::vector<Timer> heap;  // min-heap on (at, uid)
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::int64_t kRing = 16384;  // buckets; a power of 2
+  static constexpr std::uint32_t kChunkTimers = 8;
+  struct alignas(64) Chunk {
+    Timer timers[kChunkTimers];
+  };
+  /// A bucket's chunk chain; `fill` counts the timers in the tail chunk
+  /// (kChunkTimers when the next timer needs a fresh chunk).
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t fill = kChunkTimers;
+  };
+
+  double per_bucket;                       // 1 / lookahead
+  std::vector<Bucket> ring;                // bucket b at ring[b % kRing]
+  std::vector<Chunk> chunks;               // pooled bucket storage
+  std::vector<std::uint32_t> chunk_next;   // chain links, by chunk
+  std::vector<std::uint32_t> free_chunks;
+  std::int64_t next_bucket = 0;            // first bucket not drained
+  std::vector<Timer> near;                 // drained timers, in order
+  std::size_t near_head = 0;               // first unfired one
+  std::vector<Timer> overflow;             // beyond the ring's horizon
 
   std::vector<Completion> completions;  // in (t, uid) order
   ClientCounters counters;  // all but attempts, which the gateway counts
 
-  static bool timer_after(const Timer& x, const Timer& y) {
-    if (x.at != y.at) return x.at > y.at;
-    return x.uid > y.uid;
+  static bool timer_before(const Timer& x, const Timer& y) {
+    if (x.at != y.at) return x.at < y.at;
+    return x.local < y.local;
   }
 
-  double draw01(std::uint32_t local) {
-    std::uint64_t z = frontier_mix(owner.seed_, uids[local], draws[local]++);
+  /// Monotone in `at`. The clamp keeps the conversion defined for any
+  /// lookahead; a timer that far out parks in `overflow` for good.
+  std::int64_t bucket_of(double at) const {
+    return static_cast<std::int64_t>(std::min(at * per_bucket, 0x1p62));
+  }
+
+  std::uint64_t uid_of(std::uint32_t local) const {
+    return static_cast<std::uint64_t>(local) *
+               static_cast<std::uint64_t>(owner.config_.shards) +
+           static_cast<std::uint64_t>(index - 1);
+  }
+
+  double draw01(std::uint64_t uid, std::uint32_t local) {
+    std::uint64_t z = frontier_mix(owner.seed_, uid, draws[local]++);
     return static_cast<double>(z >> 11) * 0x1.0p-53;
   }
 
   void arm(double at, std::uint32_t local) {
-    heap.push_back(Timer{at, uids[local], local});
-    std::push_heap(heap.begin(), heap.end(), timer_after);
+    Timer t{at, local};
+    std::int64_t b = bucket_of(at);
+    if (b < next_bucket) {
+      near.insert(std::upper_bound(near.begin() + static_cast<std::ptrdiff_t>(
+                                                       near_head),
+                                   near.end(), t, timer_before),
+                  t);
+    } else if (b - next_bucket < kRing) {
+      file(b, t);
+    } else {
+      overflow.push_back(t);
+    }
   }
 
-  void add_user(std::uint64_t uid, double start_after) {
-    std::uint32_t local = static_cast<std::uint32_t>(uids.size());
-    uids.push_back(uid);
+  void file(std::int64_t b, const Timer& t) {
+    Bucket& bucket = ring[static_cast<std::size_t>(b & (kRing - 1))];
+    if (bucket.fill == kChunkTimers) {
+      std::uint32_t c;
+      if (free_chunks.empty()) {
+        c = static_cast<std::uint32_t>(chunks.size());
+        chunks.emplace_back();
+        chunk_next.push_back(kNil);
+      } else {
+        c = free_chunks.back();
+        free_chunks.pop_back();
+        chunk_next[c] = kNil;
+      }
+      if (bucket.tail == kNil) {
+        bucket.head = c;
+      } else {
+        chunk_next[bucket.tail] = c;
+      }
+      bucket.tail = c;
+      bucket.fill = 0;
+    }
+    chunks[bucket.tail].timers[bucket.fill++] = t;
+  }
+
+  /// Append bucket `next_bucket`, sorted, to `near` and recycle its
+  /// chunks. Every timer already in `near` belongs to an earlier bucket,
+  /// so the list stays in order. At each lap start, re-file the overflow
+  /// timers that have come within the ring's horizon.
+  void drain_next_bucket() {
+    Bucket& bucket = ring[static_cast<std::size_t>(next_bucket & (kRing - 1))];
+    if (bucket.head != kNil) {
+      near.erase(near.begin(),
+                 near.begin() + static_cast<std::ptrdiff_t>(near_head));
+      near_head = 0;
+      std::size_t first = near.size();
+      for (std::uint32_t c = bucket.head; c != kNil; c = chunk_next[c]) {
+        const Timer* timers = chunks[c].timers;
+        near.insert(near.end(), timers,
+                    timers + (c == bucket.tail ? bucket.fill : kChunkTimers));
+        free_chunks.push_back(c);
+      }
+      bucket = Bucket{};
+      std::sort(near.begin() + static_cast<std::ptrdiff_t>(first), near.end(),
+                timer_before);
+    }
+    ++next_bucket;
+    if ((next_bucket & (kRing - 1)) == 0 && !overflow.empty()) {
+      std::size_t kept = 0;
+      for (const Timer& t : overflow) {
+        std::int64_t b = bucket_of(t.at);
+        if (b - next_bucket < kRing) {
+          file(b, t);
+        } else {
+          overflow[kept++] = t;
+        }
+      }
+      overflow.resize(kept);
+    }
+  }
+
+  void add_user(double start_after) {
+    std::uint32_t local = static_cast<std::uint32_t>(states.size());
     states.push_back(kThinking);
     retries.push_back(0);
     draws.push_back(0);
     query_starts.push_back(0);
     // Desynchronized start, like the legacy workload's initial delay.
-    arm(start_after + draw01(local) * owner.config_.think_time, local);
+    arm(start_after +
+            draw01(uid_of(local), local) * owner.config_.think_time,
+        local);
   }
 
   /// Timer expiry: a Thinking user starts a fresh query, a Backoff user
@@ -114,21 +235,20 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
     states[local] = kWaiting;
     owner.group_->post(
         index, 0,
-        sim::ShardMessage{now_ + owner.lookahead_, uids[local], 0,
+        sim::ShardMessage{now_ + owner.lookahead_, uid_of(local), 0,
                           kMsgRequest, 0, 0, 0});
   }
 
   sim::SimTime now() const override { return now_; }
 
   std::size_t run(sim::SimTime until) override {
+    std::int64_t last = bucket_of(until);
+    while (next_bucket <= last) drain_next_bucket();
     std::size_t fired = 0;
-    while (!heap.empty() && heap.front().at <= until) {
-      Timer t = heap.front();
-      std::pop_heap(heap.begin(), heap.end(), timer_after);
-      heap.pop_back();
-      now_ = t.at;
-      fire(t.local);
-      ++fired;
+    for (; near_head < near.size() && near[near_head].at <= until;
+         ++near_head, ++fired) {
+      now_ = near[near_head].at;
+      fire(near[near_head].local);
     }
     if (until > now_) now_ = until;
     return fired;
@@ -152,7 +272,7 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
                                              sched.size() - 1);
     double jitter = owner.config_.retry_jitter;
     double delay =
-        sched[step] * (1.0 - jitter + 2.0 * jitter * draw01(local));
+        sched[step] * (1.0 - jitter + 2.0 * jitter * draw01(m.uid, local));
     if (retries[local] < 0xffff) ++retries[local];
     states[local] = kBackoff;
     arm(now_ + delay, local);
@@ -223,10 +343,9 @@ void FrontierWorkload::spawn_users(int n) {
     hosts_.push_back(&testbed_.host(name));
   }
   double start = testbed_.sim().now();
+  // Round-robin in uid order: ClientShard::uid_of relies on it.
   for (int u = 0; u < n; ++u) {
-    std::uint64_t uid = static_cast<std::uint64_t>(u);
-    clients_[uid % static_cast<std::uint64_t>(config_.shards)]->add_user(
-        uid, start);
+    clients_[static_cast<std::size_t>(u % config_.shards)]->add_user(start);
   }
   users_ = n;
 }

@@ -13,8 +13,9 @@
 ///    test sees exactly the traffic the legacy engine would send it.
 ///  - Shards 1..K hold only user state, struct-of-arrays: one slab of
 ///    contiguous per-user fields (state byte, retry level, RNG draw
-///    counter, query start time) plus a lean 24-byte-keyed timer heap.
-///    No coroutine frames, no per-user allocation.
+///    counter, query start time) plus a calendar of 16-byte timers in
+///    lookahead-wide buckets (O(1) to arm, sorted per bucket as the
+///    clock reaches it). No coroutine frames, no per-user allocation.
 ///
 /// The two sides talk exclusively through the group's deterministic
 /// mailboxes with one lookahead hop (the WAN one-way latency) in each

@@ -17,10 +17,12 @@
 ///    window's end, and the lookahead bound (the minimum cross-site
 ///    one-way latency, see net::Network::min_cross_site_latency) makes
 ///    that restriction physically free.
-///  - At the barrier each receiver's new messages are sorted by the
-///    canonical key (deliver_at, uid, seq) — sender identity is *not*
-///    part of the key, so the delivery order is independent of how
-///    entities were partitioned into shards.
+///  - At the barrier each receiver's inbox is rebuilt in the canonical
+///    order (deliver_at, uid, seq): every sender's outbox is one run,
+///    sorted in place only if it is not already in order, and the runs
+///    plus the undelivered inbox tail are merged stably. Sender identity
+///    is *not* part of the key, so the delivery order is independent of
+///    how entities were partitioned into shards.
 ///  - Within a window a shard interleaves local work and deliveries by
 ///    time, with the fixed tie rule "local events first, then messages"
 ///    at equal timestamps.
@@ -39,10 +41,8 @@
 /// (provably, and under TSan in CI) identical to the serial one.
 
 #include <algorithm>
-#include <cassert>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <stdexcept>
@@ -147,9 +147,12 @@ class ShardGroup {
   /// takes the same barrier trip, which is what keeps K=1 and K=N
   /// byte-identical. Enforces the conservative bound: the message must
   /// not be deliverable inside the window that produced it.
+  /// Throws std::out_of_range for a shard index outside the group.
   void post(int from, int to, ShardMessage m) {
-    assert(from >= 0 && static_cast<std::size_t>(from) < shards_.size());
-    assert(to >= 0 && static_cast<std::size_t>(to) < shards_.size());
+    if (from < 0 || to < 0 || static_cast<std::size_t>(from) >= shards_.size() ||
+        static_cast<std::size_t>(to) >= shards_.size()) {
+      throw std::out_of_range("ShardGroup::post: shard index out of range");
+    }
     if (m.deliver_at < window_end_) {
       throw std::logic_error(
           "ShardGroup::post: deliver_at precedes the current window end "
@@ -199,7 +202,8 @@ class ShardGroup {
  private:
   struct PerShard {
     ShardRunner* runner = nullptr;
-    std::deque<ShardMessage> inbox;  // canonical order, popped from front
+    std::vector<ShardMessage> inbox;  // canonical order, read from `head`
+    std::size_t head = 0;
     std::vector<std::vector<ShardMessage>> outbox;  // by target shard
     std::uint64_t next_seq = 0;
     std::uint64_t delivered = 0;
@@ -210,12 +214,12 @@ class ShardGroup {
   /// inclusive of `until`), then messages in canonical order.
   std::size_t run_window(PerShard& s, SimTime end) {
     std::size_t executed = 0;
-    while (!s.inbox.empty() && s.inbox.front().deliver_at <= end) {
-      SimTime at = s.inbox.front().deliver_at;
+    while (s.head < s.inbox.size() && s.inbox[s.head].deliver_at <= end) {
+      SimTime at = s.inbox[s.head].deliver_at;
       executed += s.runner->run(at);
-      while (!s.inbox.empty() && s.inbox.front().deliver_at == at) {
-        s.runner->deliver(s.inbox.front());
-        s.inbox.pop_front();
+      while (s.head < s.inbox.size() && s.inbox[s.head].deliver_at == at) {
+        s.runner->deliver(s.inbox[s.head]);
+        ++s.head;
         ++s.delivered;
       }
     }
@@ -223,25 +227,81 @@ class ShardGroup {
     return executed;
   }
 
-  /// Barrier phase (single-threaded): move every outbox into its
-  /// target's inbox in canonical order.
+  /// A sorted stretch of messages: one sender's outbox, the inbox's
+  /// undelivered tail, or an intermediate merge result.
+  struct Run {
+    const ShardMessage* first;
+    const ShardMessage* last;
+  };
+
+  /// Barrier phase (single-threaded): rebuild every inbox in canonical
+  /// order from its undelivered tail and the outboxes addressed to it.
+  /// Runs are listed tail first, then by sender, and merged stably, so a
+  /// tie on the whole key (outside the protocol contract) resolves the
+  /// same way every time. A lone run is swapped in without a copy — the
+  /// common case, since each client shard hears only from shard 0.
   void exchange() {
     for (std::size_t to = 0; to < shards_.size(); ++to) {
-      scratch_.clear();
+      PerShard& target = shards_[to];
+      runs_.clear();
+      std::size_t tail = target.inbox.size() - target.head;
+      if (tail > 0) {
+        runs_.push_back(Run{target.inbox.data() + target.head,
+                            target.inbox.data() + target.inbox.size()});
+      }
+      std::size_t total = tail;
+      std::vector<ShardMessage>* lone = nullptr;
       for (PerShard& from : shards_) {
         std::vector<ShardMessage>& box = from.outbox[to];
-        scratch_.insert(scratch_.end(), box.begin(), box.end());
-        box.clear();
+        if (box.empty()) continue;
+        // Senders mostly post in canonical order already; same-instant
+        // batches posted in request order are the exception.
+        if (!std::is_sorted(box.begin(), box.end(), shard_message_before)) {
+          std::sort(box.begin(), box.end(), shard_message_before);
+        }
+        runs_.push_back(Run{box.data(), box.data() + box.size()});
+        total += box.size();
+        lone = &box;
       }
-      if (scratch_.empty()) continue;
-      std::stable_sort(scratch_.begin(), scratch_.end(),
-                       shard_message_before);
-      PerShard& target = shards_[to];
-      auto middle = target.inbox.insert(target.inbox.end(), scratch_.begin(),
-                                        scratch_.end());
-      std::inplace_merge(target.inbox.begin(), middle, target.inbox.end(),
-                         shard_message_before);
+      if (runs_.size() >= 2) {
+        merge_runs(total);
+        target.inbox.swap(merged_);
+        target.head = 0;
+        for (PerShard& from : shards_) from.outbox[to].clear();
+      } else if (tail == 0) {
+        target.inbox.clear();
+        target.head = 0;
+        if (lone != nullptr) target.inbox.swap(*lone);
+      }
     }
+  }
+
+  /// Merge runs_ (at least two) into merged_ by rounds of pairwise
+  /// std::merge, which takes the left run first on ties, so the result
+  /// is the stable merge in runs_ order.
+  void merge_runs(std::size_t total) {
+    bool to_a = true;
+    while (runs_.size() > 2) {
+      std::vector<ShardMessage>& dst = to_a ? round_a_ : round_b_;
+      to_a = !to_a;
+      if (dst.size() < total) dst.resize(total);
+      ShardMessage* out = dst.data();
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < runs_.size(); i += 2) {
+        ShardMessage* start = out;
+        if (i + 1 < runs_.size()) {
+          out = std::merge(runs_[i].first, runs_[i].last, runs_[i + 1].first,
+                           runs_[i + 1].last, out, shard_message_before);
+        } else {
+          out = std::copy(runs_[i].first, runs_[i].last, out);
+        }
+        runs_[kept++] = Run{start, out};
+      }
+      runs_.resize(kept);
+    }
+    merged_.resize(total);
+    std::merge(runs_[0].first, runs_[0].last, runs_[1].first, runs_[1].last,
+               merged_.data(), shard_message_before);
   }
 
   // ---- worker pool (threads >= 2) ----
@@ -315,7 +375,10 @@ class ShardGroup {
   SimTime now_ = 0;
   SimTime window_end_ = 0;
   std::uint64_t windows_ = 0;
-  std::vector<ShardMessage> scratch_;
+  std::vector<Run> runs_;              // the runs being merged
+  std::vector<ShardMessage> round_a_;  // pairwise-merge rounds
+  std::vector<ShardMessage> round_b_;
+  std::vector<ShardMessage> merged_;   // next inbox, swapped in
 
   std::vector<std::thread> workers_;
   std::vector<std::size_t> worker_events_;

@@ -20,11 +20,13 @@ using core::FrontierWorkload;
 namespace {
 
 /// One complete sharded run: fresh testbed, GRIS scenario, `users`
-/// frontier users on K shards, one 10+30 s window. Returns the full
+/// frontier users on K shards, one 10+30 s window. `base` supplies the
+/// timer knobs (lookahead, think time, retry ladder). Returns the full
 /// observable surface as text at round-trip precision: the metrics row,
 /// the counters, and every completion.
 std::string run_digest(int users, int shards, std::uint64_t seed,
-                       int threads = 0, int gris_backlog = 0) {
+                       int threads = 0, int gris_backlog = 0,
+                       const FrontierConfig& base = {}) {
   core::TestbedConfig tc;
   tc.seed = seed;
   core::Testbed tb(tc);
@@ -33,7 +35,7 @@ std::string run_digest(int users, int shards, std::uint64_t seed,
   spec.gris_backlog = gris_backlog;
   auto scenario = core::make_scenario(tb, spec);
   scenario->prefill();
-  FrontierConfig fc;
+  FrontierConfig fc = base;
   fc.shards = shards;
   fc.threads = threads;
   fc.admission_port = scenario->server_port();
@@ -160,6 +162,29 @@ TEST(FrontierDeterminism, MatchesRecordedGolden) {
     EXPECT_EQ(d.size(), g.size) << "backlog " << g.backlog;
     EXPECT_EQ(fnv1a(d), g.hash) << "backlog " << g.backlog;
   }
+}
+
+/// Timer shapes the default run never reaches, pinned the same way: a
+/// think time shorter than one lookahead (a completion arms a timer into
+/// the window already being drained) and a retry step longer than the
+/// client shard's timer horizon (16384 lookaheads, 16.4 s at a 1 ms
+/// lookahead), so far-future timers are parked and later brought back.
+TEST(FrontierDeterminism, EdgeTimersMatchRecordedGolden) {
+  FrontierConfig fc;
+  fc.lookahead = 0.001;
+  fc.think_time = 0.0005;
+  fc.retry_schedule = {0.5, 3, 20};
+  std::string d = run_digest(300, 1, 42, 0, /*gris_backlog=*/4, fc);
+  EXPECT_EQ(head_of(d),
+            "300,1.3333333333333333,9.5488887276654459,0,"
+            "0.65968982473836379,10.833333333333334,1,0,0,0,0,"
+            "1.3333333333333333,0,9.2249999999999996,7544,0,0,-1,1\n"
+            "queries=352 attempts=1277 refused=1217 fast=1106 errors=0 "
+            "messages=2546\n");
+  EXPECT_EQ(d.size(), 2787u);
+  EXPECT_EQ(fnv1a(d), 11154279403382459896ull);
+  std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4, fc);
+  EXPECT_EQ(d.substr(d.find('\n')), k3.substr(k3.find('\n')));
 }
 
 TEST(FrontierWorkloadApi, RejectsBadConfigs) {

@@ -1,12 +1,16 @@
-/// sim::ShardGroup unit tests: the canonical mailbox order, the
-/// conservative-lookahead guard, shard-count independence of the
-/// delivery sequence, and serial == threaded schedules (the test the CI
-/// TSan job leans on).
+/// sim::ShardGroup unit tests: the canonical mailbox order (including a
+/// property test of the barrier merge against a reference sort), the
+/// conservative-lookahead guard, checked shard indices, shard-count
+/// independence of the delivery sequence, and serial == threaded
+/// schedules (the tests the CI TSan job leans on).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,7 +85,167 @@ class PingPongShard final : public ShardRunner {
   std::uint64_t checksum_ = 14695981039346656037ull;
 };
 
+/// The message fields the canonical order and the property test look
+/// at; `from` and `seq` identify a message uniquely.
+struct Posted {
+  SimTime deliver_at;
+  std::uint64_t uid;
+  std::uint64_t seq;
+  std::uint32_t from;
+  std::uint32_t kind;
+  bool operator==(const Posted&) const = default;
+  friend std::ostream& operator<<(std::ostream& out, const Posted& p) {
+    return out << "{t=" << p.deliver_at << " uid=" << p.uid << " seq="
+               << p.seq << " from=" << p.from << " kind=" << p.kind << "}";
+  }
+};
+
+/// One shard of the exchange property test. Each window it posts a
+/// scripted, deliberately unsorted batch to shard 0: a cohort sharing
+/// one deliver_at with uids in descending order, a repeated
+/// (deliver_at, uid) pair, and messages due several windows later.
+/// Shard 0 itself also posts to itself from deliver(). Every post is
+/// recorded with the seq the group assigns (a per-sender count), so the
+/// test can rebuild the expected order without touching the group.
+class ScriptedShard final : public ShardRunner {
+ public:
+  ScriptedShard(int self, int senders, double stop_posting)
+      : self_(self), senders_(senders), stop_(stop_posting),
+        state_(0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(self + 1)) {}
+  void bind(ShardGroup& group) { group_ = &group; }
+
+  SimTime now() const override { return now_; }
+  std::size_t run(SimTime until) override {
+    if (until > now_) {
+      now_ = until;
+      if (self_ != 0 && until < stop_) post_batch(until);
+    }
+    return 0;
+  }
+  void deliver(const ShardMessage& m) override {
+    EXPECT_EQ(now_, m.deliver_at);
+    delivered_.push_back(Posted{m.deliver_at, m.uid, m.seq, m.from, m.kind});
+    if (self_ == 0 && m.uid % 3 == 0 && m.deliver_at < stop_) {
+      // Self-post, due inside a later window.
+      post(m.deliver_at + 2.5 * group_->lookahead(), uid(next() % 50), 9);
+    }
+  }
+
+  const std::vector<Posted>& posted() const { return posted_; }
+  const std::vector<Posted>& delivered() const { return delivered_; }
+
+ private:
+  std::uint64_t next() {
+    state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+    return state_ >> 33;
+  }
+  /// Disjoint uid ranges per shard keep the protocol contract: equal
+  /// (deliver_at, uid) pairs only ever come from one sender.
+  std::uint64_t uid(std::uint64_t r) const {
+    return r * static_cast<std::uint64_t>(senders_ + 1) +
+           static_cast<std::uint64_t>(self_);
+  }
+  void post(SimTime at, std::uint64_t u, std::uint32_t kind) {
+    posted_.push_back(Posted{at, u, seq_++, static_cast<std::uint32_t>(self_),
+                             kind});
+    group_->post(self_, 0, ShardMessage{at, u, 0, kind, 0, 0, 0});
+  }
+  void post_batch(SimTime end) {
+    double lookahead = group_->lookahead();
+    // Due next window, in no particular order. Strictly after `end`: a
+    // message due exactly at the window end lands after any already
+    // queued for that instant, which a plain sort cannot express.
+    for (int i = 0; i < 4; ++i) {
+      post(end + lookahead * static_cast<double>(1 + next() % 99) / 100.0,
+           uid(next() % 50), 1);
+    }
+    // A cohort: one deliver_at, uids descending.
+    SimTime cohort = end + 0.5 * lookahead;
+    for (std::uint64_t r = 40; r >= 30; r -= 2) post(cohort, uid(r), 2);
+    // The same (deliver_at, uid) twice: seq decides.
+    std::uint64_t twice = uid(next() % 50);
+    post(cohort, twice, 3);
+    post(cohort, twice, 4);
+    // Due several windows later: stays in the inbox across barriers.
+    for (int i = 0; i < 3; ++i) {
+      post(end + lookahead * (2.0 + static_cast<double>(next() % 300) / 100.0),
+           uid(next() % 50), 5);
+    }
+  }
+
+  int self_;
+  int senders_;
+  double stop_;
+  std::uint64_t state_;
+  std::uint64_t seq_ = 0;
+  ShardGroup* group_ = nullptr;
+  SimTime now_ = 0;
+  std::vector<Posted> posted_;
+  std::vector<Posted> delivered_;
+};
+
 }  // namespace
+
+TEST(ShardGroup, ExchangeMatchesReferenceSort) {
+  auto run = [](int senders, int threads) {
+    std::vector<std::unique_ptr<ScriptedShard>> shards;
+    std::vector<ShardRunner*> runners;
+    for (int s = 0; s <= senders; ++s) {
+      shards.push_back(std::make_unique<ScriptedShard>(s, senders, 30.0));
+      runners.push_back(shards.back().get());
+    }
+    ShardGroup group(runners, 1.0, threads);
+    for (auto& s : shards) s->bind(group);
+    group.run(40.0);
+    std::vector<Posted> expected;
+    for (auto& s : shards) {
+      if (s.get() != shards[0].get()) {
+        EXPECT_TRUE(s->delivered().empty());
+      }
+      expected.insert(expected.end(), s->posted().begin(), s->posted().end());
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Posted& x, const Posted& y) {
+                       if (x.deliver_at != y.deliver_at) {
+                         return x.deliver_at < y.deliver_at;
+                       }
+                       if (x.uid != y.uid) return x.uid < y.uid;
+                       return x.seq < y.seq;
+                     });
+    EXPECT_EQ(group.messages_delivered(), expected.size());
+    const std::vector<Posted>& got = shards[0]->delivered();
+    EXPECT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < std::min(got.size(), expected.size()); ++i) {
+      if (got[i] == expected[i]) continue;
+      ADD_FAILURE() << senders << " senders, threads " << threads
+                    << ": delivery " << i << " is " << got[i]
+                    << ", expected " << expected[i];
+      break;
+    }
+    return shards[0]->delivered();
+  };
+  for (int senders = 1; senders <= 4; ++senders) {
+    std::vector<Posted> serial = run(senders, 0);
+    EXPECT_GT(serial.size(), 400u * static_cast<std::size_t>(senders));
+    EXPECT_EQ(run(senders, 2), serial) << senders << " senders";
+    EXPECT_EQ(run(senders, senders + 1), serial) << senders << " senders";
+  }
+}
+
+TEST(ShardGroup, PostRejectsShardIndexOutOfRange) {
+  std::vector<std::string> journal;
+  RecordingShard a("a", journal);
+  RecordingShard b("b", journal);
+  ShardGroup group({&a, &b}, 1.0);
+  ShardMessage m{1.0, 1, 0, 0, 0, 0, 0};
+  EXPECT_THROW(group.post(2, 0, m), std::out_of_range);
+  EXPECT_THROW(group.post(0, 2, m), std::out_of_range);
+  EXPECT_THROW(group.post(-1, 0, m), std::out_of_range);
+  EXPECT_THROW(group.post(0, -1, m), std::out_of_range);
+  EXPECT_NO_THROW(group.post(1, 0, m));
+  group.run(2.0);
+  EXPECT_EQ(journal.size(), 1u);
+}
 
 TEST(ShardGroup, RejectsEmptyOrNonPositiveLookahead) {
   std::vector<std::string> journal;
