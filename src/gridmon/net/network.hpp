@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "gridmon/sim/event.hpp"
 #include "gridmon/sim/ps_server.hpp"
@@ -33,20 +34,24 @@ namespace gridmon::net {
 class Interface {
  public:
   Interface(sim::Simulation& sim, std::string host, std::string site,
-            double bandwidth_bytes_per_s)
+            std::size_t site_id, double bandwidth_bytes_per_s)
       : host_(std::move(host)),
         site_(std::move(site)),
+        site_id_(site_id),
         tx_(sim, bandwidth_bytes_per_s, 1),
         rx_(sim, bandwidth_bytes_per_s, 1) {}
 
   const std::string& host() const noexcept { return host_; }
   const std::string& site() const noexcept { return site_; }
+  /// The site's index in its Network, in add_site order.
+  std::size_t site_id() const noexcept { return site_id_; }
   sim::PsServer& tx() noexcept { return tx_; }
   sim::PsServer& rx() noexcept { return rx_; }
 
  private:
   std::string host_;
   std::string site_;
+  std::size_t site_id_;
   sim::PsServer tx_;
   sim::PsServer rx_;
 };
@@ -69,24 +74,36 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  void add_site(SiteSpec spec) { sites_[spec.name] = spec; }
+  /// Add a site, or replace the spec of the site with this name.
+  void add_site(SiteSpec spec) {
+    auto [it, inserted] = site_ids_.emplace(spec.name, site_specs_.size());
+    if (inserted) {
+      site_specs_.push_back(std::move(spec));
+      rebuild_routes();
+    } else {
+      site_specs_[it->second] = std::move(spec);
+    }
+  }
 
   /// Connect two sites with a WAN pipe (order-insensitive lookup).
   void add_wan(const std::string& a, const std::string& b, WanSpec spec) {
     wans_[wan_key(a, b)] = std::make_unique<Wan>(sim_, spec);
+    rebuild_routes();
   }
 
   /// Create (and own) the NIC for a host on a site.
   Interface& attach(const std::string& host_name,
                     const std::string& site_name) {
-    auto site_it = sites_.find(site_name);
-    if (site_it == sites_.end()) {
+    auto site_it = site_ids_.find(site_name);
+    if (site_it == site_ids_.end()) {
       throw std::invalid_argument("unknown site: " + site_name);
     }
+    std::size_t site_id = site_it->second;
     auto [it, inserted] = interfaces_.emplace(
         host_name,
-        std::make_unique<Interface>(sim_, host_name, site_name,
-                                    site_it->second.nic_bandwidth_bytes_per_s));
+        std::make_unique<Interface>(
+            sim_, host_name, site_name, site_id,
+            site_specs_[site_id].nic_bandwidth_bytes_per_s));
     if (!inserted) {
       throw std::invalid_argument("host already attached: " + host_name);
     }
@@ -104,10 +121,10 @@ class Network {
   /// One-way propagation latency between two interfaces.
   double latency(const Interface& from, const Interface& to) const {
     if (&from == &to) return 0;
-    if (from.site() == to.site()) {
-      return sites_.at(from.site()).one_way_latency;
+    if (from.site_id() == to.site_id()) {
+      return site_specs_[from.site_id()].one_way_latency;
     }
-    return wan_between(from.site(), to.site()).spec.one_way_latency;
+    return route(from, to).spec.one_way_latency;
   }
 
   /// Round-trip time between two interfaces.
@@ -151,8 +168,8 @@ class Network {
     trace::Span span(ctx, kind, {}, payload_bytes);
     double bytes = payload_bytes + kMessageOverheadBytes;
     co_await from.tx().consume(bytes);
-    if (from.site() != to.site()) {
-      Wan& wan = wan_between(from.site(), to.site());
+    if (from.site_id() != to.site_id()) {
+      Wan& wan = route(from, to);
       if (stall_timeout < 0) {
         while (wan.down) co_await *wan.healed;
       } else {
@@ -229,6 +246,29 @@ class Network {
     return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
   }
 
+  /// Refill the site-id route table from the name-keyed WAN map. Set-up
+  /// only: runs once per add_site/add_wan.
+  void rebuild_routes() {
+    const std::size_t n = site_specs_.size();
+    routes_.assign(n * n, nullptr);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        auto it = wans_.find(wan_key(site_specs_[a].name, site_specs_[b].name));
+        if (a != b && it != wans_.end()) routes_[a * n + b] = it->second.get();
+      }
+    }
+  }
+
+  /// The WAN pipe between two interfaces on different sites.
+  Wan& route(const Interface& from, const Interface& to) const {
+    Wan* wan = routes_[from.site_id() * site_specs_.size() + to.site_id()];
+    if (wan == nullptr) {
+      throw std::invalid_argument("no WAN between " + from.site() + " and " +
+                                  to.site());
+    }
+    return *wan;
+  }
+
   const Wan& wan_between(const std::string& a, const std::string& b) const {
     auto it = wans_.find(wan_key(a, b));
     if (it == wans_.end()) {
@@ -242,8 +282,10 @@ class Network {
   }
 
   sim::Simulation& sim_;
-  std::map<std::string, SiteSpec> sites_;
+  std::vector<SiteSpec> site_specs_;              // indexed by site id
+  std::map<std::string, std::size_t> site_ids_;   // site name -> site id
   std::map<std::pair<std::string, std::string>, std::unique_ptr<Wan>> wans_;
+  std::vector<Wan*> routes_;  // [from id * sites + to id], null: no WAN
   std::map<std::string, std::unique_ptr<Interface>> interfaces_;
 };
 

@@ -7,15 +7,25 @@
 /// increasing sequence number breaks ties), which keeps every run with the
 /// same seed bit-identical.
 ///
-/// Implementation: an indexed binary min-heap. The heap array holds only
-/// the ordering keys (timestamp, sequence number) plus an index into a
-/// slab of payload slots, so sift operations move 24-byte keys and never
-/// touch the payloads. Slots are recycled through a free list, and
-/// coroutine wake-ups (the vast majority of events) are stored as bare
-/// handles — no std::function, no allocation. The strict total order on
-/// (at, seq) means the pop sequence is independent of the heap's internal
-/// layout, so this structure is drop-in byte-compatible with the previous
-/// std::priority_queue implementation.
+/// Implementation: two indexed binary min-heaps over (timestamp, sequence
+/// number) keys, drawing sequence numbers from one counter.
+///
+/// * The event heap holds one-shot events. Its 24-byte key carries the
+///   payload reference itself: a coroutine wake-up (the vast majority of
+///   events) stores the handle's frame address, and a callback stores its
+///   index in a slab of std::function slots with the low bit set (frame
+///   addresses are at least 2-aligned). A wake-up never touches the slab.
+/// * The timer heap holds re-armable timers, at most one pending entry per
+///   timer, each a plain function pointer plus context pointer. Re-arming
+///   takes a fresh sequence number and sifts the entry in place, so a
+///   timer that is re-armed a million times leaves no stale entries behind
+///   (a processor-sharing server re-arms its completion timer on every
+///   arrival and departure).
+///
+/// pop() takes the earlier of the two tops. The strict total order on
+/// (at, seq) means the pop sequence is independent of either heap's
+/// internal layout: re-arming a timer fires exactly what pushing a fresh
+/// event and ignoring the superseded one would fire, minus the dead pops.
 
 #include <cassert>
 #include <coroutine>
@@ -31,19 +41,24 @@ using SimTime = double;
 
 class EventQueue {
  public:
-  // Cold-path API boundary only: arbitrary callables enter via
-  // schedule()/push(), which fire once per process spawn or timer, not
-  // per event. The per-event hot path is push_resume()/pop(), which moves
-  // bare coroutine handles and never touches this type.
+  // Cold-path API boundary only: arbitrary callables enter via push(),
+  // once per process spawn, timeout, fault or commit window, not per
+  // event. The per-event hot paths are push_resume() (bare coroutine
+  // handles) and re-armable timers (function pointers); neither touches
+  // this type.
   using Callback = std::function<void()>;
+  using TimerFn = void (*)(void*);
+  using TimerId = std::uint32_t;
 
-  /// The payload of a popped event: either a callback or a bare coroutine
-  /// handle. Invoke with operator().
+  /// The payload of a popped event: a coroutine handle, a timer, or a
+  /// callback. Invoke with operator().
   class Fired {
    public:
     void operator()() {
       if (handle_) {
         handle_.resume();
+      } else if (timer_fn_ != nullptr) {
+        timer_fn_(timer_ctx_);
       } else {
         cb_();
       }
@@ -51,102 +66,223 @@ class EventQueue {
 
    private:
     friend class EventQueue;
-    Callback cb_;
     std::coroutine_handle<> handle_;
+    TimerFn timer_fn_ = nullptr;
+    void* timer_ctx_ = nullptr;
+    Callback cb_;
   };
 
   /// Schedule `cb` to fire at absolute time `at`.
   void push(SimTime at, Callback cb) {
     std::uint32_t slot = acquire_slot();
     slots_[slot].cb = std::move(cb);
-    slots_[slot].handle = nullptr;
-    heap_.push_back(Key{at, next_seq_++, slot});
-    sift_up(heap_.size() - 1);
+    std::uintptr_t ref = (std::uintptr_t{slot} << 1) | kSlotTag;
+    push_key(heap_, Key{at, next_seq_++, ref}, NoIndex{});
   }
 
   /// Schedule a coroutine resumption at absolute time `at`. Equivalent to
-  /// push(at, [h] { h.resume(); }) but stores the handle directly, keeping
-  /// the wake-up path allocation-free.
+  /// push(at, [h] { h.resume(); }) but stores the handle in the heap key,
+  /// keeping the wake-up path allocation-free.
   void push_resume(SimTime at, std::coroutine_handle<> h) {
-    std::uint32_t slot = acquire_slot();
-    slots_[slot].handle = h;
-    heap_.push_back(Key{at, next_seq_++, slot});
-    sift_up(heap_.size() - 1);
+    auto addr = reinterpret_cast<std::uintptr_t>(h.address());
+    assert((addr & kSlotTag) == 0 && "coroutine frame address must be even");
+    push_key(heap_, Key{at, next_seq_++, addr}, NoIndex{});
   }
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  /// Register a re-armable timer that calls `fn(ctx)` when it fires. The
+  /// timer starts disarmed. `ctx` must outlive the registration.
+  TimerId add_timer(TimerFn fn, void* ctx) {
+    TimerId id = timer_free_;
+    if (id != kNil) {
+      timer_free_ = timers_[id].next_free;
+      timers_[id] = Timer{fn, ctx, kNil, kNil};
+    } else {
+      id = static_cast<TimerId>(timers_.size());
+      timers_.push_back(Timer{fn, ctx, kNil, kNil});
+    }
+    return id;
+  }
+
+  /// Disarm and unregister a timer; its id may be handed out again.
+  void remove_timer(TimerId id) {
+    cancel(id);
+    timers_[id] = Timer{nullptr, nullptr, kNil, timer_free_};
+    timer_free_ = id;
+  }
+
+  /// (Re-)arm a timer to fire at absolute time `at`, superseding any
+  /// pending firing. Takes a fresh sequence number, exactly as push() does.
+  void arm(TimerId id, SimTime at) {
+    assert(timers_[id].fn != nullptr);
+    TimerKey k{at, next_seq_++, id};
+    std::uint32_t pos = timers_[id].pos;
+    if (pos == kNil) {
+      push_key(theap_, k, TimerIndex{timers_});
+      return;
+    }
+    // The new key has a larger seq, so it moves up only on an earlier at.
+    bool sooner = earlier(k, theap_[pos]);
+    theap_[pos] = k;
+    if (sooner) {
+      sift_up(theap_, pos, TimerIndex{timers_});
+    } else {
+      sift_down(theap_, pos, TimerIndex{timers_});
+    }
+  }
+
+  /// Disarm a timer. No-op if it is not armed.
+  void cancel(TimerId id) {
+    std::uint32_t pos = timers_[id].pos;
+    if (pos == kNil) return;
+    timers_[id].pos = kNil;
+    TimerKey last = theap_.back();
+    theap_.pop_back();
+    if (pos == theap_.size()) return;
+    theap_[pos] = last;
+    sift_up(theap_, pos, TimerIndex{timers_});
+    sift_down(theap_, timers_[last.id].pos, TimerIndex{timers_});
+  }
+
+  bool armed(TimerId id) const { return timers_[id].pos != kNil; }
+
+  bool empty() const noexcept { return heap_.empty() && theap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size() + theap_.size(); }
 
   /// Timestamp of the earliest pending event. Precondition: !empty().
-  SimTime next_time() const { return heap_.front().at; }
+  SimTime next_time() const {
+    if (theap_.empty()) return heap_.front().at;
+    if (heap_.empty()) return theap_.front().at;
+    return heap_.front().at < theap_.front().at ? heap_.front().at
+                                                : theap_.front().at;
+  }
 
   /// Remove and return the earliest pending event's payload.
   /// Precondition: !empty().
   Fired pop(SimTime& at_out) {
-    assert(!heap_.empty());
+    assert(!empty());
+    Fired fired;
+    if (!theap_.empty() &&
+        (heap_.empty() || earlier(theap_.front(), heap_.front()))) {
+      TimerKey top = theap_.front();
+      at_out = top.at;
+      Timer& t = timers_[top.id];
+      fired.timer_fn_ = t.fn;
+      fired.timer_ctx_ = t.ctx;
+      t.pos = kNil;
+      pop_top(theap_, TimerIndex{timers_});
+      return fired;
+    }
     Key top = heap_.front();
     at_out = top.at;
-    Fired fired;
-    Slot& s = slots_[top.slot];
-    fired.handle_ = s.handle;
-    if (!s.handle) fired.cb_ = std::move(s.cb);
-    release_slot(top.slot);
-    Key last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_.front() = last;
-      sift_down(0);
+    if ((top.ref & kSlotTag) != 0) {
+      auto slot = static_cast<std::uint32_t>(top.ref >> 1);
+      fired.cb_ = std::move(slots_[slot].cb);
+      release_slot(slot);
+    } else {
+      fired.handle_ = std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(top.ref));
     }
+    pop_top(heap_, NoIndex{});
     return fired;
   }
 
+  /// Drop every pending event and disarm every timer. Timer
+  /// registrations survive.
   void clear() {
     heap_.clear();
     slots_.clear();
     free_head_ = kNil;
+    for (const TimerKey& k : theap_) timers_[k.id].pos = kNil;
+    theap_.clear();
   }
 
  private:
   struct Key {
     SimTime at;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uintptr_t ref;  // frame address, or (slot << 1) | kSlotTag
+  };
+  struct TimerKey {
+    SimTime at;
+    std::uint64_t seq;
+    TimerId id;
   };
   struct Slot {
     Callback cb;
-    std::coroutine_handle<> handle;
+    std::uint32_t next_free = kNil;
+  };
+  struct Timer {
+    TimerFn fn = nullptr;
+    void* ctx = nullptr;
+    std::uint32_t pos = kNil;  // index in theap_, or kNil when disarmed
     std::uint32_t next_free = kNil;
   };
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uintptr_t kSlotTag = 1;
 
-  static bool earlier(const Key& a, const Key& b) noexcept {
+  // Position trackers for the shared sift code: the event heap needs
+  // none, the timer heap records each key's index in its Timer.
+  struct NoIndex {
+    void operator()(const Key&, std::size_t) const noexcept {}
+  };
+  struct TimerIndex {
+    std::vector<Timer>& timers;
+    void operator()(const TimerKey& k, std::size_t i) const noexcept {
+      timers[k.id].pos = static_cast<std::uint32_t>(i);
+    }
+  };
+
+  // Orders keys of either heap against each other.
+  template <class A, class B>
+  static bool earlier(const A& a, const B& b) noexcept {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i) {
-    Key k = heap_[i];
-    while (i > 0) {
-      std::size_t parent = (i - 1) / 2;
-      if (!earlier(k, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = k;
+  template <class K, class Index>
+  static void push_key(std::vector<K>& heap, K k, Index index) {
+    heap.push_back(k);
+    sift_up(heap, heap.size() - 1, index);
   }
 
-  void sift_down(std::size_t i) {
-    Key k = heap_[i];
-    const std::size_t n = heap_.size();
+  template <class K, class Index>
+  static void pop_top(std::vector<K>& heap, Index index) {
+    K last = heap.back();
+    heap.pop_back();
+    if (heap.empty()) return;
+    heap.front() = last;
+    sift_down(heap, 0, index);
+  }
+
+  template <class K, class Index>
+  static void sift_up(std::vector<K>& heap, std::size_t i, Index index) {
+    K k = heap[i];
+    while (i > 0) {
+      std::size_t parent = (i - 1) / 2;
+      if (!earlier(k, heap[parent])) break;
+      heap[i] = heap[parent];
+      index(heap[i], i);
+      i = parent;
+    }
+    heap[i] = k;
+    index(k, i);
+  }
+
+  template <class K, class Index>
+  static void sift_down(std::vector<K>& heap, std::size_t i, Index index) {
+    K k = heap[i];
+    const std::size_t n = heap.size();
     for (;;) {
       std::size_t child = 2 * i + 1;
       if (child >= n) break;
-      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-      if (!earlier(heap_[child], k)) break;
-      heap_[i] = heap_[child];
+      if (child + 1 < n && earlier(heap[child + 1], heap[child])) ++child;
+      if (!earlier(heap[child], k)) break;
+      heap[i] = heap[child];
+      index(heap[i], i);
       i = child;
     }
-    heap_[i] = k;
+    heap[i] = k;
+    index(k, i);
   }
 
   std::uint32_t acquire_slot() {
@@ -160,7 +296,6 @@ class EventQueue {
   }
 
   void release_slot(std::uint32_t s) noexcept {
-    slots_[s].handle = nullptr;
     slots_[s].next_free = free_head_;
     free_head_ = s;
   }
@@ -168,6 +303,9 @@ class EventQueue {
   std::vector<Key> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNil;
+  std::vector<TimerKey> theap_;
+  std::vector<Timer> timers_;
+  std::uint32_t timer_free_ = kNil;
   std::uint64_t next_seq_ = 0;
 };
 

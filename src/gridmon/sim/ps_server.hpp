@@ -29,7 +29,9 @@
 ///   completion times.
 ///
 /// The bottleneck rate is cached in both modes and recomputed only when
-/// the population or the configured rate changes.
+/// the population or the configured rate changes. The next completion is
+/// one re-armable simulation timer per server: every arrival or departure
+/// re-arms (or, when the server drains, cancels) it in place.
 
 #include <algorithm>
 #include <cassert>
@@ -57,11 +59,15 @@ class PsServer {
       : sim_(sim),
         total_rate_(total_rate),
         max_parallel_(max_parallel),
-        per_job_cap_(per_job_cap) {
+        per_job_cap_(per_job_cap),
+        timer_(sim.add_timer(&PsServer::on_timer, this)) {
     assert(total_rate > 0 && max_parallel > 0 && per_job_cap > 0);
   }
   PsServer(const PsServer&) = delete;
   PsServer& operator=(const PsServer&) = delete;
+  /// Takes the pending completion with it; jobs still in service are
+  /// never resumed (their frames die with the simulation).
+  ~PsServer() { sim_.remove_timer(timer_); }
 
   /// Number of jobs currently in service.
   int active_jobs() const noexcept {
@@ -181,24 +187,33 @@ class PsServer {
     last_update_ = now;
   }
 
-  /// Schedule the next completion event (invalidates any earlier one via
-  /// the generation counter).
+  /// Re-arm the completion timer for the earliest finishing job.
   void reschedule() {
-    ++generation_;
-    if (jobs_.empty()) return;
+    if (jobs_.empty()) {
+      sim_.cancel_timer(timer_);
+      return;
+    }
     double r = current_rate_per_job();
     double min_remaining = std::numeric_limits<double>::infinity();
     for (const auto& job : jobs_) {
       double left = job.remaining > 0 ? job.remaining : 0;
       if (left < min_remaining) min_remaining = left;
     }
-    SimTime dt = min_remaining / r;
-    std::uint64_t gen = generation_;
-    sim_.schedule(dt, [this, gen] { on_completion_event(gen); });
+    sim_.arm_timer(timer_, min_remaining / r);
   }
 
-  void on_completion_event(std::uint64_t gen) {
-    if (gen != generation_) return;  // superseded by a later arrival
+  /// The completion timer's callback. The mode switch is one-way and
+  /// re-arms the timer, so the mode at firing time picks the handler.
+  static void on_timer(void* self) {
+    auto* ps = static_cast<PsServer*>(self);
+    if (ps->virtual_mode_) {
+      ps->on_v_completion_event();
+    } else {
+      ps->on_completion_event();
+    }
+  }
+
+  void on_completion_event() {
     settle();
     // A job also counts as done when its residual service is under one
     // nanosecond of work: at large simulated times such a sliver needs a
@@ -240,20 +255,17 @@ class PsServer {
   }
 
   void vreschedule() {
-    ++generation_;
     if (vheap_.empty()) {
+      sim_.cancel_timer(timer_);
       // Resetting the curve on drain bounds floating-point error growth.
       v_ = 0;
       return;
     }
     double gap = vheap_.front().target - v_;
-    SimTime dt = gap > 0 ? gap / rate_ : 0;
-    std::uint64_t gen = generation_;
-    sim_.schedule(dt, [this, gen] { on_v_completion_event(gen); });
+    sim_.arm_timer(timer_, gap > 0 ? gap / rate_ : 0);
   }
 
-  void on_v_completion_event(std::uint64_t gen) {
-    if (gen != generation_) return;
+  void on_v_completion_event() {
     advance_v();
     double sliver = rate_ * kMinServiceDt;
     // Harvest every job whose target the curve has (to within its epsilon)
@@ -386,9 +398,9 @@ class PsServer {
   double v_ = 0;     // virtual-time service curve (units per job)
   double rate_ = 0;  // cached per-job rate (virtual mode)
   std::uint64_t next_job_seq_ = 0;
-  std::uint64_t generation_ = 0;
   bool virtual_mode_ = false;
   UsageProbe* probe_ = nullptr;
+  EventQueue::TimerId timer_;  // the pending completion, if armed
 };
 
 }  // namespace gridmon::sim

@@ -38,6 +38,24 @@ class Simulation {
     queue_.push_resume(now_ + (delay > 0 ? delay : 0), h);
   }
 
+  /// Register a re-armable timer that calls `fn(ctx)` when it fires; it
+  /// starts disarmed. The owner removes it before `ctx` dies.
+  EventQueue::TimerId add_timer(EventQueue::TimerFn fn, void* ctx) {
+    return queue_.add_timer(fn, ctx);
+  }
+
+  /// Fire timer `id` `delay` seconds from now (negative delays clamp to
+  /// zero), superseding its pending firing if it has one.
+  void arm_timer(EventQueue::TimerId id, SimTime delay) {
+    queue_.arm(id, now_ + (delay > 0 ? delay : 0));
+  }
+
+  /// Disarm timer `id`; no-op if it is not armed.
+  void cancel_timer(EventQueue::TimerId id) { queue_.cancel(id); }
+
+  /// Disarm and unregister timer `id`.
+  void remove_timer(EventQueue::TimerId id) { queue_.remove_timer(id); }
+
   /// Launch a detached process. The simulation owns the coroutine frame and
   /// releases it after the task runs to completion (or at shutdown).
   void spawn(Task<void> task) {
@@ -114,9 +132,9 @@ class Simulation {
     return executed;
   }
 
-  /// Destroy all detached coroutine frames and drop pending events without
-  /// running them. Must be called (or ~Simulation reached) while every
-  /// resource the frames reference is still alive.
+  /// Destroy all detached coroutine frames, drop pending events and disarm
+  /// every timer without running them. Must be called (or ~Simulation
+  /// reached) while every resource the frames reference is still alive.
   void shutdown() {
     // Destroying a frame runs destructors of its locals, which may release
     // resources and schedule wake-ups; those land in the queue and are then

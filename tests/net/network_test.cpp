@@ -156,6 +156,30 @@ TEST(NetworkTest, MissingWanThrows) {
   auto& ia = net.attach("h1", "a");
   auto& ib = net.attach("h2", "b");
   EXPECT_THROW(net.latency(ia, ib), std::invalid_argument);
+  EXPECT_THROW(net.set_wan_down("a", "b", true), std::invalid_argument);
+}
+
+// Hops are routed by site id; the route table must follow WANs and sites
+// added after hosts attached, in either name order.
+TEST(NetworkTest, RoutesFollowLateSitesAndWans) {
+  sim::Simulation sim;
+  Network net(sim);
+  net.add_site({.name = "b", .one_way_latency = 0.0002});
+  net.add_site({.name = "a"});
+  auto& ia = net.attach("h1", "a");
+  auto& ib = net.attach("h2", "b");
+  auto& ib2 = net.attach("h3", "b");
+  net.add_wan("b", "a", {.one_way_latency = 0.007});
+  EXPECT_DOUBLE_EQ(net.latency(ia, ib), 0.007);
+  EXPECT_DOUBLE_EQ(net.latency(ib, ia), 0.007);
+  EXPECT_DOUBLE_EQ(net.latency(ib, ib2), 0.0002);
+  net.add_site({.name = "c"});
+  auto& ic = net.attach("h4", "c");
+  EXPECT_THROW(net.latency(ic, ia), std::invalid_argument);
+  net.add_wan("a", "c", {.one_way_latency = 0.003});
+  EXPECT_DOUBLE_EQ(net.latency(ic, ia), 0.003);
+  EXPECT_DOUBLE_EQ(net.latency(ia, ib), 0.007);
+  EXPECT_DOUBLE_EQ(net.min_cross_site_latency(), 0.003);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "gridmon/sim/simulation.hpp"
@@ -154,6 +155,27 @@ TEST(PsServerTest, HighConcurrencyConserved) {
   sim.run();
   ASSERT_EQ(done.size(), static_cast<std::size_t>(n));
   EXPECT_NEAR(cpu.served_total(), n * 0.5, 1e-6);
+}
+
+// A server torn down with a completion still pending (a host removed
+// mid-run) must take that wake-up with it: running the simulation
+// afterwards fires nothing and never touches the freed server. Covers
+// both the exact mode and the virtual-time mode.
+TEST(PsServerTest, DestroyedServerLeavesNoPendingWakeup) {
+  for (std::size_t jobs : {std::size_t{1}, PsServer::kVirtualThreshold}) {
+    Simulation sim;
+    auto cpu = std::make_unique<PsServer>(sim, 1.0, 1);
+    std::vector<double> done;
+    for (std::size_t i = 0; i < jobs; ++i) {
+      sim.spawn(job(sim, *cpu, 0, 5.0, &done));
+    }
+    sim.run(1.0);
+    ASSERT_EQ(cpu->active_jobs(), static_cast<int>(jobs));
+    ASSERT_EQ(cpu->virtual_mode(), jobs >= PsServer::kVirtualThreshold);
+    cpu.reset();
+    EXPECT_EQ(sim.run(), 0u) << jobs << " jobs";
+    EXPECT_TRUE(done.empty());
+  }
 }
 
 }  // namespace
