@@ -12,6 +12,17 @@ std::vector<Dit::Node*>::iterator Dit::child_slot(std::vector<Node*>& children,
       [](const Node* c, std::string_view k) { return c->key < k; });
 }
 
+Dit::Dit(Dit&& other) noexcept : nodes_(std::move(other.nodes_)) {
+  other.clear();
+}
+
+Dit& Dit::operator=(Dit&& other) noexcept {
+  nodes_ = std::move(other.nodes_);
+  memo_.reset();
+  other.clear();
+  return *this;
+}
+
 void Dit::add(Entry entry) {
   const Dn& dn = entry.dn();
   if (dn.empty()) throw DnError("cannot add entry with empty DN");
@@ -24,6 +35,7 @@ void Dit::add(Entry entry) {
     }
     parent = &pit->second;
   }
+  memo_.reset();
   auto [it, inserted] = nodes_.try_emplace(dn.normalized());
   Node& node = it->second;
   node.entry = std::move(entry);  // a replace keeps the children
@@ -38,6 +50,7 @@ void Dit::add(Entry entry) {
 std::size_t Dit::remove_subtree(const Dn& dn) {
   auto it = nodes_.find(dn.normalized());
   if (it == nodes_.end()) return 0;
+  memo_.reset();
   Node* top = &it->second;
   if (Node* parent = top->parent) {
     parent->children.erase(child_slot(parent->children, top->key));
@@ -63,6 +76,24 @@ const Entry* Dit::find(const Dn& dn) const {
 SearchResult Dit::search(const Dn& base, Scope scope, const Filter& filter,
                          const std::vector<std::string>& attrs,
                          std::size_t size_limit) const {
+  std::string key = base.normalized();
+  std::string rendered = filter.to_string();
+  if (memo_ && memo_->scope == scope && memo_->size_limit == size_limit &&
+      memo_->base == key && memo_->filter == rendered &&
+      memo_->attrs == attrs) {
+    return memo_->result;
+  }
+  memo_.reset();
+  SearchResult result = scan(key, scope, filter, attrs, size_limit);
+  memo_ = Memo{std::move(key), scope, std::move(rendered), attrs, size_limit,
+               result};
+  return result;
+}
+
+SearchResult Dit::scan(const std::string& base, Scope scope,
+                       const Filter& filter,
+                       const std::vector<std::string>& attrs,
+                       std::size_t size_limit) const {
   SearchResult result;
   auto consider = [&](const Entry& e) -> bool {
     ++result.entries_examined;
@@ -83,7 +114,7 @@ SearchResult Dit::search(const Dn& base, Scope scope, const Filter& filter,
     }
     return result;
   }
-  auto base_it = nodes_.find(base.normalized());
+  auto base_it = nodes_.find(base);
   if (base_it == nodes_.end()) return result;
   const Node& top = base_it->second;
 

@@ -9,10 +9,17 @@
 /// the whole-tree order); each node links straight to its children, kept
 /// in key order, so a scoped search walks pointers and never looks a DN up
 /// again. The links point into the map's own nodes, which stay put when
-/// the map is moved, so a Dit moves but never copies.
+/// the map is moved, so a Dit moves but never copies; a moved-from Dit is
+/// empty.
+///
+/// The last search's result is memoized until the tree next changes, so a
+/// service that answers the same query over an unchanged tree (a GIIS
+/// between cache refreshes) walks it once. Searching writes the memo:
+/// never search one Dit from two threads at once.
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,8 +47,8 @@ struct SearchResult {
 class Dit {
  public:
   Dit() = default;
-  Dit(Dit&&) = default;
-  Dit& operator=(Dit&&) = default;
+  Dit(Dit&& other) noexcept;
+  Dit& operator=(Dit&& other) noexcept;
   Dit(const Dit&) = delete;
   Dit& operator=(const Dit&) = delete;
 
@@ -57,7 +64,10 @@ class Dit {
   std::size_t size() const noexcept { return nodes_.size(); }
 
   /// LDAP search. `attrs` empty means all attributes; size_limit 0 means
-  /// unlimited.
+  /// unlimited. Repeating the previous search (same normalized base,
+  /// scope, filter rendering, selection and limit) on an unchanged tree
+  /// returns the memoized result, entries_examined included, without
+  /// walking the tree.
   SearchResult search(const Dn& base, Scope scope, const Filter& filter,
                       const std::vector<std::string>& attrs = {},
                       std::size_t size_limit = 0) const;
@@ -65,7 +75,10 @@ class Dit {
   /// All DNs in the tree (normalized), sorted — handy for tests/dumps.
   std::vector<std::string> dns() const;
 
-  void clear() { nodes_.clear(); }
+  void clear() noexcept {
+    nodes_.clear();
+    memo_.reset();
+  }
 
  private:
   struct Node {
@@ -79,7 +92,25 @@ class Dit {
   static std::vector<Node*>::iterator child_slot(std::vector<Node*>& children,
                                                  std::string_view key);
 
+  /// The last search and its result. Every mutation resets it, which also
+  /// releases the entry representations the result shares.
+  struct Memo {
+    std::string base;    // normalized
+    Scope scope;
+    std::string filter;  // Filter::to_string(), which re-parses to itself
+    std::vector<std::string> attrs;
+    std::size_t size_limit;
+    SearchResult result;
+  };
+
+  /// The uncached walk; `base` is the normalized base DN.
+  SearchResult scan(const std::string& base, Scope scope,
+                    const Filter& filter,
+                    const std::vector<std::string>& attrs,
+                    std::size_t size_limit) const;
+
   std::map<std::string, Node, std::less<>> nodes_;
+  mutable std::optional<Memo> memo_;
 };
 
 }  // namespace gridmon::ldap

@@ -343,6 +343,11 @@ bool SubstringFilter::matches(const Entry& e) const {
 }
 
 std::string SubstringFilter::to_string() const {
+  // With every component empty, "(x=*)" would re-parse as a presence
+  // filter; "(x=**)" re-parses to this one.
+  if (initial_.empty() && any_.empty() && final_.empty()) {
+    return "(" + attr_ + "=**)";
+  }
   std::string out = "(" + attr_ + "=" + initial_ + "*";
   for (const auto& a : any_) {
     out += a;

@@ -36,6 +36,9 @@ class Filter {
  public:
   virtual ~Filter() = default;
   virtual bool matches(const Entry& e) const = 0;
+  /// Filter text that parse() turns back into this filter; Dit keys its
+  /// search memo on it, so two filters may render alike only if they
+  /// match alike.
   virtual std::string to_string() const = 0;
 
   /// Parse an RFC 1960 filter string. Throws FilterError on bad syntax.

@@ -285,7 +285,15 @@ TEST(DitPin, MovedTreeKeepsItsLinksAndMovedFromIsReusable) {
   auto src = sample_tree();
   const auto all = Filter::match_all();
   const auto base = Dn::parse("o=grid");
+  // Memoize a search first: neither side of a move may answer from it.
+  EXPECT_EQ(src.search(base, Scope::Subtree, *all).entries.size(), 13u);
   Dit moved(std::move(src));
+  // gridmon-lint: suppress(coroutine.use-after-move) -- a moved-from Dit
+  // is documented empty, memo included; the read is the point
+  EXPECT_EQ(src.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  auto left = src.search(base, Scope::Subtree, *all);
+  EXPECT_TRUE(left.entries.empty());
+  EXPECT_EQ(left.entries_examined, 0u);
   EXPECT_EQ(dns_of(moved.search(base, Scope::Subtree, *all)),
             kSubtreeFromRoot);
 
@@ -297,12 +305,36 @@ TEST(DitPin, MovedTreeKeepsItsLinksAndMovedFromIsReusable) {
 
   Dit target;
   target.add(make_entry("o=other", "organization"));
+  EXPECT_TRUE(target.search(base, Scope::Subtree, *all).entries.empty());
   target = std::move(moved);
   EXPECT_EQ(dns_of(target.search(base, Scope::Subtree, *all)),
             kSubtreeFromRoot);
+  EXPECT_TRUE(moved.search(base, Scope::Subtree, *all).entries.empty());
+  EXPECT_EQ(moved.size(), 0u);
   EXPECT_FALSE(target.contains(Dn::parse("o=other")));
   target.remove_subtree(Dn::parse("mds-host-hn=lucky2,o=grid"));
   EXPECT_EQ(target.search(base, Scope::Subtree, *all).entries_examined, 9u);
+}
+
+TEST(DitPin, MutatingAReturnedEntryLeavesTheMemoAlone) {
+  auto dit = sample_tree();
+  const auto all = Filter::match_all();
+  const auto host = Dn::parse("Mds-Host-hn=lucky2, o=grid");
+  for (const std::vector<std::string>& attrs :
+       {std::vector<std::string>{},
+        std::vector<std::string>{"Mds-Cpu-Total-count"}}) {
+    auto first = dit.search(host, Scope::Base, *all, attrs);
+    ASSERT_EQ(first.entries.size(), 1u);
+    const double bytes = first.wire_bytes();
+    first.entries[0].set("Mds-Cpu-Total-count", "99");
+    first.entries[0].add("descr", "scribbled");
+    auto again = dit.search(host, Scope::Base, *all, attrs);
+    ASSERT_EQ(again.entries.size(), 1u);
+    EXPECT_EQ(again.entries[0].value("mds-cpu-total-count"), "4");
+    EXPECT_FALSE(again.entries[0].has_attribute("descr"));
+    EXPECT_DOUBLE_EQ(again.wire_bytes(), bytes);
+    EXPECT_EQ(dit.find(host)->value("mds-cpu-total-count"), "4");
+  }
 }
 
 TEST(LdifTest, RenderEntry) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -42,8 +43,22 @@ Dit grid_tree() {
 
 // ---- filter algebra over a corpus ----
 
+/// Every entry of grid_tree() plus one without an objectclass. The laws
+/// compare match results entry by entry: a Dit memoizes by the filter's
+/// rendering, so two searches with equal renderings would compare a result
+/// with itself.
+std::vector<Entry> corpus() {
+  auto entries =
+      grid_tree().search(Dn{}, Scope::Subtree, *Filter::match_all()).entries;
+  Entry bare(Dn::parse("cn=bare, o=grid"));
+  bare.add("size", "100");
+  entries.push_back(std::move(bare));
+  return entries;
+}
+
 const char* kFilters[] = {
     "(objectclass=*)",
+    "(objectclass=**)",
     "(objectclass=MdsHost)",
     "(Mds-Os-name=linux)",
     "(Mds-Cpu-Total-count>=4)",
@@ -57,43 +72,37 @@ const char* kFilters[] = {
 class FilterAlgebra : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FilterAlgebra, NotNotIsIdentity) {
-  auto dit = grid_tree();
   auto f = Filter::parse(GetParam());
   auto nn = Filter::parse("(!(!" + std::string(GetParam()) + "))");
-  auto base = Dn::parse("o=grid");
-  auto a = dit.search(base, Scope::Subtree, *f);
-  auto b = dit.search(base, Scope::Subtree, *nn);
-  EXPECT_EQ(a.entries.size(), b.entries.size());
+  for (const auto& e : corpus()) {
+    EXPECT_EQ(nn->matches(e), f->matches(e)) << e.dn().to_string();
+  }
 }
 
 TEST_P(FilterAlgebra, FilterAndNotFilterPartitionTheTree) {
-  auto dit = grid_tree();
   auto f = Filter::parse(GetParam());
   auto nf = Filter::parse("(!" + std::string(GetParam()) + ")");
-  auto base = Dn::parse("o=grid");
-  auto all = dit.search(base, Scope::Subtree, *Filter::match_all());
-  auto yes = dit.search(base, Scope::Subtree, *f);
-  auto no = dit.search(base, Scope::Subtree, *nf);
-  EXPECT_EQ(yes.entries.size() + no.entries.size(), all.entries.size());
+  for (const auto& e : corpus()) {
+    EXPECT_NE(nf->matches(e), f->matches(e)) << e.dn().to_string();
+  }
 }
 
 TEST_P(FilterAlgebra, AndWithSelfIsIdempotent) {
-  auto dit = grid_tree();
   std::string s = GetParam();
   auto f = Filter::parse(s);
   auto ff = Filter::parse("(&" + s + s + ")");
-  auto base = Dn::parse("o=grid");
-  EXPECT_EQ(dit.search(base, Scope::Subtree, *f).entries.size(),
-            dit.search(base, Scope::Subtree, *ff).entries.size());
+  for (const auto& e : corpus()) {
+    EXPECT_EQ(ff->matches(e), f->matches(e)) << e.dn().to_string();
+  }
 }
 
 TEST_P(FilterAlgebra, RoundTripKeepsSemantics) {
-  auto dit = grid_tree();
   auto f = Filter::parse(GetParam());
   auto g = Filter::parse(f->to_string());
-  auto base = Dn::parse("o=grid");
-  EXPECT_EQ(dit.search(base, Scope::Subtree, *f).entries.size(),
-            dit.search(base, Scope::Subtree, *g).entries.size());
+  EXPECT_EQ(g->to_string(), f->to_string());
+  for (const auto& e : corpus()) {
+    EXPECT_EQ(g->matches(e), f->matches(e)) << e.dn().to_string();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, FilterAlgebra,
@@ -224,6 +233,7 @@ class RefDit {
   }
 
   std::size_t size() const { return nodes_.size(); }
+  void clear() { nodes_.clear(); }
 
  private:
   struct Node {
@@ -248,7 +258,8 @@ std::vector<std::string> dump(const SearchResult& r) {
   return out;
 }
 
-std::string pick(sim::Rng& rng, const std::vector<std::string>& from) {
+template <typename T>
+const T& pick(sim::Rng& rng, const std::vector<T>& from) {
   return from[rng.below(from.size())];
 }
 
@@ -307,11 +318,23 @@ TEST_P(DitDifferential, EveryScopeMatchesTheReference) {
   sim::Rng rng(GetParam());
   Dit dit;
   RefDit ref;
+  // The previous search, repeated after every step: a memo hit when the
+  // step left the tree alone, a fresh walk when it changed it.
+  struct Query {
+    Dn base;
+    Scope scope;
+    const Filter* filter;
+    const std::vector<std::string>* attrs;
+    std::size_t limit;
+  };
+  std::optional<Query> last;
+  std::size_t throws = 0, replaces = 0, missing_removes = 0, removes = 0;
   for (int step = 0; step < 400; ++step) {
     const Dn dn = Dn::parse(random_dn(rng));
-    const auto op = rng.below(10);
-    if (op < 6) {  // add or replace
+    const auto op = rng.below(100);
+    if (op < 60) {  // add or replace
       Entry e = random_entry(rng, dn);
+      const bool existed = dit.contains(dn);
       bool ref_threw = false, dit_threw = false;
       try {
         ref.add(e);
@@ -324,23 +347,60 @@ TEST_P(DitDifferential, EveryScopeMatchesTheReference) {
         dit_threw = true;
       }
       ASSERT_EQ(dit_threw, ref_threw) << "step " << step;
-    } else if (op < 7) {
-      ASSERT_EQ(dit.remove_subtree(dn), ref.remove_subtree(dn))
-          << "step " << step;
+      throws += dit_threw;
+      replaces += existed;
+    } else if (op < 70) {
+      const std::size_t removed = dit.remove_subtree(dn);
+      ASSERT_EQ(removed, ref.remove_subtree(dn)) << "step " << step;
+      ++(removed ? removes : missing_removes);
+    } else if (op < 71) {
+      dit.clear();
+      ref.clear();
     } else {
       const Dn base = rng.below(8) == 0 ? Dn{} : dn;
       const Filter& filter = *filters[rng.below(filters.size())];
       const auto& attrs = kSelections[rng.below(kSelections.size())];
       const std::size_t limit = rng.below(3) == 0 ? rng.below(4) : 0;
-      for (Scope scope : {Scope::Base, Scope::One, Scope::Subtree}) {
-        ASSERT_EQ(dump(dit.search(base, scope, filter, attrs, limit)),
-                  dump(ref.search(base, scope, filter, attrs, limit)))
-            << "step " << step << " base " << base.to_string() << " scope "
-            << static_cast<int>(scope) << " filter " << filter.to_string();
+      // Each query differs from the one before it in one key component,
+      // so a memo that ignored a component would answer from a neighbour.
+      const auto& attrs2 = pick(rng, kSelections);
+      const std::size_t limit2 = limit == 0 ? 1 : 0;
+      const Filter* filter2 = filters[rng.below(filters.size())].get();
+      const Dn base2 = base.empty() ? dn : base.parent();
+      const std::vector<Query> queries = {
+          {base, Scope::Base, &filter, &attrs, limit},
+          {base, Scope::One, &filter, &attrs, limit},
+          {base, Scope::Subtree, &filter, &attrs, limit},
+          {base, Scope::Subtree, &filter, &attrs2, limit},
+          {base, Scope::Subtree, &filter, &attrs2, limit2},
+          {base, Scope::Subtree, filter2, &attrs2, limit2},
+          {base2, Scope::Subtree, filter2, &attrs2, limit2},
+      };
+      for (const Query& q : queries) {
+        ASSERT_EQ(
+            dump(dit.search(q.base, q.scope, *q.filter, *q.attrs, q.limit)),
+            dump(ref.search(q.base, q.scope, *q.filter, *q.attrs, q.limit)))
+            << "step " << step << " base " << q.base.to_string()
+            << " scope " << static_cast<int>(q.scope) << " filter "
+            << q.filter->to_string();
       }
+      last = queries.back();
     }
     ASSERT_EQ(dit.size(), ref.size()) << "step " << step;
+    if (last) {
+      const Query& q = *last;
+      ASSERT_EQ(
+          dump(dit.search(q.base, q.scope, *q.filter, *q.attrs, q.limit)),
+          dump(ref.search(q.base, q.scope, *q.filter, *q.attrs, q.limit)))
+          << "repeat after step " << step << " base " << q.base.to_string()
+          << " filter " << q.filter->to_string();
+    }
   }
+  // Every kind of step the memo must survive or forget showed up.
+  EXPECT_GT(throws, 0u);
+  EXPECT_GT(replaces, 0u);
+  EXPECT_GT(missing_removes, 0u);
+  EXPECT_GT(removes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DitDifferential,
