@@ -3,9 +3,9 @@
 /// \file bench_common.hpp
 /// Shared scaffolding for the figure-reproduction binaries and
 /// gridmon_run: one CLI (--quick, --csv, --trace, --seed, --users),
-/// sweep thinning, CSV/trace emission, and the common sweep-point loop
-/// (Testbed + make_scenario + UserWorkload + measure) every closed-loop
-/// bench runs.
+/// applied to a spec through SpecBuilder, sweep thinning, CSV/trace
+/// emission, and run_point, the closed-loop sweep point every figure
+/// bench runs through core::Deployment.
 
 #include <cstdint>
 #include <fstream>
@@ -15,9 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "gridmon/core/experiment.hpp"
-#include "gridmon/core/scenario_spec.hpp"
-#include "gridmon/core/scenarios.hpp"
+#include "gridmon/core/deployment.hpp"
 #include "gridmon/metrics/report.hpp"
 #include "gridmon/trace/chrome_export.hpp"
 
@@ -57,6 +55,14 @@ struct BenchOptions {
   /// Seed for one sweep point: CLI --seed wins over the spec.
   std::uint64_t seed_for(const core::ScenarioSpec& spec) const {
     return seed != 0 ? seed : spec.seed;
+  }
+
+  /// Apply --seed and --quick's window to a spec under construction, so
+  /// the overrides get the same validation as the spec's own keys.
+  core::SpecBuilder apply(core::SpecBuilder builder) const {
+    if (seed != 0) builder.seed(seed);
+    if (quick) builder.window(30, 120);
+    return builder;
   }
 };
 
@@ -184,66 +190,34 @@ inline void progress(const std::string& series, int x,
 
 /// Per-point tweaks for benches whose loop differs slightly from the
 /// default (x axis that isn't the user count, member reads after the
-/// measurement window, a client-host cap).
+/// measurement window).
 struct PointHooks {
-  std::optional<double> x;     // CSV x value (default: the user count)
-  int max_users_per_host = 0;  // 0 = 100 on lucky clients, else default
+  std::optional<double> x;  // CSV x value (default: the user count)
   /// Runs after measure(), before the scenario is torn down — read
   /// scenario members (cache stats, completion logs) here.
   std::function<void(core::Scenario&, core::UserWorkload&)> after_measure;
 };
 
-/// The standard closed-loop sweep point: fresh Testbed, deployment via
-/// make_scenario + prefill, UserWorkload bound to the scenario's query,
-/// one measurement window. This is the loop exp1-exp4 and most extended
-/// benches share. Open-arrival benches build their own UserWorkload
-/// (start_arrivals) but measure through the same core::measure(); only
-/// the push-based streaming bench, which has no query log, hand-rolls
-/// its window.
+/// The standard closed-loop sweep point: the CLI's --seed and --quick
+/// applied to `spec`, one core::Deployment of `users` users, one
+/// measurement window. exp1-exp4 and most extended benches share it.
+/// The phase benches (faults timed from the end of prefill, client retry
+/// configs no spec expresses, open arrivals, push streams) build their
+/// own loop but measure through the same core::measure().
 inline core::SweepPoint run_point(const BenchOptions& opt,
                                   const std::string& series,
                                   const core::ScenarioSpec& spec, int users,
                                   trace::SeriesTrace* trace_out = nullptr,
                                   const PointHooks& hooks = {}) {
-  core::TestbedConfig tc;
-  tc.seed = opt.seed_for(spec);
-  core::Testbed tb(tc);
-  auto scenario = core::make_scenario(tb, spec);
-  scenario->prefill();
-  // The collector must outlive the workload's user coroutines (destroyed
-  // by ~UserWorkload's shutdown), hence this declaration order.
-  trace::Collector collector(tb.sim(), tb.config().seed);
-  core::WorkloadConfig wc;
-  if (spec.lucky_clients) wc.max_users_per_host = 100;
-  if (hooks.max_users_per_host > 0) {
-    wc.max_users_per_host = hooks.max_users_per_host;
-  }
-  if (spec.query_deadline > 0) wc.query_deadline = spec.query_deadline;
-  if (spec.max_attempts > 0) wc.max_attempts = spec.max_attempts;
-  if (spec.resilience.enabled) wc.resilience = spec.resilience.client;
-  core::UserWorkload workload(tb, scenario->query_fn(), wc);
-  const std::string server = spec.server_host();
-  if (trace_out != nullptr) {
-    scenario->instrument(collector);
-    core::instrument_host(tb, collector, server);
-    workload.enable_tracing(collector);
-  }
-  workload.spawn_users(users,
-                       spec.lucky_clients ? tb.lucky_names() : tb.uc_names());
-  tb.sampler().start();
-  core::MeasureConfig mc = opt.measure();
-  if (trace_out != nullptr) mc.collector = &collector;
-  if (spec.resilience.enabled) {
-    mc.port = scenario->server_port();
-    mc.goodput_deadline = spec.goodput_deadline;
-  }
+  core::Deployment d(opt.apply(core::SpecBuilder(spec)).build(), users,
+                     trace_out != nullptr);
   double x = hooks.x.value_or(users);
-  core::SweepPoint p = core::measure(tb, workload, server, x, mc);
+  core::SweepPoint p = d.measure(x);
   if (trace_out != nullptr) {
     trace_out->series = series;
-    trace_out->data = collector.take();
+    trace_out->data = d.take_trace();
   }
-  if (hooks.after_measure) hooks.after_measure(*scenario, workload);
+  if (hooks.after_measure) hooks.after_measure(d.scenario(), *d.workload());
   progress(series, static_cast<int>(x), p);
   return p;
 }

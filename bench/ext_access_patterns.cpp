@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
     for (int n : users) {
       PointHooks hooks;
       hooks.x = n;
-      hooks.max_users_per_host = 50;
       s.points.push_back(run_point(opt, s.name, spec, std::min(n, 1000),
                                    nullptr, hooks));
     }

@@ -19,7 +19,6 @@
 ///   $ ./bench/ext_scale --users 10000   # one legacy point per series
 ///   $ ./bench/ext_scale --users 1000000 --shards 8   # one sharded point
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -29,6 +28,7 @@
 #include <limits>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 #if defined(__unix__) || defined(__APPLE__)
 #define EXT_SCALE_HAS_FORK 1
@@ -37,7 +37,6 @@
 #endif
 
 #include "bench_common.hpp"
-#include "gridmon/core/frontier.hpp"
 #include "gridmon/metrics/report.hpp"
 
 using namespace gridmon;
@@ -150,26 +149,6 @@ std::size_t peak_rss_kb() {
   return 0;
 }
 
-core::TestbedConfig testbed_for(const BenchOptions& opt,
-                                const ScenarioSpec& spec, int users) {
-  core::TestbedConfig tc;
-  tc.seed = opt.seed_for(spec);
-  tc.uc_clients = std::max(20, (users + 49) / 50);  // the 50-users/host cap
-  if (users > 100000) {
-    // Frontier points: the paper's 20 MB/s ANL<->UC path and 100 Mbps
-    // NICs were provisioned for ~20 client machines, not twenty
-    // thousand. Past the paper-scale sweep, keep the same 1 MB/s of
-    // shared WAN per client host and give every NIC 10 GbE, so the
-    // network scales with the population and the point measures engine
-    // capacity (the GRIS worker pool and the client engine) instead of
-    // a wedged pipe. Both engines get the identical testbed, so the
-    // legacy-vs-sharded comparison is unaffected.
-    tc.wan_bandwidth_bytes = 1e6 * tc.uc_clients;
-    tc.lan_bandwidth_bytes = 1.25e9;
-  }
-  return tc;
-}
-
 void progress(const ScalePoint& p) {
   std::cout << "  [" << p.series << "] users=" << p.users
             << " wall=" << metrics::Table::num(p.m.wall_clock_s, 3)
@@ -180,89 +159,27 @@ void progress(const ScalePoint& p) {
             << "K\n";
 }
 
-/// One legacy-engine point: scenario via the unified factory, closed-loop
-/// coroutine users at 50/host over a UC pool sized to fit them, one
-/// core::measure window (which counts the events) with the wall clock
-/// taken around it.
-MetricsReport legacy_metrics(const BenchOptions& opt,
-                             const ScenarioSpec& spec, int users) {
-  core::Testbed tb(testbed_for(opt, spec, users));
-  auto scenario = core::make_scenario(tb, spec);
-  scenario->prefill();
-  core::UserWorkload workload(tb, scenario->query_fn());
-  workload.spawn_users(users, tb.uc_names());
-  tb.sampler().start();
-  core::MeasureConfig mc;
-  mc.warmup = kWarmup;
-  mc.duration = kDuration;
-
-  reset_peak_rss();
-  // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
-  // cost of running the simulator; never feeds sim state
-  auto w0 = std::chrono::steady_clock::now();
-  MetricsReport m = core::measure(tb, workload, spec.server_host(), users, mc);
-  // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
-  // cost of running the simulator; never feeds sim state
-  auto w1 = std::chrono::steady_clock::now();
-  m.wall_clock_s = std::chrono::duration<double>(w1 - w0).count();
-  m.events_per_sec = m.wall_clock_s > 0 ? m.events / m.wall_clock_s : 0;
-  m.peak_rss_kb = static_cast<double>(peak_rss_kb());
-  return m;
-}
-
-ScalePoint run_legacy_point(const BenchOptions& opt, const std::string& series,
-                            const ScenarioSpec& spec, int users) {
-  ScalePoint p;
-  p.series = series;
-  p.users = users;
-  p.m = run_isolated([&] { return legacy_metrics(opt, spec, users); });
-  progress(p);
-  return p;
-}
-
-/// One sharded-engine point: the same scenario, but the user population
-/// lives in core::FrontierWorkload's SoA client shards and talks to the
-/// physics shard through the deterministic mailboxes.
-MetricsReport sharded_metrics(const BenchOptions& opt,
-                              const ScenarioSpec& spec, int users, int shards,
-                              int threads) {
-  core::Testbed tb(testbed_for(opt, spec, users));
-  auto scenario = core::make_scenario(tb, spec);
-  scenario->prefill();
-  core::FrontierConfig fc;
-  fc.shards = shards;
-  fc.threads = threads;
-  fc.admission_port = scenario->server_port();
-  fc.server_host = spec.server_host();
-  core::FrontierWorkload workload(tb, scenario->query_fn(), fc);
-  workload.spawn_users(users);
-  tb.sampler().start();
-
-  reset_peak_rss();
-  // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
-  // cost of running the simulator; never feeds sim state
-  auto w0 = std::chrono::steady_clock::now();
-  MetricsReport m =
-      workload.measure_window(users, kWarmup, kDuration, spec.server_host());
-  // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
-  // cost of running the simulator; never feeds sim state
-  auto w1 = std::chrono::steady_clock::now();
-  m.wall_clock_s = std::chrono::duration<double>(w1 - w0).count();
-  m.events_per_sec =
-      m.wall_clock_s > 0 ? m.events / m.wall_clock_s : 0;
-  m.peak_rss_kb = static_cast<double>(peak_rss_kb());
-  return m;
-}
-
-ScalePoint run_sharded_point(const BenchOptions& opt,
-                             const std::string& series,
-                             const ScenarioSpec& spec, int users, int shards,
-                             int threads) {
-  ScalePoint p;
-  p.series = series;
-  p.users = users;
-  p.m = run_isolated(
-      [&] { return sharded_metrics(opt, spec, users, shards, threads); });
+/// One point on the engine its spec selects, in a forked child: the
+/// spec's core::Deployment and one measurement window (which counts the
+/// events), with the wall clock and peak RSS taken around the window.
+ScalePoint run_scale_point(const std::string& series, const ScenarioSpec& spec,
+                           int users) {
+  auto measure = [&] {
+    core::Deployment deployment(spec, users);
+    reset_peak_rss();
+    // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
+    // cost of running the simulator; never feeds sim state
+    auto w0 = std::chrono::steady_clock::now();
+    MetricsReport m = deployment.measure(users);
+    // gridmon-lint: suppress(determinism.wall-clock) -- measures the real
+    // cost of running the simulator; never feeds sim state
+    auto w1 = std::chrono::steady_clock::now();
+    m.wall_clock_s = std::chrono::duration<double>(w1 - w0).count();
+    m.events_per_sec = m.wall_clock_s > 0 ? m.events / m.wall_clock_s : 0;
+    m.peak_rss_kb = static_cast<double>(peak_rss_kb());
+    return m;
+  };
+  ScalePoint p{series, users, run_isolated(measure)};
   progress(p);
   return p;
 }
@@ -339,6 +256,11 @@ int main(int argc, char** argv) {
     sweep = {1000, 10000, 100000};
   }
 
+  // The CLI's --seed, then this bench's fixed window: quick mode thins
+  // only the sweep.
+  auto scale_spec = [&opt](core::SpecBuilder builder) {
+    return opt.apply(std::move(builder)).window(kWarmup, kDuration).build();
+  };
   struct Config {
     std::string name;
     ScenarioSpec spec;
@@ -346,14 +268,17 @@ int main(int argc, char** argv) {
   std::vector<Config> configs;
   configs.push_back(
       {"MDS GRIS (cache)",
-       ScenarioSpec::build().service(ServiceKind::Gris).build()});
-  configs.push_back({"Hawkeye Agent", ScenarioSpec::build()
-                                          .service(ServiceKind::Agent)
-                                          .collectors(11)
-                                          .build()});
+       scale_spec(ScenarioSpec::build().service(ServiceKind::Gris))});
+  configs.push_back(
+      {"Hawkeye Agent",
+       scale_spec(
+           ScenarioSpec::build().service(ServiceKind::Agent).collectors(11))});
   configs.push_back(
       {"R-GMA ProducerServlet",
-       ScenarioSpec::build().service(ServiceKind::RgmaMediated).build()});
+       scale_spec(ScenarioSpec::build().service(ServiceKind::RgmaMediated))});
+  const ScenarioSpec sharded = scale_spec(core::SpecBuilder(configs[0].spec)
+                                              .shards(shards)
+                                              .threads(thread_override));
 
   std::vector<ScalePoint> points;
   if (opt.users > 0 && shard_override > 0) {
@@ -361,16 +286,15 @@ int main(int argc, char** argv) {
     // (users, shards) pair; skip the legacy series sweep.
     std::cout << "Engine scalability: sharded GRIS point, " << opt.users
               << " users, " << shards << " shards\n";
-    points.push_back(run_sharded_point(opt, "MDS GRIS (cache, sharded)",
-                                       configs[0].spec, opt.users, shards,
-                                       thread_override));
+    points.push_back(
+        run_scale_point("MDS GRIS (cache, sharded)", sharded, opt.users));
   } else {
     std::cout << "Engine scalability: exp1-style services, " << sweep.front()
               << "-" << sweep.back() << " users, " << kWarmup << "+"
               << kDuration << " s windows\n";
     for (const Config& config : configs) {
       for (int n : sweep) {
-        points.push_back(run_legacy_point(opt, config.name, config.spec, n));
+        points.push_back(run_scale_point(config.name, config.spec, n));
       }
     }
     if (opt.users == 0) {
@@ -378,12 +302,11 @@ int main(int argc, char** argv) {
       // 1M too, so BENCH_scale.json carries the measured speedup pair;
       // quick mode (CI) runs only the sharded point.
       if (!opt.quick) {
-        points.push_back(run_legacy_point(opt, "MDS GRIS (cache)",
-                                          configs[0].spec, kMillion));
+        points.push_back(
+            run_scale_point("MDS GRIS (cache)", configs[0].spec, kMillion));
       }
-      points.push_back(run_sharded_point(opt, "MDS GRIS (cache, sharded)",
-                                         configs[0].spec, kMillion, shards,
-                                         thread_override));
+      points.push_back(
+          run_scale_point("MDS GRIS (cache, sharded)", sharded, kMillion));
     }
   }
 

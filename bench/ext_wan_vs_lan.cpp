@@ -36,10 +36,8 @@ int main(int argc, char** argv) {
       Series s{config.base + " (" + (wan ? "WAN" : "LAN") + " clients)", {}};
       std::cout << s.name << "\n";
       ScenarioSpec spec = SpecBuilder(config.spec).lucky_clients(!wan).build();
-      PointHooks hooks;
-      hooks.max_users_per_host = 100;
       for (int n : users) {
-        s.points.push_back(run_point(opt, s.name, spec, n, nullptr, hooks));
+        s.points.push_back(run_point(opt, s.name, spec, n));
       }
       figures.push_back(std::move(s));
     }

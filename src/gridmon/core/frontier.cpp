@@ -220,7 +220,7 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
     query_starts.push_back(0);
     // Desynchronized start, like the legacy workload's initial delay.
     arm(start_after +
-            draw01(uid_of(local), local) * owner.config_.think_time,
+            draw01(uid_of(local), local) * owner.config_.client.think_time,
         local);
   }
 
@@ -261,18 +261,17 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
       completions.push_back(Completion{now_, now_ - query_starts[local], m.f,
                                        (m.a & kFlagStale) != 0, m.uid});
       states[local] = kThinking;
-      arm(now_ + owner.config_.think_time, local);
+      arm(now_ + owner.config_.client.think_time, local);
       return;
     }
     if (m.a & kFlagRefused) ++counters.refused;
     if (m.a & kFlagTimeout) ++counters.timeouts;
     if (m.a & kFlagFailed) ++counters.failures;
-    const std::vector<double>& sched = owner.config_.retry_schedule;
-    std::size_t step = std::min<std::size_t>(retries[local],
-                                             sched.size() - 1);
-    double jitter = owner.config_.retry_jitter;
-    double delay =
-        sched[step] * (1.0 - jitter + 2.0 * jitter * draw01(m.uid, local));
+    // Jittered from the user's counter stream: 1 - j + 2j*u is not
+    // bit-equal to BackoffPolicy::delay's Rng::uniform(1 - j, 1 + j).
+    double jitter = owner.backoff_.jitter;
+    double delay = owner.backoff_.raw_delay(retries[local]) *
+                   (1.0 - jitter + 2.0 * jitter * draw01(m.uid, local));
     if (retries[local] < 0xffff) ++retries[local];
     states[local] = kBackoff;
     arm(now_ + delay, local);
@@ -285,9 +284,15 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
   if (config_.shards < 1) {
     throw std::invalid_argument("frontier workload needs >= 1 shard");
   }
-  if (config_.retry_schedule.empty()) {
-    throw std::invalid_argument("frontier workload needs a retry schedule");
+  const WorkloadConfig& client = config_.client;
+  if (client.query_deadline > 0 || client.max_attempts > 0 ||
+      client.resilience.enabled) {
+    throw std::invalid_argument(
+        "frontier workload: clients retry forever, with no deadline, "
+        "attempt cap or resilience policy");
   }
+  backoff_.schedule = client.retry_schedule;
+  backoff_.jitter = client.retry_jitter;
   lookahead_ = config_.lookahead > 0
                    ? config_.lookahead
                    : testbed_.network().min_cross_site_latency();
@@ -329,13 +334,7 @@ void FrontierWorkload::spawn_users(int n) {
   }
   if (n <= 0) throw std::invalid_argument("no users requested");
   const std::vector<std::string>& uc = testbed_.uc_names();
-  int capacity = 50 * static_cast<int>(uc.size());
-  if (n > capacity) {
-    throw std::invalid_argument(
-        "requested " + std::to_string(n) + " users but only " +
-        std::to_string(capacity) + " fit on " + std::to_string(uc.size()) +
-        " client hosts");
-  }
+  config_.client.check_fits(n, uc.size());
   nics_.reserve(uc.size());
   hosts_.reserve(uc.size());
   for (const std::string& name : uc) {
@@ -374,10 +373,8 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
   // The client script's bookkeeping CPU, charged on the user's real UC
   // host after a successful query (the refused path must stay cheap: at
   // frontier scale most attempts bounce off the listen queue).
-  if (a.ok() && self.config_.client_cpu_per_query > 0) {
-    co_await self.hosts_[slot]->cpu().consume(
-        self.config_.client_cpu_per_query);
-  }
+  double cpu = self.config_.client.client_cpu_per_query;
+  if (a.ok() && cpu > 0) co_await self.hosts_[slot]->cpu().consume(cpu);
   --self.outstanding_;
 }
 

@@ -45,12 +45,10 @@ struct FrontierConfig {
   int shards = 1;        // client-state shards (>= 1)
   int threads = 0;       // >= 2 drives windows on a worker pool
   double lookahead = 0;  // window seconds; 0 = min WAN one-way latency
-  double think_time = 1.0;  // the paper's 1-second wait
-  /// Retry ladder after a refused/failed attempt (same 2002-kernel SYN
-  /// retransmission schedule the legacy workload uses).
-  std::vector<double> retry_schedule{3, 6, 12, 24, 48, 75};
-  double retry_jitter = 0.02;
-  double client_cpu_per_query = 0.01;
+  /// The client half, shared with the legacy engine. The FSM retries
+  /// forever with no resilience policy: the constructor rejects a
+  /// query_deadline, a max_attempts or an enabled policy.
+  WorkloadConfig client;
   /// Optional admission gate enabling the batched refusal fast path
   /// (see frontier.cpp): the gateway keeps a bounded standing pool of
   /// real in-flight attempts and prices each lookahead-window cohort of
@@ -80,8 +78,8 @@ class FrontierWorkload {
   ~FrontierWorkload();
 
   /// Create `n` users round-robin over the client shards, mapped onto
-  /// the testbed's UC hosts at the paper's 50-per-machine cap. One call
-  /// per workload.
+  /// the testbed's UC hosts at `client.max_users_per_host`. One call per
+  /// workload.
   void spawn_users(int n);
 
   /// Drive all shards to absolute sim time `until` in lookahead
@@ -131,6 +129,7 @@ class FrontierWorkload {
   Testbed& testbed_;
   TracedQueryFn query_;
   FrontierConfig config_;
+  resilience::BackoffPolicy backoff_;  // the ladder; jitter is drawn here
   double lookahead_ = 0;
   std::uint64_t seed_ = 0;
   std::unique_ptr<sim::SimulationShard> gateway_;

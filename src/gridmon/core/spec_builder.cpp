@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "gridmon/core/scenario_spec.hpp"
+#include "gridmon/core/testbed.hpp"
 
 namespace gridmon::core {
 namespace {
@@ -385,6 +386,11 @@ void validate_spec(const ScenarioSpec& spec, std::vector<std::string>& out) {
       break;
     }
   }
+  const int lucky_seats = kLuckyNodes * kLuckyUsersPerHost;
+  int most = spec.users.empty() ? 0 : *std::ranges::max_element(spec.users);
+  require(!spec.lucky_clients || most <= lucky_seats,
+          "users: " + std::to_string(most) + " do not fit on the " +
+              std::to_string(lucky_seats) + "-seat lucky client pool");
   require(spec.collectors > 0, "collectors must be positive");
   require(spec.warmup >= 0, "warmup must be non-negative");
   require(spec.duration > 0, "duration must be positive");

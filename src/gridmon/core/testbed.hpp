@@ -21,6 +21,13 @@
 
 namespace gridmon::core {
 
+/// The paper's client placement (§3.1): at most 50 simulated users per
+/// UC client machine. When the users run on the server's LAN instead,
+/// each of the seven dual-CPU lucky nodes takes 100.
+inline constexpr int kUcUsersPerHost = 50;
+inline constexpr int kLuckyUsersPerHost = 100;
+inline constexpr int kLuckyNodes = 7;
+
 struct TestbedConfig {
   int uc_clients = 20;
   int uc_fast_clients = 15;  // 1208 MHz; remainder run at 756 MHz

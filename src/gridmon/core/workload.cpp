@@ -28,6 +28,16 @@ sim::Task<void> run_attempt(const TracedQueryFn& query, net::Interface& nic,
 
 }  // namespace
 
+void WorkloadConfig::check_fits(int n, std::size_t hosts) const {
+  int capacity = max_users_per_host * static_cast<int>(hosts);
+  if (n > capacity) {
+    throw std::invalid_argument(
+        "requested " + std::to_string(n) + " users but only " +
+        std::to_string(capacity) + " fit on " + std::to_string(hosts) +
+        " client hosts");
+  }
+}
+
 UserWorkload::UserWorkload(Testbed& testbed, QueryFn query,
                            WorkloadConfig config)
     : UserWorkload(testbed,
@@ -50,14 +60,7 @@ void UserWorkload::spawn_users(int n,
   if (client_hosts.empty()) {
     throw std::invalid_argument("no client hosts");
   }
-  int capacity =
-      config_.max_users_per_host * static_cast<int>(client_hosts.size());
-  if (n > capacity) {
-    throw std::invalid_argument(
-        "requested " + std::to_string(n) + " users but only " +
-        std::to_string(capacity) + " fit on " +
-        std::to_string(client_hosts.size()) + " client hosts");
-  }
+  config_.check_fits(n, client_hosts.size());
   // Even round-robin placement (paper: "evenly divide the number of
   // simulated users by the number of machines to balance the load").
   for (int i = 0; i < n; ++i) {

@@ -55,7 +55,7 @@ using TracedQueryFn =
 
 struct WorkloadConfig {
   double think_time = 1.0;          // the paper's 1-second wait
-  int max_users_per_host = 50;      // the paper's per-machine cap
+  int max_users_per_host = kUcUsersPerHost;  // the paper's per-machine cap
   /// Retry delays after a refused connection. A 2002 Linux client whose
   /// SYN was dropped by a full listen queue silently retransmits on the
   /// kernel's schedule (~3, 6, 12, 24, 48 s ...); the last entry repeats.
@@ -79,6 +79,10 @@ struct WorkloadConfig {
   /// workload's behavior and RNG stream are byte-identical to the
   /// pre-resilience tree.
   resilience::ClientPolicyConfig resilience{};
+
+  /// Throws std::invalid_argument unless `n` users fit on `hosts` client
+  /// machines at max_users_per_host each.
+  void check_fits(int n, std::size_t hosts) const;
 };
 
 /// One completed query.

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "gridmon/core/adapters.hpp"
+#include "gridmon/core/deployment.hpp"
 #include "gridmon/core/experiment.hpp"
 #include "gridmon/core/mapping.hpp"
 #include "gridmon/core/scenario_spec.hpp"
@@ -61,6 +62,32 @@ TEST(TestbedTest, PaperTopology) {
 TEST(TestbedTest, NoLucky2) {
   Testbed tb;
   EXPECT_THROW(tb.host("lucky2"), std::invalid_argument);
+}
+
+// The one sizing rule behind every sweep point (core::Deployment).
+// perf/workloads.cpp holds a copy of this rule that must match it, or
+// the perf GRIS workloads stop measuring the testbed the benches do.
+TEST(TestbedTest, SizingRule) {
+  struct Row {
+    int users;
+    int uc_clients;
+    double wan;
+    double lan;
+  };
+  const Row rows[] = {
+      {1, 20, 20e6, 12.5e6},
+      {1000, 20, 20e6, 12.5e6},
+      {1001, 21, 20e6, 12.5e6},
+      {100000, 2000, 20e6, 12.5e6},
+      {100001, 2001, 2001e6, 1.25e9},
+  };
+  for (const Row& r : rows) {
+    TestbedConfig tc = testbed_for(r.users, 7);
+    EXPECT_EQ(tc.uc_clients, r.uc_clients) << r.users;
+    EXPECT_DOUBLE_EQ(tc.wan_bandwidth_bytes, r.wan) << r.users;
+    EXPECT_DOUBLE_EQ(tc.lan_bandwidth_bytes, r.lan) << r.users;
+    EXPECT_EQ(tc.seed, 7u);
+  }
 }
 
 TEST(WorkloadTest, SpawnCapsUsersPerHost) {

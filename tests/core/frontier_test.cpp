@@ -9,9 +9,7 @@
 #include <sstream>
 #include <string>
 
-#include "gridmon/core/frontier.hpp"
-#include "gridmon/core/scenario_spec.hpp"
-#include "gridmon/core/scenarios.hpp"
+#include "gridmon/core/deployment.hpp"
 
 using namespace gridmon;
 using core::FrontierConfig;
@@ -19,32 +17,27 @@ using core::FrontierWorkload;
 
 namespace {
 
-/// One complete sharded run: fresh testbed, GRIS scenario, `users`
-/// frontier users on K shards, one 10+30 s window. `base` supplies the
-/// timer knobs (lookahead, think time, retry ladder). Returns the full
-/// observable surface as text at round-trip precision: the metrics row,
-/// the counters, and every completion.
+/// One complete sharded run through core::Deployment: GRIS scenario,
+/// `users` frontier users on K shards, one 10+30 s window. `lookahead`
+/// (0 = derived) and `client` set the timer knobs (think time, retry
+/// ladder). Returns the full observable surface as text at round-trip
+/// precision: the metrics row, the counters, and every completion.
 std::string run_digest(int users, int shards, std::uint64_t seed,
                        int threads = 0, int gris_backlog = 0,
-                       const FrontierConfig& base = {}) {
-  core::TestbedConfig tc;
-  tc.seed = seed;
-  core::Testbed tb(tc);
-  core::ScenarioSpec spec;
-  spec.service = core::ServiceKind::Gris;
-  spec.gris_backlog = gris_backlog;
-  auto scenario = core::make_scenario(tb, spec);
-  scenario->prefill();
-  FrontierConfig fc = base;
-  fc.shards = shards;
-  fc.threads = threads;
-  fc.admission_port = scenario->server_port();
-  fc.server_host = spec.server_host();
-  FrontierWorkload fw(tb, scenario->query_fn(), fc);
-  fw.spawn_users(users);
-  tb.sampler().start();
-  core::MetricsReport p =
-      fw.measure_window(users, 10.0, 30.0, spec.server_host());
+                       double lookahead = 0,
+                       const core::WorkloadConfig& client = {}) {
+  core::ScenarioSpec spec = core::ScenarioSpec::build()
+                                .service(core::ServiceKind::Gris)
+                                .gris_backlog(gris_backlog)
+                                .window(10.0, 30.0)
+                                .seed(seed)
+                                .shards(shards)
+                                .threads(threads)
+                                .lookahead(lookahead)
+                                .build();
+  core::Deployment d(spec, users, /*traced=*/false, client);
+  core::MetricsReport p = d.measure(users);
+  FrontierWorkload& fw = *d.frontier();
 
   std::ostringstream out;
   out.precision(17);
@@ -177,11 +170,11 @@ TEST(FrontierDeterminism, MatchesRecordedGolden) {
 /// client shard's timer horizon (16384 lookaheads, 16.4 s at a 1 ms
 /// lookahead), so far-future timers are parked and later brought back.
 TEST(FrontierDeterminism, EdgeTimersMatchRecordedGolden) {
-  FrontierConfig fc;
-  fc.lookahead = 0.001;
-  fc.think_time = 0.0005;
-  fc.retry_schedule = {0.5, 3, 20};
-  std::string d = run_digest(300, 1, 42, 0, /*gris_backlog=*/4, fc);
+  core::WorkloadConfig client;
+  client.think_time = 0.0005;
+  client.retry_schedule = {0.5, 3, 20};
+  std::string d = run_digest(300, 1, 42, 0, /*gris_backlog=*/4,
+                             /*lookahead=*/0.001, client);
   EXPECT_EQ(head_of(d),
             "300,1.3333333333333333,9.5488887276654459,0,"
             "0.65968982473836379,10.833333333333334,1,0,0,0,0,"
@@ -190,7 +183,8 @@ TEST(FrontierDeterminism, EdgeTimersMatchRecordedGolden) {
             "messages=2546\n");
   EXPECT_EQ(log_of(d).size(), 2568u);
   EXPECT_EQ(fnv1a(log_of(d)), 15995935691818659404ull);
-  std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4, fc);
+  std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4,
+                              /*lookahead=*/0.001, client);
   EXPECT_EQ(d.substr(d.find('\n')), k3.substr(k3.find('\n')));
 }
 
@@ -212,4 +206,24 @@ TEST(FrontierWorkloadApi, RejectsBadConfigs) {
   EXPECT_THROW(fw.spawn_users(100), std::logic_error);
   EXPECT_EQ(fw.users(), 100);
   EXPECT_GT(fw.lookahead(), 0.0);
+}
+
+/// The client half is the legacy WorkloadConfig, but the frontier FSM
+/// retries forever with no resilience policy: each client knob it does
+/// not model is refused, not silently ignored.
+TEST(FrontierWorkloadApi, RejectsClientKnobsItDoesNotModel) {
+  core::Testbed tb;
+  auto scenario = core::make_scenario(tb, core::ScenarioSpec{});
+  FrontierConfig deadline;
+  deadline.client.query_deadline = 25;
+  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), deadline),
+               std::invalid_argument);
+  FrontierConfig attempts;
+  attempts.client.max_attempts = 5;
+  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), attempts),
+               std::invalid_argument);
+  FrontierConfig policy;
+  policy.client.resilience.enabled = true;
+  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), policy),
+               std::invalid_argument);
 }

@@ -128,6 +128,23 @@ TEST(SpecBuilderTest, ShardedEngineRejectsUnsupportedCombinations) {
       ScenarioSpec::build().lucky_clients(true).query_deadline(25).build());
 }
 
+// The lucky pool seats 7 nodes x 100 users; a sweep point past that is a
+// config error at build time, not an exception out of the spawn.
+TEST(SpecBuilderTest, LuckyClientsRejectUsersBeyondThePool) {
+  EXPECT_NO_THROW(
+      ScenarioSpec::build().lucky_clients(true).users({700}).build());
+  try {
+    parse_scenario_spec(
+        "[experiment]\nservice = gris\nclients = lucky\nusers = 10, 701\n");
+    FAIL() << "701 lucky users accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("users: 701"), std::string::npos)
+        << e.what();
+  }
+  // The UC pool grows with the sweep instead.
+  EXPECT_NO_THROW(ScenarioSpec::build().users({701, 5000}).build());
+}
+
 // Integer keys take whole integers only, and no number may be infinite:
 // each input below used to be truncated, rounded to a neighbouring seed,
 // cast out of range, or accepted as a run that never ends.

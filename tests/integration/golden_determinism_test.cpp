@@ -18,24 +18,16 @@
 #include <string>
 #include <vector>
 
-#include "gridmon/core/experiment.hpp"
-#include "gridmon/core/scenario_spec.hpp"
-#include "gridmon/core/scenarios.hpp"
+#include "gridmon/core/deployment.hpp"
 
 namespace gridmon::core {
 namespace {
 
+/// One point through the deployment path every bench and gridmon_run
+/// share, on a 30+120 s window.
 SweepPoint run_mini(const ScenarioSpec& spec, int users) {
-  Testbed tb;
-  auto scenario = make_scenario(tb, spec);
-  scenario->prefill();
-  UserWorkload w(tb, scenario->query_fn());
-  w.spawn_users(users, tb.uc_names());
-  tb.sampler().start();
-  MeasureConfig mc;
-  mc.warmup = 30;
-  mc.duration = 120;
-  return measure(tb, w, spec.server_host(), users, mc);
+  Deployment d(SpecBuilder(spec).window(30, 120).build(), users);
+  return d.measure(users);
 }
 
 /// One fault-free point per experiment, serialized with full precision

@@ -3,27 +3,25 @@
 ///   $ gridmon_run my_experiment.ini [--csv FILE] [--trace FILE]
 ///                 [--quick] [--seed N] [--users N]
 ///
-/// Reads an INI scenario description (see core/scenario_spec.hpp), builds
-/// the corresponding deployment on the paper's testbed through
-/// core::make_scenario, sweeps the user counts, and prints the four study
-/// metrics per sweep point (plus the robustness metrics when a [faults]
-/// section is present).
+/// Reads an INI scenario description (see core/scenario_spec.hpp), runs
+/// one core::Deployment per user count of the sweep, and prints the four
+/// study metrics per sweep point (plus the robustness metrics when a
+/// [faults] section is present).
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "bench_common.hpp"
-#include "gridmon/core/frontier.hpp"
-#include "gridmon/fault/injector.hpp"
 
 using namespace gridmon;
 using namespace gridmon::bench;
 using namespace gridmon::core;
 
-int main(int argc, char** argv) {
+// A spec the builder or the scenario factory rejects is a config error
+// (exit 2), whichever sweep point finds it.
+int main(int argc, char** argv) try {
   BenchOptions opt =
       parse_options(argc, argv, /*allow_positional=*/true, "SCENARIO.ini");
   if (opt.positional.size() != 1) {
@@ -38,21 +36,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ScenarioSpec spec;
-  try {
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    // CLI overrides re-enter the builder so they get the same validation
-    // as the file's own keys.
-    SpecBuilder overrides(parse_scenario_spec(buffer.str()));
-    if (opt.seed != 0) overrides.seed(opt.seed);
-    if (opt.users > 0) overrides.users({opt.users});
-    if (opt.quick) overrides.window(30, 120);
-    spec = overrides.build();
-  } catch (const ConfigError& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    return 2;
-  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  // CLI overrides re-enter the builder so they get the same validation as
+  // the file's own keys.
+  SpecBuilder overrides(parse_scenario_spec(buffer.str()));
+  if (opt.users > 0) overrides.users({opt.users});
+  const ScenarioSpec spec = opt.apply(std::move(overrides)).build();
 
   bool sharded = spec.engine.sharded();
   std::cout << "service: " << spec.service_name()
@@ -107,96 +97,12 @@ int main(int argc, char** argv) {
   // Tracing records the first sweep point only: the causal structure is
   // the same at every load and the file stays small.
   std::vector<trace::SeriesTrace> traces;
-  bool first_point = true;
   for (int n : spec.users) {
-    TestbedConfig tc;
-    tc.seed = spec.seed;
-    if (sharded) {
-      // The frontier drives the UC pool at the paper's 50-users/host
-      // cap; size the pool to fit the requested population.
-      tc.uc_clients = std::max(20, (n + 49) / 50);
-    }
-    Testbed tb(tc);
-    std::unique_ptr<Scenario> scenario;
-    try {
-      scenario = make_scenario(tb, spec);
-    } catch (const ConfigError& e) {
-      std::cerr << "config error: " << e.what() << "\n";
-      return 2;
-    }
-    scenario->prefill();
-    trace::Collector collector(tb.sim(), tb.config().seed);
-    std::unique_ptr<UserWorkload> workload;
-    std::unique_ptr<FrontierWorkload> frontier;
-    fault::Injector injector(tb.sim(), &tb.network());
-    SweepPoint p;
-    if (sharded) {
-      // Spec validation already rejected faults/resilience/tracing-era
-      // knobs; the sharded path is scenario + frontier + one window.
-      FrontierConfig fc;
-      fc.shards = spec.engine.shards;
-      fc.threads = spec.engine.threads;
-      fc.lookahead = spec.engine.lookahead;
-      fc.admission_port = scenario->server_port();
-      fc.server_host = spec.server_host();
-      frontier =
-          std::make_unique<FrontierWorkload>(tb, scenario->query_fn(), fc);
-      frontier->spawn_users(n);
-      tb.sampler().start();
-      p = frontier->measure_window(n, spec.warmup, spec.duration,
-                                   spec.server_host());
-    } else {
-      WorkloadConfig wc;
-      if (spec.lucky_clients) wc.max_users_per_host = 100;
-      wc.query_deadline = spec.query_deadline;
-      wc.max_attempts = spec.max_attempts;
-      if (with_resilience) wc.resilience = spec.resilience.client;
-      workload =
-          std::make_unique<UserWorkload>(tb, scenario->query_fn(), wc);
-      if (with_faults) {
-        scenario->register_faults(injector);
-        for (const auto& name : tb.lucky_names()) {
-          injector.add_host(name, tb.host(name));
-        }
-        for (const auto& name : tb.uc_names()) {
-          injector.add_host(name, tb.host(name));
-        }
-        injector.arm(spec.faults);
-      }
-      bool tracing = !opt.trace_path.empty() && first_point;
-      first_point = false;
-      if (tracing) {
-        scenario->instrument(collector);
-        instrument_host(tb, collector, spec.server_host());
-        workload->enable_tracing(collector);
-        injector.set_trace(&collector);
-      }
-      workload->spawn_users(n, spec.lucky_clients ? tb.lucky_names()
-                                                  : tb.uc_names());
-      tb.sampler().start();
-      MeasureConfig mc;
-      mc.warmup = spec.warmup;
-      mc.duration = spec.duration;
-      if (tracing) mc.collector = &collector;
-      if (with_faults) {
-        // Recovery is measured from the last scheduled fault event.
-        double last = 0;
-        for (const auto& ev : spec.faults.events()) {
-          if (ev.at > last) last = ev.at;
-        }
-        mc.recovery_mark = last;
-        mc.recovered_at = [&scenario] { return scenario->recovered_at(); };
-      }
-      if (with_resilience) {
-        mc.port = scenario->server_port();
-        mc.goodput_deadline = spec.goodput_deadline;
-      }
-      p = measure(tb, *workload, spec.server_host(), n, mc);
-      if (tracing) {
-        traces.push_back(trace::SeriesTrace{
-            spec.service_name() + " n=" + std::to_string(n),
-            collector.take()});
-      }
+    Deployment d(spec, n, !opt.trace_path.empty() && traces.empty());
+    SweepPoint p = d.measure(n);
+    if (d.traced()) {
+      traces.push_back(trace::SeriesTrace{
+          spec.service_name() + " n=" + std::to_string(n), d.take_trace()});
     }
     std::vector<std::string> row{
         std::to_string(n),          metrics::Table::num(p.throughput),
@@ -209,7 +115,7 @@ int main(int argc, char** argv) {
       row.push_back(metrics::Table::num(p.recovery, 1));
       row.push_back(metrics::Table::num(p.recovery_complete, 1));
     }
-    const store::Log* log = with_store ? scenario->store_log() : nullptr;
+    const store::Log* log = with_store ? d.scenario().store_log() : nullptr;
     if (with_store) {
       if (log != nullptr) {
         row.insert(row.end(),
@@ -250,10 +156,9 @@ int main(int argc, char** argv) {
 
   std::cout << "\n";
   table.print_text(std::cout);
-  if (!opt.trace_path.empty()) {
-    std::ofstream out(opt.trace_path, std::ios::binary);
-    trace::write_chrome_trace(out, traces);
-    std::cout << "wrote " << opt.trace_path << "\n";
-  }
+  emit_trace(opt, traces);
   return 0;
+} catch (const ConfigError& e) {
+  std::cerr << "config error: " << e.what() << "\n";
+  return 2;
 }
