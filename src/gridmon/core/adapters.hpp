@@ -4,7 +4,8 @@
 /// TracedQueryFn factories binding each concrete service to the uniform
 /// workload interface — the executable form of the paper's Table 1
 /// component mapping. Each adapter forwards the workload's trace context
-/// into the service call chain (a null Ctx when tracing is off).
+/// into the service call chain (a null Ctx when tracing is off) and
+/// returns the service's own task as an AttemptTask: no adapter frame.
 
 #include "gridmon/core/workload.hpp"
 #include "gridmon/hawkeye/agent.hpp"
@@ -20,52 +21,37 @@ namespace gridmon::core {
 /// MDS information server (GRIS) query.
 inline TracedQueryFn query_gris(mds::Gris& gris,
                                 mds::QueryScope scope = mds::QueryScope::All) {
-  return [gris = &gris, scope](net::Interface& client,
-                        trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await gris->query(client, scope, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [gris = &gris, scope](net::Interface& client, trace::Ctx ctx) {
+    return gris->query(client, scope, ctx);
   };
 }
 
 /// MDS directory / aggregate server (GIIS) query.
 inline TracedQueryFn query_giis(
     mds::Giis& giis, mds::QueryScope scope = mds::QueryScope::Part) {
-  return [giis = &giis, scope](net::Interface& client,
-                        trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await giis->query(client, scope, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [giis = &giis, scope](net::Interface& client, trace::Ctx ctx) {
+    return giis->query(client, scope, ctx);
   };
 }
 
 /// Hawkeye information server (Agent) query: fresh module collection.
 inline TracedQueryFn query_agent(hawkeye::Agent& agent) {
-  return [agent = &agent](net::Interface& client,
-                  trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await agent->query(client, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [agent = &agent](net::Interface& client, trace::Ctx ctx) {
+    return agent->query(client, ctx);
   };
 }
 
 /// Hawkeye directory server (Manager) status query.
 inline TracedQueryFn query_manager_status(hawkeye::Manager& manager) {
-  return [manager = &manager](net::Interface& client,
-                    trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await manager->query_status(client, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [manager = &manager](net::Interface& client, trace::Ctx ctx) {
+    return manager->query_status(client, ctx);
   };
 }
 
 /// Hawkeye full-data dump (Experiment 3's workload against the pool).
 inline TracedQueryFn query_manager_dump(hawkeye::Manager& manager) {
-  return [manager = &manager](net::Interface& client,
-                    trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await manager->query_dump(client, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [manager = &manager](net::Interface& client, trace::Ctx ctx) {
+    return manager->query_dump(client, ctx);
   };
 }
 
@@ -73,21 +59,16 @@ inline TracedQueryFn query_manager_dump(hawkeye::Manager& manager) {
 inline TracedQueryFn query_manager_constraint(hawkeye::Manager& manager,
                                               std::string constraint) {
   return [manager = &manager, constraint](net::Interface& client,
-                                trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await manager->query_constraint(client, constraint, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                                          trace::Ctx ctx) {
+    return manager->query_constraint(client, constraint, ctx);
   };
 }
 
 /// R-GMA mediated pull query through a ConsumerServlet.
 inline TracedQueryFn query_consumer_servlet(rgma::ConsumerServlet& cs,
                                             std::string table) {
-  return [cs = &cs, table](net::Interface& client,
-                      trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await cs->query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [cs = &cs, table](net::Interface& client, trace::Ctx ctx) {
+    return cs->query(client, table, "", ctx);
   };
 }
 
@@ -95,11 +76,8 @@ inline TracedQueryFn query_consumer_servlet(rgma::ConsumerServlet& cs,
 /// Experiment 3 "queried the ProducerServlet directly").
 inline TracedQueryFn query_producer_servlet(rgma::ProducerServlet& ps,
                                             std::string table) {
-  return [ps = &ps, table](net::Interface& client,
-                      trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await ps->client_query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [ps = &ps, table](net::Interface& client, trace::Ctx ctx) {
+    return ps->client_query(client, table, "", ctx);
   };
 }
 
@@ -107,10 +85,8 @@ inline TracedQueryFn query_producer_servlet(rgma::ProducerServlet& ps,
 inline TracedQueryFn query_registry(rgma::Registry& registry,
                                     std::string table) {
   return [registry = &registry, table](net::Interface& client,
-                            trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await registry->client_query(client, table, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+                                       trace::Ctx ctx) {
+    return registry->client_query(client, table, ctx);
   };
 }
 

@@ -256,11 +256,8 @@ std::unique_ptr<Scenario> build_scenario(Testbed& tb,
       if (spec.query != QueryVariant::Default) bad_variant(spec);
       auto s = std::make_unique<CompositeScenario>(tb, spec.sources);
       auto* composite = s->composite.get();
-      s->set_query([composite](net::Interface& client,
-                               trace::Ctx) -> sim::Task<QueryAttempt> {
-        auto r = co_await composite->client_query(client);
-        co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                               r.failed, r.stale};
+      s->set_query([composite](net::Interface& client, trace::Ctx) {
+        return composite->client_query(client);
       });
       return s;
     }

@@ -15,6 +15,11 @@ void prefill_producer(rgma::Producer& producer, const std::string& host,
   }
 }
 
+/// Run one throwaway query to completion (a prefill's cache warm-up).
+sim::Task<void> warm_up(sim::Task<mds::MdsReply> query) {
+  (void)co_await query;
+}
+
 }  // namespace
 
 void instrument_host(Testbed& tb, trace::Collector& col,
@@ -123,29 +128,16 @@ void RgmaScenario::register_faults(fault::Injector& inj) {
 TracedQueryFn RgmaScenario::mediated_query(const std::string& table) {
   // Route a user to the ConsumerServlet on its own host, or to the single
   // shared servlet when only one exists (the UC setup).
-  // gridmon-lint: suppress(coroutine.this-capture) -- the scenario owns
-  // every servlet the query reaches and is held alive by the Experiment
-  // for the whole run; no query coroutine outlives it (sim.shutdown()
-  // drains frames before the scenario is destroyed).
-  return [this, table](net::Interface& client,
-                       trace::Ctx ctx) -> sim::Task<QueryAttempt> {
+  return [this, table](net::Interface& client, trace::Ctx ctx) {
     auto it = consumer_servlets.find(client.host());
     if (it == consumer_servlets.end()) it = consumer_servlets.begin();
-    auto r = co_await it->second->query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+    return it->second->query(client, table, "", ctx);
   };
 }
 
 TracedQueryFn RgmaScenario::direct_query(const std::string& table) {
-  // gridmon-lint: suppress(coroutine.this-capture) -- same lifetime
-  // argument as mediated_query above: the Experiment keeps the scenario
-  // alive past the last query coroutine.
-  return [this, table](net::Interface& client,
-                       trace::Ctx ctx) -> sim::Task<QueryAttempt> {
-    auto r = co_await producer_servlet->client_query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+  return [this, table](net::Interface& client, trace::Ctx ctx) {
+    return producer_servlet->client_query(client, table, "", ctx);
   };
 }
 
@@ -183,11 +175,8 @@ void GiisScenario::register_faults(fault::Injector& inj) {
 
 void GiisScenario::prefill() {
   // One throwaway query triggers the initial cache pull from every GRIS.
-  auto warm = [](GiisScenario& self) -> sim::Task<void> {
-    (void)co_await self.giis->query(self.testbed_.nic("uc01"),
-                                    mds::QueryScope::Part);
-  };
-  testbed_.sim().spawn(warm(*this));
+  testbed_.sim().spawn(
+      warm_up(giis->query(testbed_.nic("uc01"), mds::QueryScope::Part)));
   testbed_.sim().run(testbed_.sim().now() + 60);
 }
 
@@ -297,11 +286,8 @@ void GiisAggregationScenario::register_faults(fault::Injector& inj) {
 }
 
 void GiisAggregationScenario::prefill() {
-  auto warm = [](GiisAggregationScenario& self) -> sim::Task<void> {
-    (void)co_await self.giis->query(self.testbed_.nic("uc01"),
-                                    mds::QueryScope::Part);
-  };
-  testbed_.sim().spawn(warm(*this));
+  testbed_.sim().spawn(
+      warm_up(giis->query(testbed_.nic("uc01"), mds::QueryScope::Part)));
   testbed_.sim().run(testbed_.sim().now() + 120);
 }
 
@@ -393,24 +379,15 @@ void HierarchyScenario::register_faults(fault::Injector& inj) {
 }
 
 void HierarchyScenario::prefill() {
-  auto warm = [](HierarchyScenario& self) -> sim::Task<void> {
-    (void)co_await self.root->query(self.testbed_.nic("uc01"),
-                                    mds::QueryScope::Part);
-  };
-  testbed_.sim().spawn(warm(*this));
+  testbed_.sim().spawn(
+      warm_up(root->query(testbed_.nic("uc01"), mds::QueryScope::Part)));
   testbed_.sim().run(testbed_.sim().now() + 120);
 }
 
 TracedQueryFn HierarchyScenario::site_routed_query() {
-  // gridmon-lint: suppress(coroutine.this-capture) -- `this` is needed
-  // mutably for the next_ round-robin cursor; the scenario outlives every
-  // query coroutine (owned by the Experiment for the full run).
-  return [this](net::Interface& client,
-                trace::Ctx ctx) -> sim::Task<QueryAttempt> {
+  return [this](net::Interface& client, trace::Ctx ctx) {
     auto& mid = *mids[next_++ % mids.size()];
-    auto r = co_await mid.query(client, mds::QueryScope::Part, ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+    return mid.query(client, mds::QueryScope::Part, ctx);
   };
 }
 
@@ -523,15 +500,9 @@ void ReplicatedRgmaScenario::register_faults(fault::Injector& inj) {
 }
 
 TracedQueryFn ReplicatedRgmaScenario::balanced_query(const std::string& table) {
-  // gridmon-lint: suppress(coroutine.this-capture) -- `this` carries the
-  // next_ balance cursor; the scenario outlives every query coroutine
-  // (owned by the Experiment for the full run).
-  return [this, table](net::Interface& client,
-                       trace::Ctx ctx) -> sim::Task<QueryAttempt> {
+  return [this, table](net::Interface& client, trace::Ctx ctx) {
     auto& servlet = *servlets[next_++ % servlets.size()];
-    auto r = co_await servlet.client_query(client, table, "", ctx);
-    co_return QueryAttempt{r.admitted, r.response_bytes, r.timed_out,
-                           r.failed, r.stale};
+    return servlet.client_query(client, table, "", ctx);
   };
 }
 

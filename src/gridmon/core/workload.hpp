@@ -13,9 +13,12 @@
 /// the server slows. Both arrival processes run one client coroutine
 /// (retries, deadline, resilience policy, error accounting, tracing).
 
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gridmon/core/testbed.hpp"
@@ -42,16 +45,83 @@ struct QueryAttempt {
   bool refused() const noexcept { return !admitted && !timed_out; }
 };
 
+/// A service reply that can stand for a query attempt: it carries the
+/// five QueryAttempt fields (MdsReply, HawkeyeReply, RgmaReply, and
+/// QueryAttempt itself).
+template <typename Reply>
+concept AttemptReply = requires(const Reply& r) {
+  QueryAttempt{r.admitted, r.response_bytes, r.timed_out, r.failed, r.stale};
+};
+
+/// One query attempt: an owning handle to the service coroutine that
+/// answers it (Gris::query, Agent::query, ...). Awaiting it starts that
+/// coroutine and maps its reply to a QueryAttempt in await_resume, so an
+/// attempt costs the service's frames and no adapter frame of its own.
+/// A service exception is rethrown to the awaiter; an AttemptTask
+/// destroyed unawaited frees the service frame.
+///
+/// Argument rule: an adapter returns the service's task unawaited, so
+/// the adapter's temporaries are gone before the service runs. Every
+/// service coroutine an adapter reaches must take its string arguments
+/// by value (copied into the service frame), never by reference or
+/// string_view.
+class [[nodiscard]] AttemptTask {
+ public:
+  /// Implicit, so an adapter can return a service's task as it is.
+  template <AttemptReply Reply>
+  AttemptTask(sim::Task<Reply>&& task) noexcept
+      : AttemptTask(task.release(), &map_reply<Reply>) {}
+  AttemptTask(AttemptTask&& other) noexcept
+      : handle_(std::exchange(other.handle_, {})),
+        promise_(other.promise_),
+        map_(other.map_) {}
+  AttemptTask& operator=(AttemptTask&&) = delete;
+  AttemptTask(const AttemptTask&) = delete;
+  AttemptTask& operator=(const AttemptTask&) = delete;
+  ~AttemptTask() {
+    if (handle_) handle_.destroy();
+  }
+
+  bool await_ready() const noexcept { return !handle_ || handle_.done(); }
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<> cont) noexcept {
+    promise_->continuation = cont;
+    return handle_;  // start the service coroutine now
+  }
+  QueryAttempt await_resume() const {
+    if (promise_->exception) std::rethrow_exception(promise_->exception);
+    return map_(promise_);
+  }
+
+ private:
+  using Map = QueryAttempt (*)(sim::detail::PromiseBase*);
+
+  template <typename Promise>
+  AttemptTask(std::coroutine_handle<Promise> h, Map map) noexcept
+      : handle_(h), promise_(h ? &h.promise() : nullptr), map_(map) {}
+
+  template <typename Reply>
+  static QueryAttempt map_reply(sim::detail::PromiseBase* p) {
+    const Reply& r = *static_cast<sim::detail::Promise<Reply>*>(p)->value;
+    return QueryAttempt{r.admitted, r.response_bytes, r.timed_out, r.failed,
+                        r.stale};
+  }
+
+  std::coroutine_handle<> handle_;
+  sim::detail::PromiseBase* promise_;
+  Map map_;  // the reply type's view as a QueryAttempt
+};
+
 /// A client-side query function: performs one complete attempt against a
 /// service from the given client NIC. Adapters for each service live in
 /// adapters.hpp.
 using QueryFn = std::function<sim::Task<QueryAttempt>(net::Interface&)>;
 
 /// Trace-aware variant: also receives the query's trace context (the
-/// null Ctx when tracing is off). The adapters produce these; plain
-/// QueryFn lambdas in tests keep working via a wrapping constructor.
-using TracedQueryFn =
-    std::function<sim::Task<QueryAttempt>(net::Interface&, trace::Ctx)>;
+/// null Ctx when tracing is off). The adapters produce these, returning
+/// the service's own task; plain QueryFn lambdas in tests keep working
+/// via a wrapping constructor.
+using TracedQueryFn = std::function<AttemptTask(net::Interface&, trace::Ctx)>;
 
 struct WorkloadConfig {
   double think_time = 1.0;          // the paper's 1-second wait

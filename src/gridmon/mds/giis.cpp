@@ -255,7 +255,7 @@ sim::Task<MdsReply> Giis::query(net::Interface& client, QueryScope scope,
                                 trace::Ctx ctx) {
   SearchRequest request;
   request.filter = scope_filter(scope)->to_string();
-  co_return co_await search(client, std::move(request), ctx);
+  return search(client, std::move(request), ctx);
 }
 
 sim::Task<MdsReply> Giis::search(net::Interface& client,
@@ -266,23 +266,18 @@ sim::Task<MdsReply> Giis::search(net::Interface& client,
     co_await sim.delay(config_.client_tool_latency);
   }
   if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
+    co_return unanswered_reply(net::Admission::TimedOut, ctx, name_);
   }
   auto admission = co_await port_.admit(config_.connect_timeout);
   if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;
+    co_return unanswered_reply(admission, ctx, name_);
   }
+  co_return co_await search_admitted(client, std::move(request), ctx);
+}
+
+sim::Task<MdsReply> Giis::search_admitted(net::Interface& client,
+                                          SearchRequest request,
+                                          trace::Ctx ctx) {
   net::AdmissionSlot slot(&port_);
   if (!co_await net_.transfer(
           client, nic_,

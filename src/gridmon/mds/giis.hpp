@@ -88,13 +88,15 @@ class Giis final : public MdsNode {
     return registrations_;
   }
 
-  /// Full client query (tool latency + connect + admission + serve).
+  /// Full client query (tool latency + connect + admission + serve): a
+  /// search() with the scope's canned filter.
   sim::Task<MdsReply> query(net::Interface& client,
                             QueryScope scope = QueryScope::All,
                             trace::Ctx ctx = {});
 
   /// General LDAP search against the aggregate tree (caller-supplied
-  /// filter, attribute selection, size limit).
+  /// filter, attribute selection, size limit). The frame holds only the
+  /// refused path; an admitted attempt continues in a second frame.
   sim::Task<MdsReply> search(net::Interface& client, SearchRequest request,
                              trace::Ctx ctx = {});
 
@@ -133,6 +135,11 @@ class Giis final : public MdsNode {
     bool alive = true;      // re-registration loop running
     bool fetched = false;   // data currently merged into the DIT
   };
+
+  /// The admitted half of search(): owns the listen port slot across
+  /// request, serve and response.
+  sim::Task<MdsReply> search_admitted(net::Interface& client,
+                                      SearchRequest request, trace::Ctx ctx);
 
   sim::Task<void> registration_loop(MdsNode& node);
   sim::Task<void> serve_registration(MdsNode& node);

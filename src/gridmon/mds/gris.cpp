@@ -2,6 +2,19 @@
 
 namespace gridmon::mds {
 
+MdsReply unanswered_reply(net::Admission how, trace::Ctx ctx,
+                          const std::string& server) {
+  MdsReply reply;
+  reply.timed_out = how == net::Admission::TimedOut;
+  if (ctx) {
+    ctx.col->instant(ctx,
+                     reply.timed_out ? trace::SpanKind::Timeout
+                                     : trace::SpanKind::Refused,
+                     server);
+  }
+  return reply;
+}
+
 Gris::Gris(net::Network& net, host::Host& host, net::Interface& nic,
            std::string name, std::vector<ProviderSpec> providers,
            GrisConfig config)
@@ -175,23 +188,18 @@ sim::Task<MdsReply> Gris::search(net::Interface& client,
     co_await sim.delay(config_.client_tool_latency);
   }
   if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
+    co_return unanswered_reply(net::Admission::TimedOut, ctx, name_);
   }
   auto admission = co_await port_.admit(config_.connect_timeout);
   if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;
+    co_return unanswered_reply(admission, ctx, name_);
   }
+  co_return co_await search_admitted(client, std::move(request), ctx);
+}
+
+sim::Task<MdsReply> Gris::search_admitted(net::Interface& client,
+                                          SearchRequest request,
+                                          trace::Ctx ctx) {
   net::AdmissionSlot slot(&port_);
   if (!co_await net_.transfer(
           client, nic_,
@@ -224,23 +232,20 @@ sim::Task<MdsReply> Gris::query(net::Interface& client, QueryScope scope,
     co_await sim.delay(config_.client_tool_latency);
   }
   if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
+    co_return unanswered_reply(net::Admission::TimedOut, ctx, name_);
   }
   auto admission = co_await port_.admit(config_.connect_timeout);
   if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;  // connection refused or SYNs swallowed
+    // Connection refused or SYNs swallowed.
+    co_return unanswered_reply(admission, ctx, name_);
   }
+  co_return co_await query_admitted(client, scope, ctx);
+}
+
+sim::Task<MdsReply> Gris::query_admitted(net::Interface& client,
+                                         QueryScope scope, trace::Ctx ctx) {
+  // Released when this body ends, before query() resumes, so a freed
+  // slot is handed to a queued waiter before the client moves on.
   net::AdmissionSlot slot(&port_);
   if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
                               trace::SpanKind::RequestSend,

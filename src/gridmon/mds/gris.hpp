@@ -50,6 +50,13 @@ struct MdsReply {
   std::vector<ldap::Entry> payload;
 };
 
+/// The reply of a client attempt that never reached the server: `how`
+/// is TimedOut for a dead path (connect or blackholed SYN) or the
+/// listen queue's refusal. Marks the attempt's trace with a Timeout or
+/// Refused instant naming `server`.
+MdsReply unanswered_reply(net::Admission how, trace::Ctx ctx,
+                          const std::string& server);
+
 struct GrisConfig {
   /// slapd worker threads that make progress concurrently.
   int pool_size = 4;
@@ -103,7 +110,9 @@ class Gris final : public MdsNode {
   std::size_t entry_count() const;
 
   /// One full client query: connect, admission, request, server
-  /// processing (provider refresh on miss, DIT search), response.
+  /// processing (provider refresh on miss, DIT search), response. The
+  /// frame holds only the refused path; an admitted attempt continues
+  /// in a second frame.
   sim::Task<MdsReply> query(net::Interface& client,
                             QueryScope scope = QueryScope::All,
                             trace::Ctx ctx = {});
@@ -179,6 +188,13 @@ class Gris final : public MdsNode {
   /// Ensure provider data needed by `scope` is in the DIT, forking the
   /// provider scripts for anything stale.
   sim::Task<RefreshOutcome> refresh(QueryScope scope, trace::Ctx ctx);
+
+  /// The admitted halves of query() and search(): they own the listen
+  /// port slot across request, serve and response.
+  sim::Task<MdsReply> query_admitted(net::Interface& client, QueryScope scope,
+                                     trace::Ctx ctx);
+  sim::Task<MdsReply> search_admitted(net::Interface& client,
+                                      SearchRequest request, trace::Ctx ctx);
 
   /// The search itself plus CPU charges; returns the reply (admitted set
   /// by caller).

@@ -27,9 +27,10 @@ class Sampler {
   Sampler& operator=(const Sampler&) = delete;
 
   /// Register a gauge; it is polled every interval once start() runs.
+  /// Gauges registered under one name record into one shared series.
   void add_gauge(const std::string& name, Gauge gauge) {
-    gauges_.emplace_back(name, std::move(gauge));
-    series_.emplace(name, TimeSeries(name));
+    TimeSeries& series = series_.try_emplace(name, name).first->second;
+    gauges_.push_back(Polled{&series, std::move(gauge)});
   }
 
   /// Begin sampling (spawns the polling process). Samples are taken at
@@ -53,15 +54,19 @@ class Sampler {
     for (;;) {
       co_await self.sim_.delay(self.interval_);
       double now = self.sim_.now();
-      for (auto& [name, gauge] : self.gauges_) {
-        self.series_.at(name).record(now, gauge());
-      }
+      for (Polled& p : self.gauges_) p.series->record(now, p.gauge());
     }
   }
 
+  /// A gauge and the series it records into (map nodes never move).
+  struct Polled {
+    TimeSeries* series;
+    Gauge gauge;
+  };
+
   sim::Simulation& sim_;
   double interval_;
-  std::vector<std::pair<std::string, Gauge>> gauges_;
+  std::vector<Polled> gauges_;
   std::map<std::string, TimeSeries> series_;
 };
 

@@ -15,12 +15,23 @@
 /// keeps independent test threads from sharing free lists.
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 namespace gridmon::sim::detail {
 
+/// Deterministic frame counters: the same run allocates the same frames.
+struct FramePoolStats {
+  std::uint64_t allocations = 0;  // frames handed out
+  std::uint64_t pool_hits = 0;    // of those, recycled from a free list
+  /// Bytes held by live frames, header and bucket rounding included.
+  std::size_t live_bytes = 0;
+};
+
 class FramePool {
  public:
+  const FramePoolStats& stats() const noexcept { return stats_; }
+
   void* allocate(std::size_t size) {
     // A 16-byte header keeps max_align_t alignment for the frame and
     // records the block size so deallocate() can rebucket without a size
@@ -36,17 +47,21 @@ class FramePool {
       if (head != nullptr) {
         raw = head;
         head = head->next;
+        ++stats_.pool_hits;
       } else {
         raw = ::operator new(total);
       }
     }
     *static_cast<std::size_t*>(raw) = total;
+    ++stats_.allocations;
+    stats_.live_bytes += total;
     return static_cast<char*>(raw) + kHeader;
   }
 
   void deallocate(void* p) noexcept {
     void* raw = static_cast<char*>(p) - kHeader;
     std::size_t total = *static_cast<std::size_t*>(raw);
+    stats_.live_bytes -= total;
     if (total > kMaxPooled) {
       ::operator delete(raw);
       return;
@@ -77,6 +92,7 @@ class FramePool {
   };
 
   FreeNode* buckets_[kMaxPooled / kGranularity] = {};
+  FramePoolStats stats_;
 };
 
 inline FramePool& frame_pool() {

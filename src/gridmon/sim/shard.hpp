@@ -67,12 +67,13 @@ struct ShardMessage {
 };
 
 /// The canonical delivery order: (deliver_at, uid, seq), nothing else.
-inline bool shard_message_before(const ShardMessage& x,
-                                 const ShardMessage& y) {
+/// A lambda, not a function, so the sorts and merges inline it.
+inline constexpr auto shard_message_before = [](const ShardMessage& x,
+                                                const ShardMessage& y) {
   if (x.deliver_at != y.deliver_at) return x.deliver_at < y.deliver_at;
   if (x.uid != y.uid) return x.uid < y.uid;
   return x.seq < y.seq;
-}
+};
 
 /// What the group drives. Implementations must advance their local
 /// clock to `until` in run() even when idle, and must tolerate run()

@@ -138,6 +138,10 @@ class [[nodiscard]] Task {
 
   handle_type native_handle() const noexcept { return handle_; }
 
+  /// Give up ownership of the frame to the caller, which must destroy it
+  /// (an owning awaitable such as core::AttemptTask).
+  handle_type release() noexcept { return std::exchange(handle_, {}); }
+
  private:
   void destroy() noexcept {
     if (handle_) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <tuple>
 
 #include "gridmon/core/adapters.hpp"
 #include "gridmon/core/deployment.hpp"
@@ -369,6 +371,156 @@ TEST(ScenarioTest, GiisPrefillWarmsCache) {
   GiisScenario scenario(tb, 3, 10);
   scenario.prefill();
   EXPECT_GT(scenario.giis->entry_count(), 3u * 40u);
+}
+
+// ---- AttemptTask: the attempt path's owning awaitable ----
+
+/// Await one attempt of `fn` and count the coroutine frames it
+/// allocates. The count is taken inside this coroutine, so its
+/// own frame is not in it.
+sim::Task<void> count_attempt_frames(const TracedQueryFn& fn,
+                                     net::Interface& nic, QueryAttempt* out,
+                                     std::uint64_t* frames) {
+  const auto& pool = sim::detail::frame_pool().stats();
+  std::uint64_t before = pool.allocations;
+  *out = co_await fn(nic, trace::Ctx{});
+  *frames = pool.allocations - before;
+}
+
+sim::Task<void> await_attempt(AttemptTask task, QueryAttempt* out) {
+  *out = co_await task;
+}
+
+/// Frames one query_gris attempt from uc01 allocates against a fresh
+/// one-provider GRIS with the given listen backlog.
+std::uint64_t gris_attempt_frames(int backlog, QueryAttempt* attempt) {
+  Testbed tb;
+  mds::GrisConfig config;
+  config.backlog = backlog;
+  mds::Gris gris(tb.network(), tb.host("lucky7"), tb.nic("lucky7"), "lucky7",
+                 default_providers(1), config);
+  TracedQueryFn fn = query_gris(gris);
+  std::uint64_t frames = 0;
+  tb.sim().spawn(count_attempt_frames(fn, tb.nic("uc01"), attempt, &frames));
+  tb.sim().run();
+  return frames;
+}
+
+// A refused GRIS attempt allocates the frames of Gris::query, connect
+// (and its two transfers) and admit, and nothing else: no adapter frame
+// and no admitted-half frame. Counts only; frame sizes are the
+// compiler's business.
+TEST(AttemptTaskTest, RefusedGrisAttemptAllocatesFiveFrames) {
+  QueryAttempt attempt;
+  EXPECT_EQ(gris_attempt_frames(0, &attempt), 5u);
+  EXPECT_TRUE(attempt.refused());
+}
+
+// An admitted attempt adds the admitted half and the service pipeline:
+// request and response transfers, serve, serve_filter, refresh (one
+// cache miss, one provider fork) and the CPU charges.
+TEST(AttemptTaskTest, AdmittedGrisAttemptFrameCount) {
+  QueryAttempt attempt;
+  EXPECT_EQ(gris_attempt_frames(512, &attempt), 12u);
+  EXPECT_TRUE(attempt.ok());
+}
+
+sim::Task<mds::MdsReply> throwing_service() {
+  throw std::runtime_error("service broke");
+  co_return mds::MdsReply{};  // unreachable; makes this a coroutine
+}
+
+sim::Task<void> await_catching(AttemptTask task, bool* caught) {
+  try {
+    (void)co_await task;
+  } catch (const std::runtime_error&) {
+    *caught = true;
+  }
+}
+
+TEST(AttemptTaskTest, RethrowsServiceException) {
+  Testbed tb;
+  bool caught = false;
+  tb.sim().spawn(await_catching(throwing_service(), &caught));
+  tb.sim().run();
+  EXPECT_TRUE(caught);
+}
+
+sim::Task<mds::MdsReply> mds_reply() {
+  mds::MdsReply r;
+  r.admitted = true;
+  r.entries = 3;
+  r.response_bytes = 1234;
+  r.stale = true;
+  co_return r;
+}
+
+TEST(AttemptTaskTest, DestroyedUnawaitedFreesServiceFrame) {
+  const auto& pool = sim::detail::frame_pool().stats();
+  std::size_t live = pool.live_bytes;
+  {
+    AttemptTask task = mds_reply();
+    EXPECT_GT(pool.live_bytes, live);
+  }
+  EXPECT_EQ(pool.live_bytes, live);
+}
+
+sim::Task<hawkeye::HawkeyeReply> hawkeye_reply() {
+  hawkeye::HawkeyeReply r;
+  r.admitted = true;
+  r.machines = 9;
+  r.response_bytes = 55;
+  r.failed = true;
+  co_return r;
+}
+
+sim::Task<rgma::RgmaReply> rgma_reply() {
+  rgma::RgmaReply r;
+  r.rows = 4;
+  r.response_bytes = 8;
+  r.timed_out = true;
+  co_return r;
+}
+
+TEST(AttemptTaskTest, ViewMapsEveryServiceReply) {
+  Testbed tb;
+  QueryAttempt mds, hawkeye, rgma;
+  tb.sim().spawn(await_attempt(mds_reply(), &mds));
+  tb.sim().spawn(await_attempt(hawkeye_reply(), &hawkeye));
+  tb.sim().spawn(await_attempt(rgma_reply(), &rgma));
+  tb.sim().run();
+  auto fields = [](const QueryAttempt& a) {
+    return std::tuple(a.admitted, a.response_bytes, a.timed_out, a.failed,
+                      a.stale);
+  };
+  EXPECT_EQ(fields(mds), std::tuple(true, 1234.0, false, false, true));
+  EXPECT_EQ(fields(hawkeye), std::tuple(true, 55.0, false, true, false));
+  EXPECT_EQ(fields(rgma), std::tuple(false, 8.0, true, false, false));
+}
+
+TEST(AttemptTaskTest, TaskOfQueryAttemptStillWorks) {
+  Testbed tb;
+  // A coroutine lambda as a TracedQueryFn, and a QueryFn through the
+  // UserWorkload wrapper: both return sim::Task<QueryAttempt>.
+  TracedQueryFn traced = [](net::Interface&,
+                            trace::Ctx) -> sim::Task<QueryAttempt> {
+    co_return QueryAttempt{true, 42, false, false, true};
+  };
+  QueryAttempt a;
+  std::uint64_t frames = 0;
+  tb.sim().spawn(count_attempt_frames(traced, tb.nic("uc01"), &a, &frames));
+  QueryFn plain = [](net::Interface&) -> sim::Task<QueryAttempt> {
+    co_return QueryAttempt{true, 7};
+  };
+  UserWorkload w(tb, plain);
+  w.spawn_users(1, {"uc01"});
+  tb.sim().run(10.0);
+  EXPECT_TRUE(a.ok());
+  EXPECT_TRUE(a.stale);
+  EXPECT_DOUBLE_EQ(a.response_bytes, 42);
+  EXPECT_EQ(frames, 1u);
+  ASSERT_FALSE(w.completions().empty());
+  EXPECT_DOUBLE_EQ(w.completions().front().bytes, 7);
 }
 
 }  // namespace

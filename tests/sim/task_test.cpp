@@ -124,5 +124,26 @@ TEST(TaskTest, DestroyUnstartedTaskIsSafe) {
   // Falls out of scope without ever being awaited.
 }
 
+TEST(FramePoolTest, CountsAllocationsHitsAndLiveBytes) {
+  const detail::FramePoolStats& stats = detail::frame_pool().stats();
+  const detail::FramePoolStats before = stats;
+  detail::FramePoolStats first;
+  {
+    auto t = add(1, 2);
+    first = stats;
+    EXPECT_EQ(first.allocations, before.allocations + 1);
+    EXPECT_GT(first.live_bytes, before.live_bytes);
+  }
+  EXPECT_EQ(stats.live_bytes, before.live_bytes);
+  {
+    // Same frame size: the block just freed comes back off its list.
+    auto t = add(3, 4);
+    EXPECT_EQ(stats.allocations, before.allocations + 2);
+    EXPECT_EQ(stats.pool_hits, first.pool_hits + 1);
+    EXPECT_EQ(stats.live_bytes, first.live_bytes);
+  }
+  EXPECT_EQ(stats.live_bytes, before.live_bytes);
+}
+
 }  // namespace
 }  // namespace gridmon::sim
