@@ -225,11 +225,10 @@ sim::Task<MdsReply> Gris::search_admitted(net::Interface& client,
 
 sim::Task<MdsReply> Gris::query(net::Interface& client, QueryScope scope,
                                 trace::Ctx ctx) {
-  auto& sim = host_.simulation();
   // Client tool startup + GSI authentication.
   {
     trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
+    co_await host_.simulation().delay(config_.client_tool_latency);
   }
   if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
     co_return unanswered_reply(net::Admission::TimedOut, ctx, name_);

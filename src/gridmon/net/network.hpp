@@ -15,6 +15,8 @@
 /// servers of the machine hosting the service.
 
 #include <cassert>
+#include <coroutine>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -25,7 +27,7 @@
 #include "gridmon/sim/event.hpp"
 #include "gridmon/sim/ps_server.hpp"
 #include "gridmon/sim/simulation.hpp"
-#include "gridmon/sim/task.hpp"
+#include "gridmon/sim/wake.hpp"
 #include "gridmon/trace/collector.hpp"
 
 namespace gridmon::net {
@@ -147,6 +149,9 @@ class Network {
     return min_latency;
   }
 
+  class Transfer;
+  class Connect;
+
   /// Move `payload_bytes` from `from` to `to`. Adds per-message protocol
   /// overhead, shares the sender NIC, (for cross-site flows) the WAN pipe,
   /// and the receiver NIC, then waits propagation latency. Loopback
@@ -156,35 +161,16 @@ class Network {
   /// that many seconds for the heal and returns false (connection reset /
   /// retransmission limit). The timeout bounds only the partition stall,
   /// not bandwidth-sharing time, so fault-free behaviour is unchanged.
-  /// Returns true when the payload was delivered.
+  /// `co_await` yields true when the payload was delivered, and throws
+  /// std::invalid_argument before any traffic moves when the two sites
+  /// have no WAN between them.
   /// The optional trace context opens a span of `kind` covering the whole
   /// store-and-forward path (tx share, WAN share, rx share, propagation);
   /// its arg records the payload bytes.
-  sim::Task<bool> transfer(Interface& from, Interface& to,
-                           double payload_bytes, trace::Ctx ctx = {},
-                           trace::SpanKind kind = trace::SpanKind::NetTransfer,
-                           double stall_timeout = -1) {
-    if (&from == &to) co_return true;  // local IPC: negligible at this scale
-    trace::Span span(ctx, kind, {}, payload_bytes);
-    double bytes = payload_bytes + kMessageOverheadBytes;
-    co_await from.tx().consume(bytes);
-    if (from.site_id() != to.site_id()) {
-      Wan& wan = route(from, to);
-      if (stall_timeout < 0) {
-        while (wan.down) co_await *wan.healed;
-      } else {
-        double deadline = sim_.now() + stall_timeout;
-        while (wan.down) {
-          bool healed = co_await wan.healed->wait_for(deadline - sim_.now());
-          if (!healed && wan.down) co_return false;
-        }
-      }
-      co_await wan.pipe.consume(bytes);
-    }
-    co_await to.rx().consume(bytes);
-    co_await sim_.delay(latency(from, to));
-    co_return true;
-  }
+  Transfer transfer(Interface& from, Interface& to, double payload_bytes,
+                    trace::Ctx ctx = {},
+                    trace::SpanKind kind = trace::SpanKind::NetTransfer,
+                    double stall_timeout = -1);
 
   /// Fault injection: partition (or heal) the WAN between two sites.
   /// In-flight and new cross-site transfers stall until the link heals,
@@ -211,18 +197,10 @@ class Network {
 
   /// TCP-style connection establishment: one round trip of small packets.
   /// Traced as a single Connect span (the SYN legs are not split out).
-  /// Returns false when a SYN times out across a downed WAN (see
+  /// Yields false when a SYN times out across a downed WAN (see
   /// `transfer`); with the default stall_timeout it never fails.
-  sim::Task<bool> connect(Interface& from, Interface& to,
-                          trace::Ctx ctx = {}, double stall_timeout = -1) {
-    trace::Span span(ctx, trace::SpanKind::Connect);
-    if (!co_await transfer(from, to, kSynBytes, {},
-                           trace::SpanKind::NetTransfer, stall_timeout)) {
-      co_return false;
-    }
-    co_return co_await transfer(to, from, kSynBytes, {},
-                                trace::SpanKind::NetTransfer, stall_timeout);
-  }
+  Connect connect(Interface& from, Interface& to, trace::Ctx ctx = {},
+                  double stall_timeout = -1);
 
   sim::Simulation& simulation() noexcept { return sim_; }
 
@@ -288,5 +266,245 @@ class Network {
   std::vector<Wan*> routes_;  // [from id * sites + to id], null: no WAN
   std::map<std::string, std::unique_ptr<Interface>> interfaces_;
 };
+
+namespace detail {
+
+/// The trace span of a frame-free network op: the parent context until
+/// the op starts, then the span it opened (seq 0: none). Closes on
+/// destruction, as a trace::Span in a coroutine frame would.
+class OpSpan {
+ public:
+  explicit OpSpan(const trace::Ctx& parent) noexcept
+      : col_(parent.col), trace_id_(parent.trace_id), parent_(parent.parent) {}
+  OpSpan(const OpSpan&) = delete;
+  OpSpan& operator=(const OpSpan&) = delete;
+  ~OpSpan() { close(); }
+
+  void open(trace::SpanKind kind, double arg) {
+    if (col_ != nullptr) {
+      seq_ = col_->open(trace::Ctx{col_, trace_id_, parent_}, kind, {}, arg);
+    }
+  }
+  void close() noexcept {
+    if (seq_ != 0) {
+      col_->close(seq_);
+      seq_ = 0;
+    }
+  }
+
+ private:
+  trace::Collector* col_;
+  std::uint64_t trace_id_;
+  std::uint32_t parent_;
+  std::uint32_t seq_ = 0;
+};
+
+}  // namespace detail
+
+/// The awaitable Network::transfer returns: a store-and-forward state
+/// machine (tx share -> partition stall -> WAN share -> rx share ->
+/// propagation delay) that lives in the awaiting coroutine's frame. The
+/// PS servers, the WAN's heal event and the event queue wake it through
+/// its sim::Step; it resumes the awaiter when the payload is delivered or
+/// the stall times out. It makes the PS, WAN, event-queue and span calls
+/// a coroutine with the same stages would make, in the same order, and
+/// allocates nothing (a stall with a timeout allocates the race state of
+/// Event::park_for).
+class Network::Transfer : sim::Step {
+ public:
+  Transfer(Network& net, Interface& from, Interface& to, double payload_bytes,
+           const trace::Ctx& ctx, trace::SpanKind kind,
+           double stall_timeout) noexcept
+      : Transfer(net, from, to, payload_bytes, ctx, kind, stall_timeout,
+                 false) {}
+  Transfer(const Transfer&) = delete;
+  Transfer& operator=(const Transfer&) = delete;
+
+  /// Loopback completes at once; a cross-site pair without a WAN throws.
+  bool await_ready() {
+    if (from_ == to_) {
+      if (reply_) {  // a connect still traces its (empty) handshake
+        span_.open(kind_, 0);
+        span_.close();
+      }
+      ok_ = true;
+      return true;
+    }
+    if (cross_site()) (void)net_->route(*from_, *to_);
+    return false;
+  }
+  bool await_suspend(std::coroutine_handle<> h) {
+    done_ = h;
+    span_.open(kind_, reply_ ? 0 : bytes_);
+    bytes_ += kMessageOverheadBytes;
+    return send();
+  }
+  bool await_resume() const noexcept { return ok_; }
+
+ protected:
+  /// `round_trip`: once delivered, send the same bytes back from `to` to
+  /// `from` inside the same span (a connect's SYN and SYN-ACK).
+  Transfer(Network& net, Interface& from, Interface& to, double payload_bytes,
+           const trace::Ctx& ctx, trace::SpanKind kind, double stall_timeout,
+           bool round_trip) noexcept
+      : sim::Step{&Transfer::on_wake},
+        net_(&net),
+        from_(&from),
+        to_(&to),
+        bytes_(payload_bytes),
+        stall_timeout_(stall_timeout),
+        span_(ctx),
+        kind_(kind),
+        reply_(round_trip) {}
+
+ private:
+  enum class Stage : std::uint8_t { Tx, Stall, Wan, Rx, Prop };
+
+  static void on_wake(sim::Step* step) {
+    auto* self = static_cast<Transfer*>(step);
+    if (self->advance()) return;
+    self->done_();  // last: the awaiter may destroy this object
+  }
+
+  bool cross_site() const noexcept {
+    return from_->site_id() != to_->site_id();
+  }
+  Wan& wan() const { return net_->route(*from_, *to_); }
+
+  /// Start one leg from from_ to to_. Each stage function below runs
+  /// its stage and the ones after it until one parks: it returns true
+  /// when parked, false when the transfer has finished (ok_ holds the
+  /// result).
+  bool send() {
+    stage_ = Stage::Tx;
+    if (serve(from_->tx())) return true;
+    return after_tx();
+  }
+
+  /// Continue after the wait of the current stage.
+  bool advance() {
+    switch (stage_) {
+      case Stage::Tx:
+        return after_tx();
+      case Stage::Stall:
+        // A timed wait that ended at its deadline with the link still
+        // down fails the transfer.
+        if (stall_timeout_ >= 0 && !healed_ && wan().down) {
+          return finish(false);
+        }
+        return stall();
+      case Stage::Wan:
+        return after_wan();
+      case Stage::Rx:
+        return after_rx();
+      case Stage::Prop:
+        break;
+    }
+    return finish(true);
+  }
+
+  bool after_tx() {
+    if (!cross_site()) return after_wan();
+    if (stall_timeout_ >= 0) deadline_ = net_->sim_.now() + stall_timeout_;
+    return stall();
+  }
+
+  /// Wait out a partition: until it heals, or with a stall timeout until
+  /// deadline_, then queue on the WAN pipe.
+  bool stall() {
+    Wan& w = wan();
+    while (w.down) {
+      stage_ = Stage::Stall;
+      if (stall_timeout_ < 0) {
+        w.healed->park(this);
+        return true;
+      }
+      double left = deadline_ - net_->sim_.now();
+      if (!w.healed->triggered() && left > 0) {
+        healed_ = false;
+        w.healed->park_for(this, left, &healed_);
+        return true;
+      }
+      if (!w.healed->triggered() && w.down) return finish(false);
+    }
+    stage_ = Stage::Wan;
+    if (serve(w.pipe)) return true;
+    return after_wan();
+  }
+
+  bool after_wan() {
+    stage_ = Stage::Rx;
+    if (serve(to_->rx())) return true;
+    return after_rx();
+  }
+
+  bool after_rx() {
+    double latency = net_->latency(*from_, *to_);
+    if (latency > 0) {
+      stage_ = Stage::Prop;
+      net_->sim_.schedule_resume(latency, this);
+      return true;
+    }
+    return finish(true);
+  }
+
+  /// A leg ended: send the reply leg of a delivered round trip, or close
+  /// the span and finish.
+  bool finish(bool ok) {
+    if (ok && reply_) {
+      reply_ = false;
+      std::swap(from_, to_);
+      return send();
+    }
+    ok_ = ok;
+    span_.close();
+    return false;
+  }
+
+  /// Queue the wire bytes on `ps`; false when there is nothing to serve.
+  bool serve(sim::PsServer& ps) {
+    if (bytes_ <= 0) return false;
+    ps.consume_then(bytes_, this);
+    return true;
+  }
+
+  Network* net_;
+  Interface* from_;
+  Interface* to_;
+  double bytes_;  // the payload until await_suspend, then the wire bytes
+  double stall_timeout_;
+  double deadline_ = 0;  // absolute end of a timed partition stall
+  sim::Wake done_;
+  detail::OpSpan span_;
+  trace::SpanKind kind_;
+  Stage stage_ = Stage::Tx;
+  bool reply_;  // a reply leg is still to be sent
+  bool ok_ = false;
+  bool healed_ = false;  // set by the heal event when it wins a timed stall
+};
+
+/// The awaitable Network::connect returns: a round-trip Transfer of
+/// kSynBytes (SYN, then SYN-ACK) inside one Connect span.
+class Network::Connect : public Transfer {
+ public:
+  Connect(Network& net, Interface& from, Interface& to, const trace::Ctx& ctx,
+          double stall_timeout) noexcept
+      : Transfer(net, from, to, kSynBytes, ctx, trace::SpanKind::Connect,
+                 stall_timeout, true) {}
+};
+
+inline Network::Transfer Network::transfer(Interface& from, Interface& to,
+                                           double payload_bytes,
+                                           trace::Ctx ctx,
+                                           trace::SpanKind kind,
+                                           double stall_timeout) {
+  return Transfer(*this, from, to, payload_bytes, ctx, kind, stall_timeout);
+}
+
+inline Network::Connect Network::connect(Interface& from, Interface& to,
+                                         trace::Ctx ctx,
+                                         double stall_timeout) {
+  return Connect(*this, from, to, ctx, stall_timeout);
+}
 
 }  // namespace gridmon::net

@@ -29,7 +29,7 @@
 #include "gridmon/resilience/policy.hpp"
 #include "gridmon/sim/event.hpp"
 #include "gridmon/sim/simulation.hpp"
-#include "gridmon/sim/task.hpp"
+#include "gridmon/sim/wake.hpp"
 
 namespace gridmon::net {
 
@@ -62,12 +62,14 @@ class ServerPort {
     return true;
   }
 
+  class Admit;
+
   /// Admission with failure semantics. When the port is Up this behaves
-  /// exactly like try_admit() and completes synchronously (the coroutine
-  /// never suspends, so fault-free runs cost no sim events). A Refusing
-  /// port answers immediately; a Blackhole port swallows the attempt until
-  /// the service restarts or `timeout` seconds pass (timeout < 0 waits
-  /// forever, like a client with no connect timeout).
+  /// exactly like try_admit() and completes in await_ready (no suspension,
+  /// so fault-free runs cost no sim events). A Refusing port answers
+  /// immediately; a Blackhole port swallows the attempt until the service
+  /// restarts or `timeout` seconds pass (timeout < 0 waits forever, like a
+  /// client with no connect timeout).
   ///
   /// With a resilience ServerPolicy installed, a full-but-Up port parks
   /// the request in a bounded wait queue instead of refusing; freed slots
@@ -76,37 +78,7 @@ class ServerPort {
   /// hand-off time. `deadline` is an absolute sim-time by which service
   /// must have started (negative = derive from the policy's
   /// deadline_budget).
-  sim::Task<Admission> admit(double timeout = -1, double deadline = -1) {
-    if (state_ == PortState::Blackhole) {
-      if (timeout < 0) {
-        while (state_ == PortState::Blackhole) co_await up_;
-      } else {
-        double wait_deadline = up_.sim().now() + timeout;
-        while (state_ == PortState::Blackhole) {
-          bool restarted =
-              co_await up_.wait_for(wait_deadline - up_.sim().now());
-          if (!restarted && state_ == PortState::Blackhole) {
-            ++refused_;
-            co_return Admission::TimedOut;
-          }
-        }
-      }
-    }
-    if (policy_.enabled && state_ == PortState::Up && in_flight_ >= backlog_ &&
-        queue_.size() < policy_.queue_limit) {
-      QueueAwaiter waiter;
-      waiter.port = this;
-      waiter.arrival = up_.sim().now();
-      waiter.deadline = deadline >= 0 ? deadline
-                        : policy_.deadline_budget > 0
-                            ? waiter.arrival + policy_.deadline_budget
-                            : std::numeric_limits<double>::infinity();
-      waiter.seq = next_seq_++;
-      ++total_queued_;
-      co_return co_await waiter;
-    }
-    co_return try_admit() ? Admission::Ok : Admission::Refused;
-  }
+  Admit admit(double timeout = -1, double deadline = -1);
 
   /// Release the admission slot (request fully processed or failed).
   /// Under a resilience policy the freed slot is handed directly to a
@@ -123,7 +95,7 @@ class ServerPort {
                      static_cast<std::ptrdiff_t>(winner));
         w->result = Admission::Ok;
         ++admitted_;
-        up_.sim().schedule_resume(0, w->handle);
+        up_.sim().schedule_resume(0, w->wake);
         return;
       }
     }
@@ -142,7 +114,7 @@ class ServerPort {
     for (QueueAwaiter* w : drained) {
       w->result = Admission::Refused;
       ++refused_;
-      up_.sim().schedule_resume(0, w->handle);
+      up_.sim().schedule_resume(0, w->wake);
     }
   }
 
@@ -182,25 +154,26 @@ class ServerPort {
   std::uint64_t total_shed() const noexcept { return total_shed_; }
 
  private:
-  /// One parked admission attempt. Lives on the awaiting coroutine's
-  /// frame; the port holds only a raw pointer for the park duration, and
-  /// every exit path (hand-off, shed, crash) resumes the frame exactly
-  /// once via the scheduler.
+  /// One parked admission attempt: the wait-queue part of an Admit,
+  /// which lives in the awaiting coroutine's frame. The port holds only a
+  /// raw pointer for the park duration, and every exit path (hand-off,
+  /// shed, crash) wakes the awaiter exactly once via the scheduler.
   struct QueueAwaiter {
-    ServerPort* port = nullptr;
-    double arrival = 0;
-    double deadline = 0;  // absolute; +inf when no budget applies
-    std::uint64_t seq = 0;
+    double deadline;  // absolute; +inf when no budget applies
+    sim::Wake wake;   // the awaiting coroutine
     Admission result = Admission::Refused;
-    std::coroutine_handle<> handle;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      port->queue_.push_back(this);
-    }
-    Admission await_resume() const noexcept { return result; }
+    /// The Admit's own flag, set by the up event when it ends a timed
+    /// blackhole wait. It sits in this record's padding so an Admit
+    /// stays 48 B: the GRIS attempt frame that holds one is 432 B, the
+    /// most its 448 B pool block takes.
+    bool restarted = false;
   };
+
+  /// True when an attempt on an Up port must park in the policy queue.
+  bool must_queue() const noexcept {
+    return policy_.enabled && state_ == PortState::Up &&
+           in_flight_ >= backlog_ && queue_.size() < policy_.queue_limit;
+  }
 
   /// Lazily drop waiters whose service deadline already passed: doing
   /// their work now would be dead work the client has given up on.
@@ -212,7 +185,7 @@ class ServerPort {
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
         w->result = Admission::Shed;
         ++total_shed_;
-        up_.sim().schedule_resume(0, w->handle);
+        up_.sim().schedule_resume(0, w->wake);
       } else {
         ++i;
       }
@@ -246,11 +219,106 @@ class ServerPort {
   std::uint64_t refused_ = 0;
   std::uint64_t total_queued_ = 0;
   std::uint64_t total_shed_ = 0;
-  std::uint64_t next_seq_ = 0;
   resilience::ServerPolicy policy_{};
   std::vector<QueueAwaiter*> queue_;
   sim::Event up_;
 };
+
+/// The awaitable ServerPort::admit returns. It answers an Up port in
+/// await_ready; otherwise it parks in the awaiting coroutine's frame: on
+/// the port's up event through its sim::Step while the port is
+/// blackholed, then in the policy wait queue, which wakes the coroutine
+/// directly. It makes the same event and queue calls as a coroutine
+/// with the same steps would, and allocates nothing (a timed blackhole
+/// wait allocates the race state of Event::park_for).
+class ServerPort::Admit : sim::Step {
+ public:
+  Admit(ServerPort& port, double timeout, double service_deadline) noexcept
+      : sim::Step{&Admit::on_wake},
+        entry_{service_deadline, {}},
+        port_(&port),
+        timeout_(timeout) {}
+  Admit(const Admit&) = delete;
+  Admit& operator=(const Admit&) = delete;
+
+  bool await_ready() {
+    if (port_->state_ == PortState::Blackhole || port_->must_queue()) {
+      return false;
+    }
+    answer();
+    return true;
+  }
+  bool await_suspend(std::coroutine_handle<> h) {
+    entry_.wake = h;
+    // From here on timeout_ is the absolute end of the blackhole wait.
+    if (timeout_ >= 0) timeout_ += port_->up_.sim().now();
+    return run();
+  }
+  Admission await_resume() const noexcept { return entry_.result; }
+
+ private:
+  static void on_wake(sim::Step* step) {
+    auto* self = static_cast<Admit*>(step);
+    if (self->timeout_ >= 0 && !self->entry_.restarted &&
+        self->port_->state_ == PortState::Blackhole) {
+      self->time_out();
+    } else if (self->run()) {
+      return;
+    }
+    self->entry_.wake();  // last: the awaiter may destroy this object
+  }
+
+  /// Wait out a blackhole, then queue or answer. True when parked.
+  bool run() {
+    ServerPort& port = *port_;
+    sim::Event& up = port.up_;
+    while (port.state_ == PortState::Blackhole) {
+      if (timeout_ < 0) {
+        up.park(this);
+        return true;
+      }
+      double left = timeout_ - up.sim().now();
+      if (!up.triggered() && left > 0) {
+        entry_.restarted = false;
+        up.park_for(this, left, &entry_.restarted);
+        return true;
+      }
+      if (!up.triggered() && port.state_ == PortState::Blackhole) {
+        time_out();
+        return false;
+      }
+    }
+    if (port.must_queue()) {
+      double now = up.sim().now();
+      double& deadline = entry_.deadline;
+      deadline = deadline >= 0 ? deadline
+                 : port.policy_.deadline_budget > 0
+                     ? now + port.policy_.deadline_budget
+                     : std::numeric_limits<double>::infinity();
+      ++port.total_queued_;
+      port.queue_.push_back(&entry_);
+      return true;
+    }
+    answer();
+    return false;
+  }
+
+  void answer() {
+    entry_.result = port_->try_admit() ? Admission::Ok : Admission::Refused;
+  }
+  void time_out() {
+    ++port_->refused_;
+    entry_.result = Admission::TimedOut;
+  }
+
+  QueueAwaiter entry_;  // the answer, and the wait-queue record
+  ServerPort* port_;
+  double timeout_;  // relative until await_suspend, then absolute
+};
+
+inline ServerPort::Admit ServerPort::admit(double timeout, double deadline) {
+  return Admit(*this, timeout, deadline);
+}
 
 /// RAII admission slot.
 class AdmissionSlot {

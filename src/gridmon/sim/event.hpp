@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gridmon/sim/simulation.hpp"
+#include "gridmon/sim/wake.hpp"
 
 namespace gridmon::sim {
 
@@ -17,18 +18,24 @@ namespace gridmon::sim {
 /// `reset()` re-arms the event. `wait_for(timeout)` additionally races the
 /// wait against a deadline, which is what lets a network stall or a
 /// blackholed connection fail instead of hanging forever.
+///
+/// Waiters are sim::Wake targets: a coroutine (through the awaiters) or a
+/// frame-free state machine's Step (through park() and park_for()).
 class Event {
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    bool done = false;      // resumed (by trigger or deadline)
-    bool by_event = false;  // resumed because the event fired
+  /// Race state of one deadline-bounded wait, shared by the waiter list
+  /// and the deadline callback: whichever fires first wakes the waiter,
+  /// and the other finds `done`.
+  struct Race {
+    Wake wake;
+    bool done = false;
+    bool* by_event;  // set true when the event wins; owned by the waiter
   };
-  /// A parked coroutine. Plain (untimed) waits store just the handle —
-  /// no allocation; only deadline-racing waits carry shared race state.
+  /// A parked waiter. Plain (untimed) waits store just the Wake — no
+  /// allocation; only deadline-racing waits carry shared race state.
   /// One vector keeps FIFO wake-up order across both kinds.
   struct Entry {
-    std::coroutine_handle<> handle;
-    std::shared_ptr<Waiter> timed;  // null for plain waits
+    Wake wake;
+    std::shared_ptr<Race> timed;  // null for plain waits
   };
 
  public:
@@ -50,56 +57,63 @@ class Event {
       if (w.timed) {
         if (w.timed->done) continue;  // already woken by its deadline
         w.timed->done = true;
-        w.timed->by_event = true;
-        sim_.schedule_resume(0, w.timed->handle);
-      } else {
-        sim_.schedule_resume(0, w.handle);
+        *w.timed->by_event = true;
       }
+      sim_.schedule_resume(0, w.wake);
     }
     waiters_.clear();
   }
 
   void reset() noexcept { triggered_ = false; }
 
+  /// Park `w` until the next trigger(). Precondition: !triggered().
+  void park(Wake w) { waiters_.push_back(Entry{w, nullptr}); }
+
+  /// Park `w` until the next trigger() or until `timeout` (> 0) seconds
+  /// pass, whichever comes first. The event sets `*by_event` to true when
+  /// it wins the race; the waiter initialises it to false and must stay
+  /// alive until woken. A waiter abandoned at its deadline is skipped by
+  /// a later trigger(), so the two wake-ups never both fire. The deadline
+  /// runs `w` inline from its own event. Precondition: !triggered().
+  void park_for(Wake w, double timeout, bool* by_event) {
+    auto race = std::make_shared<Race>(Race{w, false, by_event});
+    waiters_.push_back(Entry{w, race});
+    sim_.schedule(timeout, [race] {
+      if (race->done) return;  // event won the race
+      race->done = true;
+      race->wake();
+    });
+  }
+
   struct Awaiter {
     Event& ev;
     bool await_ready() const noexcept { return ev.triggered_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      ev.waiters_.push_back(Entry{h, nullptr});
-    }
+    void await_suspend(std::coroutine_handle<> h) { ev.park(h); }
     void await_resume() const noexcept {}
   };
   Awaiter operator co_await() noexcept { return Awaiter{*this}; }
 
   /// Awaitable: wait until the event triggers OR `timeout` seconds pass,
   /// whichever comes first. Resumes with true if the event fired (or was
-  /// already triggered), false on deadline. A waiter abandoned at its
-  /// deadline is skipped by a later trigger(), so the two wake-ups can
-  /// never double-resume the coroutine.
+  /// already triggered), false on deadline.
   struct TimedAwaiter {
     Event& ev;
     double timeout;
-    std::shared_ptr<Waiter> waiter;
+    bool parked = false;
+    bool by_event = false;
     bool await_ready() const noexcept {
       return ev.triggered_ || timeout <= 0;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      waiter = std::make_shared<Waiter>();
-      waiter->handle = h;
-      ev.waiters_.push_back(Entry{h, waiter});
-      auto w = waiter;
-      ev.sim_.schedule(timeout, [w] {
-        if (w->done) return;  // event won the race
-        w->done = true;
-        w->handle.resume();
-      });
+      parked = true;
+      ev.park_for(h, timeout, &by_event);
     }
     bool await_resume() const noexcept {
-      return waiter ? waiter->by_event : ev.triggered_;
+      return parked ? by_event : ev.triggered_;
     }
   };
   TimedAwaiter wait_for(double timeout) noexcept {
-    return TimedAwaiter{*this, timeout, nullptr};
+    return TimedAwaiter{*this, timeout};
   }
 
  private:

@@ -11,10 +11,11 @@
 /// number) keys, drawing sequence numbers from one counter.
 ///
 /// * The event heap holds one-shot events. Its 24-byte key carries the
-///   payload reference itself: a coroutine wake-up (the vast majority of
-///   events) stores the handle's frame address, and a callback stores its
-///   index in a slab of std::function slots with the low bit set (frame
-///   addresses are at least 2-aligned). A wake-up never touches the slab.
+///   payload reference itself: a wake-up (the vast majority of events)
+///   stores its sim::Wake word — a coroutine frame address, or a Step
+///   address tagged in bit 1 — and a callback stores its index in a slab
+///   of std::function slots with bit 0 set (a Wake never sets bit 0). A
+///   wake-up never touches the slab.
 /// * The timer heap holds re-armable timers, at most one pending entry per
 ///   timer, each a plain function pointer plus context pointer. Re-arming
 ///   takes a fresh sequence number and sifts the entry in place, so a
@@ -28,11 +29,12 @@
 /// event and ignoring the superseded one would fire, minus the dead pops.
 
 #include <cassert>
-#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
+
+#include "gridmon/sim/wake.hpp"
 
 namespace gridmon::sim {
 
@@ -43,20 +45,20 @@ class EventQueue {
  public:
   // Cold-path API boundary only: arbitrary callables enter via push(),
   // once per process spawn, timeout, fault or commit window, not per
-  // event. The per-event hot paths are push_resume() (bare coroutine
-  // handles) and re-armable timers (function pointers); neither touches
+  // event. The per-event hot paths are push_resume() (coroutine handles
+  // and Steps) and re-armable timers (function pointers); neither touches
   // this type.
   using Callback = std::function<void()>;
   using TimerFn = void (*)(void*);
   using TimerId = std::uint32_t;
 
-  /// The payload of a popped event: a coroutine handle, a timer, or a
-  /// callback. Invoke with operator().
+  /// The payload of a popped event: a wake-up, a timer, or a callback.
+  /// Invoke with operator().
   class Fired {
    public:
     void operator()() {
-      if (handle_) {
-        handle_.resume();
+      if (wake_) {
+        wake_();
       } else if (timer_fn_ != nullptr) {
         timer_fn_(timer_ctx_);
       } else {
@@ -66,7 +68,7 @@ class EventQueue {
 
    private:
     friend class EventQueue;
-    std::coroutine_handle<> handle_;
+    Wake wake_;
     TimerFn timer_fn_ = nullptr;
     void* timer_ctx_ = nullptr;
     Callback cb_;
@@ -80,13 +82,12 @@ class EventQueue {
     push_key(heap_, Key{at, next_seq_++, ref}, NoIndex{});
   }
 
-  /// Schedule a coroutine resumption at absolute time `at`. Equivalent to
-  /// push(at, [h] { h.resume(); }) but stores the handle in the heap key,
-  /// keeping the wake-up path allocation-free.
-  void push_resume(SimTime at, std::coroutine_handle<> h) {
-    auto addr = reinterpret_cast<std::uintptr_t>(h.address());
-    assert((addr & kSlotTag) == 0 && "coroutine frame address must be even");
-    push_key(heap_, Key{at, next_seq_++, addr}, NoIndex{});
+  /// Schedule a wake-up (coroutine resumption or Step) at absolute time
+  /// `at`. Equivalent to push(at, [w] { w(); }) but stores the Wake word
+  /// in the heap key, keeping the wake-up path allocation-free.
+  void push_resume(SimTime at, Wake w) {
+    static_assert((Wake::kFreeBit & kSlotTag) != 0);
+    push_key(heap_, Key{at, next_seq_++, w.bits()}, NoIndex{});
   }
 
   /// Register a re-armable timer that calls `fn(ctx)` when it fires. The
@@ -179,8 +180,7 @@ class EventQueue {
       fired.cb_ = std::move(slots_[slot].cb);
       release_slot(slot);
     } else {
-      fired.handle_ = std::coroutine_handle<>::from_address(
-          reinterpret_cast<void*>(top.ref));
+      fired.wake_ = Wake::from_bits(top.ref);
     }
     pop_top(heap_, NoIndex{});
     return fired;
@@ -200,7 +200,7 @@ class EventQueue {
   struct Key {
     SimTime at;
     std::uint64_t seq;
-    std::uintptr_t ref;  // frame address, or (slot << 1) | kSlotTag
+    std::uintptr_t ref;  // Wake::bits(), or (slot << 1) | kSlotTag
   };
   struct TimerKey {
     SimTime at;

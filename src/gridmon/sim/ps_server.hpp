@@ -11,7 +11,9 @@
 /// Used for: CPUs (rate = #cores cpu-seconds/second, max_parallel = #cores)
 /// and network links (rate = bytes/second, max_parallel = 1). Jobs interact
 /// via `co_await ps.consume(amount)` which suspends until `amount` units of
-/// service have been delivered under the fluid-sharing model.
+/// service have been delivered under the fluid-sharing model, or — for a
+/// frame-free state machine — `ps.consume_then(amount, step)`, which runs
+/// the Step at that point instead of resuming a coroutine.
 ///
 /// Two execution modes share the public API:
 ///
@@ -43,6 +45,7 @@
 
 #include "gridmon/sim/probe.hpp"
 #include "gridmon/sim/simulation.hpp"
+#include "gridmon/sim/wake.hpp"
 
 namespace gridmon::sim {
 
@@ -66,7 +69,7 @@ class PsServer {
   PsServer(const PsServer&) = delete;
   PsServer& operator=(const PsServer&) = delete;
   /// Takes the pending completion with it; jobs still in service are
-  /// never resumed (their frames die with the simulation).
+  /// never woken (their frames die with the simulation).
   ~PsServer() { sim_.remove_timer(timer_); }
 
   /// Number of jobs currently in service.
@@ -122,18 +125,25 @@ class PsServer {
     return ConsumeAwaiter{*this, amount};
   }
 
+  /// Serve `amount` (> 0) units, then run `step` from the completion
+  /// event, where consume() would resume its coroutine.
+  void consume_then(double amount, Step* step) {
+    assert(amount > 0);
+    add_job(amount, step);
+  }
+
  private:
   struct Job {
     double remaining;
     double eps;  // completion threshold to absorb float error
-    std::coroutine_handle<> handle;
+    Wake wake;
   };
   /// A job on the virtual-time curve: done when v_ reaches `target`.
   struct VJob {
     double target;
     double eps;
     std::uint64_t seq;  // arrival order, for FIFO completion ties
-    std::coroutine_handle<> handle;
+    Wake wake;
   };
 
   static double finish_eps(double amount) {
@@ -154,17 +164,17 @@ class PsServer {
     return fair < per_job_cap_ ? fair : per_job_cap_;
   }
 
-  void add_job(double amount, std::coroutine_handle<> h) {
+  void add_job(double amount, Wake w) {
     if (virtual_mode_) {
       advance_v();
-      vpush(VJob{v_ + amount, finish_eps(amount), next_job_seq_++, h});
+      vpush(VJob{v_ + amount, finish_eps(amount), next_job_seq_++, w});
       rate_ = current_rate_per_job();
       vreschedule();
       notify_probe();
       return;
     }
     settle();
-    jobs_.push_back(Job{amount, finish_eps(amount), h});
+    jobs_.push_back(Job{amount, finish_eps(amount), w});
     if (jobs_.size() >= kVirtualThreshold) {
       switch_to_virtual();
     } else {
@@ -221,11 +231,11 @@ class PsServer {
     // would freeze simulated time in a same-timestamp event loop.
     double rate = current_rate_per_job();
     double sliver = rate * kMinServiceDt;
-    std::vector<std::coroutine_handle<>> finished = take_scratch();
+    std::vector<Wake> finished = take_scratch();
     std::size_t out = 0;
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
       if (jobs_[i].remaining <= std::max(jobs_[i].eps, sliver)) {
-        finished.push_back(jobs_[i].handle);
+        finished.push_back(jobs_[i].wake);
       } else {
         if (out != i) jobs_[out] = jobs_[i];
         ++out;
@@ -234,9 +244,9 @@ class PsServer {
     jobs_.resize(out);
     reschedule();
     if (!finished.empty()) notify_probe();
-    // Resuming may re-enter consume()/settle(); the job list is already
+    // Waking may re-enter consume()/settle(); the job list is already
     // consistent at this point.
-    for (auto h : finished) h.resume();
+    for (Wake w : finished) w();
     put_scratch(std::move(finished));
   }
 
@@ -287,10 +297,10 @@ class PsServer {
     rate_ = current_rate_per_job();
     vreschedule();
     notify_probe();
-    std::vector<std::coroutine_handle<>> finished = take_scratch();
-    for (const VJob& j : finished_vjobs_) finished.push_back(j.handle);
+    std::vector<Wake> finished = take_scratch();
+    for (const VJob& j : finished_vjobs_) finished.push_back(j.wake);
     finished_vjobs_.clear();
-    for (auto h : finished) h.resume();
+    for (Wake w : finished) w();
     put_scratch(std::move(finished));
   }
 
@@ -301,7 +311,7 @@ class PsServer {
     v_ = 0;
     vheap_.reserve(jobs_.size() * 2);
     for (const Job& j : jobs_) {
-      vpush(VJob{j.remaining, j.eps, next_job_seq_++, j.handle});
+      vpush(VJob{j.remaining, j.eps, next_job_seq_++, j.wake});
     }
     jobs_.clear();
     jobs_.shrink_to_fit();
@@ -372,8 +382,8 @@ class PsServer {
   /// Reusable buffer for completion sweeps (avoids an allocation per
   /// departure batch). Swapped out while in use so re-entrant arrivals
   /// can't corrupt it.
-  std::vector<std::coroutine_handle<>> take_scratch() noexcept {
-    std::vector<std::coroutine_handle<>> v = std::move(scratch_);
+  std::vector<Wake> take_scratch() noexcept {
+    std::vector<Wake> v = std::move(scratch_);
     v.clear();
     return v;
   }
@@ -381,7 +391,7 @@ class PsServer {
   // std::move, so by-value is a pointer swap, never an element copy; a
   // reference would reopen the re-entrancy hazard take_scratch exists to
   // close.
-  void put_scratch(std::vector<std::coroutine_handle<>> v) noexcept {
+  void put_scratch(std::vector<Wake> v) noexcept {
     if (v.capacity() > scratch_.capacity()) scratch_ = std::move(v);
   }
 
@@ -392,7 +402,7 @@ class PsServer {
   std::vector<Job> jobs_;           // exact mode, insertion order
   std::vector<VJob> vheap_;         // virtual mode, heap order
   std::vector<VJob> finished_vjobs_;
-  std::vector<std::coroutine_handle<>> scratch_;
+  std::vector<Wake> scratch_;
   SimTime last_update_ = 0;
   double served_total_ = 0;
   double v_ = 0;     // virtual-time service curve (units per job)

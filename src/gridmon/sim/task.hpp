@@ -15,8 +15,10 @@
 /// Simulation until it finishes.
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "gridmon/sim/frame_pool.hpp"
@@ -27,6 +29,14 @@ template <typename T>
 class Task;
 
 namespace detail {
+
+/// Count of detached coroutines (ones with no awaiting continuation, such
+/// as Simulation::spawn's) that reached their final suspend on this
+/// thread. Simulation skips its done-task sweep while it has not moved.
+inline std::uint64_t& detached_finished() noexcept {
+  static thread_local std::uint64_t count = 0;
+  return count;
+}
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
@@ -54,7 +64,9 @@ struct FinalAwaiter {
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
     auto cont = h.promise().continuation;
-    return cont ? cont : std::noop_coroutine();
+    if (cont) return cont;
+    ++detached_finished();
+    return std::noop_coroutine();
   }
   void await_resume() const noexcept {}
 };
@@ -65,7 +77,11 @@ struct Promise : PromiseBase {
 
   Task<T> get_return_object();
   FinalAwaiter<Promise> final_suspend() noexcept { return {}; }
-  void return_value(T v) { value = std::move(v); }
+  // By reference, so `co_return co_await child();` moves the child's
+  // result straight into this promise instead of through a parameter
+  // object that would take a slot in the coroutine frame.
+  void return_value(T&& v) { value.emplace(std::move(v)); }
+  void return_value(const T& v) { value.emplace(v); }
 };
 
 template <>
@@ -116,6 +132,14 @@ class [[nodiscard]] Task {
     }
   }
 
+  /// Awaiting a task yields its result moved out of the finished child:
+  /// by value (`Result` = T) for a task held in a variable, and as T&&
+  /// for a temporary (`co_await child()`), as cppcoro's task does. The
+  /// temporary's frame lives to the end of the full-expression, so the
+  /// result can initialise a value (`auto r = co_await child();`) or be
+  /// passed on (`co_return co_await child();`) without a copy or a
+  /// frame-resident temporary; a reference bound to it would dangle.
+  template <typename Result>
   struct Awaiter {
     handle_type handle;
     bool await_ready() const noexcept { return !handle || handle.done(); }
@@ -124,7 +148,7 @@ class [[nodiscard]] Task {
       handle.promise().continuation = cont;
       return handle;  // start the child coroutine now
     }
-    T await_resume() const {
+    Result await_resume() const {
       if (handle.promise().exception) {
         std::rethrow_exception(handle.promise().exception);
       }
@@ -134,7 +158,10 @@ class [[nodiscard]] Task {
     }
   };
 
-  Awaiter operator co_await() const& noexcept { return Awaiter{handle_}; }
+  Awaiter<T> operator co_await() const& noexcept { return {handle_}; }
+  Awaiter<std::add_rvalue_reference_t<T>> operator co_await() && noexcept {
+    return {handle_};
+  }
 
   handle_type native_handle() const noexcept { return handle_; }
 

@@ -406,22 +406,23 @@ std::uint64_t gris_attempt_frames(int backlog, QueryAttempt* attempt) {
   return frames;
 }
 
-// A refused GRIS attempt allocates the frames of Gris::query, connect
-// (and its two transfers) and admit, and nothing else: no adapter frame
-// and no admitted-half frame. Counts only; frame sizes are the
-// compiler's business.
-TEST(AttemptTaskTest, RefusedGrisAttemptAllocatesFiveFrames) {
+// A refused GRIS attempt allocates the frame of Gris::query and nothing
+// else: no adapter frame, no admitted-half frame, and none for the
+// connect, its two SYN legs or the admission, which are awaitables in
+// the query's frame. Counts only; frame sizes are the compiler's
+// business.
+TEST(AttemptTaskTest, RefusedGrisAttemptAllocatesOneFrame) {
   QueryAttempt attempt;
-  EXPECT_EQ(gris_attempt_frames(0, &attempt), 5u);
+  EXPECT_EQ(gris_attempt_frames(0, &attempt), 1u);
   EXPECT_TRUE(attempt.refused());
 }
 
 // An admitted attempt adds the admitted half and the service pipeline:
-// request and response transfers, serve, serve_filter, refresh (one
-// cache miss, one provider fork) and the CPU charges.
+// serve, serve_filter, refresh (one cache miss, one provider fork) and
+// the CPU charges. The request and response transfers take no frame.
 TEST(AttemptTaskTest, AdmittedGrisAttemptFrameCount) {
   QueryAttempt attempt;
-  EXPECT_EQ(gris_attempt_frames(512, &attempt), 12u);
+  EXPECT_EQ(gris_attempt_frames(512, &attempt), 6u);
   EXPECT_TRUE(attempt.ok());
 }
 

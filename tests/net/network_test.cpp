@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "gridmon/sim/simulation.hpp"
@@ -158,6 +159,68 @@ TEST(NetworkTest, MissingWanThrows) {
   EXPECT_THROW(net.latency(ia, ib), std::invalid_argument);
   EXPECT_THROW(net.set_wan_down("a", "b", true), std::invalid_argument);
 }
+
+// The awaitables resolve the route before any traffic moves, so a
+// missing WAN throws out of the co_await in the awaiting coroutine.
+TEST(NetworkTest, MissingWanSurfacesInTheAwaiter) {
+  sim::Simulation sim;
+  Network net(sim);
+  net.add_site({.name = "a"});
+  net.add_site({.name = "b"});
+  auto& ia = net.attach("h1", "a");
+  auto& ib = net.attach("h2", "b");
+  int caught = 0;
+  auto op = [](Network& n, Interface& x, Interface& y, bool connect,
+               int* out) -> sim::Task<void> {
+    try {
+      if (connect) {
+        (void)co_await n.connect(x, y);
+      } else {
+        (void)co_await n.transfer(x, y, 1000);
+      }
+    } catch (const std::invalid_argument&) {
+      ++*out;
+    }
+  };
+  sim.spawn(op(net, ia, ib, false, &caught));
+  sim.spawn(op(net, ib, ia, true, &caught));
+  sim.run();
+  EXPECT_EQ(caught, 2);
+  EXPECT_EQ(ia.tx().active_jobs() + ib.tx().active_jobs(), 0);
+}
+
+// Shutting down mid-flight destroys the awaiting frames, and with them
+// the Transfer and Connect state parked in PS servers, the WAN heal
+// event and the event queue (timed stalls included); the network then
+// dies with those entries unwoken (run under ASan in CI).
+TEST(NetworkTest, ShutdownWithTransfersInFlight) {
+  Fixture f;
+  auto& a = f.net.attach("lucky1", "anl");
+  auto& b = f.net.attach("lucky2", "anl");
+  auto& c = f.net.attach("client", "uc");
+  std::vector<double> done;
+  auto conn = [](Network& net, Interface& x, Interface& y, double timeout,
+                 std::vector<double>* out) -> sim::Task<void> {
+    if (co_await net.connect(x, y, {}, timeout)) {
+      out->push_back(net.simulation().now());
+    }
+  };
+  for (int i = 0; i < 20; ++i) {
+    f.sim.spawn(send(f.net, i % 2 ? a : c, b, 1e5 * (i + 1), &done));
+    f.sim.spawn(conn(f.net, c, a, i % 3 ? -1 : 30.0, &done));
+  }
+  f.sim.schedule(0.001, [&f] { f.net.set_wan_down("anl", "uc", true); });
+  f.sim.run(0.5);
+  EXPECT_LT(done.size(), 40u);
+  f.sim.shutdown();
+  EXPECT_EQ(f.sim.run(), 0u);
+}
+
+// The awaitables live in the awaiting coroutine's frame: a GRIS attempt
+// frame carries a Connect, a Transfer and an Admit, so their sizes are
+// that frame's size (LP64 layouts).
+static_assert(sizeof(void*) != 8 || sizeof(Network::Transfer) <= 96);
+static_assert(sizeof(void*) != 8 || sizeof(Network::Connect) <= 96);
 
 // Hops are routed by site id; the route table must follow WANs and sites
 // added after hosts attached, in either name order.

@@ -115,5 +115,51 @@ TEST(ServerPortTest, BlackholeTimesOutThenRecovers) {
   EXPECT_EQ(waited, Admission::Ok);
 }
 
+TEST(ServerPortTest, BlackholeWithoutTimeoutWaitsForRestart) {
+  sim::Simulation s;
+  ServerPort port(s, 4);
+  port.crash(/*blackhole=*/true);
+  Admission got = Admission::TimedOut;
+  double at = -1;
+  s.spawn([](sim::Simulation& sim, ServerPort& p, Admission& out,
+             double& when) -> sim::Task<void> {
+    out = co_await p.admit();
+    when = sim.now();
+  }(s, port, got, at));
+  s.schedule(3.0, [&] { port.crash(/*blackhole=*/true); });  // still down
+  s.schedule(7.0, [&] { port.restart(); });
+  s.run();
+  EXPECT_EQ(got, Admission::Ok);
+  EXPECT_DOUBLE_EQ(at, 7.0);
+  EXPECT_EQ(port.in_flight(), 1);
+}
+
+// Attempts parked on a blackhole (timed and untimed) and in the policy
+// queue die with their frames at shutdown, and the ports then die with
+// those entries unwoken (run under ASan in CI).
+TEST(ServerPortTest, ShutdownWithAdmitsParked) {
+  sim::Simulation s;
+  ServerPort blackholed(s, 4);
+  ServerPort full(s, 1);
+  resilience::ServerPolicy policy;
+  policy.enabled = true;
+  policy.queue_limit = 8;
+  full.set_policy(policy);
+  ASSERT_TRUE(full.try_admit());
+  blackholed.crash(/*blackhole=*/true);
+  auto attempt = [](ServerPort& p, double timeout) -> sim::Task<void> {
+    (void)co_await p.admit(timeout);
+  };
+  s.spawn(attempt(blackholed, -1));
+  s.spawn(attempt(blackholed, 50.0));
+  s.spawn(attempt(full, -1));
+  s.run(1.0);
+  EXPECT_EQ(full.queued(), 1u);
+  s.shutdown();
+  EXPECT_EQ(s.run(), 0u);
+}
+
+static_assert(sizeof(void*) != 8 || sizeof(ServerPort::Admit) <= 48);
+
 }  // namespace
 }  // namespace gridmon::net

@@ -96,6 +96,30 @@ TEST(SimulationTest, SpawnedTasksArePruned) {
   EXPECT_EQ(sim.live_task_count(), 0u);
 }
 
+// The in-loop sweep is skipped while no detached task has finished, so
+// it must still run once one has. A ticker keeps the queue busy past the
+// prune interval, so only the amortized sweep (not the end-of-run one)
+// can reclaim the ten short tasks; both drivers must do it.
+TEST(SimulationTest, FinishedTasksArePrunedMidRun) {
+  auto ticker = [](Simulation& s) -> Task<void> {
+    for (int i = 0; i < 5000; ++i) co_await s.delay(0.001);
+  };
+  auto brief = [](Simulation& s) -> Task<void> { co_await s.delay(0.01); };
+  for (bool by_count : {false, true}) {
+    Simulation sim;
+    sim.spawn(ticker(sim));
+    for (int i = 0; i < 10; ++i) sim.spawn(brief(sim));
+    if (by_count) {
+      sim.run_events(3000);
+    } else {
+      sim.run(3.0);
+    }
+    EXPECT_EQ(sim.live_task_count(), 1u) << (by_count ? "run_events" : "run");
+    sim.run();
+    EXPECT_EQ(sim.live_task_count(), 0u);
+  }
+}
+
 TEST(SimulationTest, ShutdownDestroysSuspendedTasks) {
   Simulation sim;
   int destroyed = 0;

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "gridmon/sim/simulation.hpp"
 
@@ -122,6 +124,45 @@ TEST(TaskTest, MoveTransfersOwnership) {
 TEST(TaskTest, DestroyUnstartedTaskIsSafe) {
   auto t = forty_two();
   // Falls out of scope without ever being awaited.
+}
+
+// Awaiting a temporary task yields T&& out of the finished child, so
+// `co_return co_await child();` moves a result through without a copy;
+// a task held in a variable still yields a value.
+static_assert(std::is_same_v<decltype(std::declval<Task<std::string>>()
+                                          .operator co_await()
+                                          .await_resume()),
+                             std::string&&>);
+static_assert(std::is_same_v<decltype(std::declval<Task<std::string>&>()
+                                          .operator co_await()
+                                          .await_resume()),
+                             std::string>);
+
+struct CopyCounted {
+  int* copies;
+  explicit CopyCounted(int* c) : copies(c) {}
+  CopyCounted(const CopyCounted& o) : copies(o.copies) { ++*copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted&) = delete;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+Task<CopyCounted> make_counted(int* copies) { co_return CopyCounted(copies); }
+
+Task<CopyCounted> forward_counted(int* copies, int depth) {
+  if (depth == 0) co_return co_await make_counted(copies);
+  co_return co_await forward_counted(copies, depth - 1);
+}
+
+TEST(TaskTest, ForwardedResultIsNeverCopied) {
+  Simulation sim;
+  int copies = 0;
+  sim.spawn([](int* c) -> Task<void> {
+    CopyCounted r = co_await forward_counted(c, 3);
+    (void)r;
+  }(&copies));
+  sim.run();
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(FramePoolTest, CountsAllocationsHitsAndLiveBytes) {

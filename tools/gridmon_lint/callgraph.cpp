@@ -68,27 +68,6 @@ void solve(ProjectIndex& pi, const Goal& g) {
   }
 }
 
-bool never_a_call(const std::string& s) {
-  static const char* kw[] = {
-      "if",     "for",       "while",     "switch",  "catch",     "sizeof",
-      "alignof", "alignas",  "decltype",  "return",  "co_return", "co_await",
-      "co_yield", "new",     "delete",    "throw",   "static_assert",
-      "noexcept", "assert",  "defined",   "case",    "else",      "do"};
-  for (const char* k : kw) {
-    if (s == k) return true;
-  }
-  return false;
-}
-
-bool call_context_keyword(const std::string& s) {
-  static const char* kw[] = {"return", "co_return", "co_await", "co_yield",
-                             "case",   "else",      "do",       "throw"};
-  for (const char* k : kw) {
-    if (s == k) return true;
-  }
-  return false;
-}
-
 /// Is token i a call site we can resolve by name? Returns the callee name
 /// or "" — mirrors the pass-1 callee scan so pass 2 flags exactly the
 /// edges pass 1 recorded.

@@ -27,19 +27,6 @@ const char* kBareCalls[] = {"rand",      "srand",        "drand48",
                             "clock_gettime", "localtime", "gmtime",
                             "time"};
 
-/// Keywords that may legitimately precede a call expression; an identifier
-/// before "name(" otherwise marks a declaration ("std::time_t time(...)").
-const char* kCallContextKeywords[] = {"return", "co_return", "co_await",
-                                      "co_yield", "case",    "else",
-                                      "do",       "throw"};
-
-bool call_context_keyword(const std::string& s) {
-  for (const char* k : kCallContextKeywords) {
-    if (s == k) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 void check_determinism(const std::string& path, const Model& m,

@@ -19,30 +19,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Keywords that look like `name (` but are never calls.
-bool never_a_call(const std::string& s) {
-  static const char* kw[] = {
-      "if",     "for",       "while",     "switch",  "catch",     "sizeof",
-      "alignof", "alignas",  "decltype",  "return",  "co_return", "co_await",
-      "co_yield", "new",     "delete",    "throw",   "static_assert",
-      "noexcept", "assert",  "defined",   "case",    "else",      "do"};
-  for (const char* k : kw) {
-    if (s == k) return true;
-  }
-  return false;
-}
-
-/// Mirrors check_determinism's call-context heuristic: an identifier before
-/// `name (` marks a declaration unless it introduces an expression.
-bool call_context_keyword(const std::string& s) {
-  static const char* kw[] = {"return", "co_return", "co_await", "co_yield",
-                             "case",   "else",      "do",       "throw"};
-  for (const char* k : kw) {
-    if (s == k) return true;
-  }
-  return false;
-}
-
 /// True when a justified inline suppression silences `d` (the same rule
 /// analyze_source applies; unjustified markers silence nothing).
 bool suppressed(const Model& m, const Diagnostic& d) {

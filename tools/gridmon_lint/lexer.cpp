@@ -174,4 +174,26 @@ LexResult lex(std::string_view src) {
   return out;
 }
 
+bool never_a_call(const std::string& word) {
+  static const char* const kw[] = {
+      "if",     "for",       "while",     "switch",  "catch",     "sizeof",
+      "alignof", "alignas",  "decltype",  "return",  "co_return", "co_await",
+      "co_yield", "new",     "delete",    "throw",   "static_assert",
+      "noexcept", "assert",  "defined",   "case",    "else",      "do"};
+  for (const char* k : kw) {
+    if (word == k) return true;
+  }
+  return false;
+}
+
+bool call_context_keyword(const std::string& word) {
+  static const char* const kw[] = {"return", "co_return", "co_await",
+                                   "co_yield", "case",    "else",
+                                   "do",       "throw"};
+  for (const char* k : kw) {
+    if (word == k) return true;
+  }
+  return false;
+}
+
 }  // namespace gridmon::lint

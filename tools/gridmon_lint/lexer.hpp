@@ -47,4 +47,13 @@ struct LexResult {
 /// understands; the compiler is the authority on well-formedness).
 LexResult lex(std::string_view source);
 
+/// Keywords that look like `name (` but never name a call.
+bool never_a_call(const std::string& word);
+
+/// Keywords that may precede a call expression. Any other identifier
+/// before `name (` marks a declaration (`std::time_t time(...)`), which is
+/// the call-site heuristic the determinism check and both call-graph
+/// passes share.
+bool call_context_keyword(const std::string& word);
+
 }  // namespace gridmon::lint
