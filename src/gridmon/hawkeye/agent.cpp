@@ -49,29 +49,23 @@ sim::Task<classad::ClassAd> Agent::collect(trace::Ctx ctx) {
 }
 
 sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
-  auto& sim = host_.simulation();
   {
     trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
+    co_await host_.simulation().delay(config_.client_tool_latency);
   }
   if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, machine_);
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
+    co_return unanswered_reply(net::Admission::TimedOut, ctx);
   }
   auto admission = co_await port_.admit(config_.connect_timeout);
   if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       machine_);
-    }
-    co_return reply;
+    co_return unanswered_reply(admission, ctx);
   }
+  co_return co_await query_admitted(client, ctx);
+}
+
+sim::Task<HawkeyeReply> Agent::query_admitted(net::Interface& client,
+                                              trace::Ctx ctx) {
+  // Released when this body ends, before query() resumes.
   net::AdmissionSlot slot(&port_);
   if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
                               trace::SpanKind::RequestSend,
@@ -95,7 +89,7 @@ sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
       // A hung module wedges the whole collection sweep: the daemon waits
       // out the module timeout holding its one thread, then fails — there
       // is no resident database to fall back on.
-      co_await sim.delay(config_.module_timeout);
+      co_await host_.simulation().delay(config_.module_timeout);
       reply.failed = true;
       reply.response_bytes = 128;  // error envelope
       reply.admitted = true;
@@ -117,6 +111,19 @@ sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
   co_return reply;
 }
 
+HawkeyeReply Agent::unanswered_reply(net::Admission how,
+                                     trace::Ctx ctx) const {
+  HawkeyeReply reply;
+  reply.timed_out = how == net::Admission::TimedOut;
+  if (ctx) {
+    ctx.col->instant(ctx,
+                     reply.timed_out ? trace::SpanKind::Timeout
+                                     : trace::SpanKind::Refused,
+                     machine_);
+  }
+  return reply;
+}
+
 sim::Task<HawkeyeReply> Agent::query_module(net::Interface& client,
                                             std::string module_name,
                                             trace::Ctx ctx) {
@@ -126,22 +133,11 @@ sim::Task<HawkeyeReply> Agent::query_module(net::Interface& client,
     co_await sim.delay(config_.client_tool_latency);
   }
   if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, machine_);
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
+    co_return unanswered_reply(net::Admission::TimedOut, ctx);
   }
   auto admission = co_await port_.admit(config_.connect_timeout);
   if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       machine_);
-    }
-    co_return reply;
+    co_return unanswered_reply(admission, ctx);
   }
   net::AdmissionSlot slot(&port_);
   if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,

@@ -99,24 +99,34 @@ sim::Task<RgmaReply> ProducerServlet::select(net::Interface& from,
     }
     co_return reply;
   }
+  co_return co_await select_admitted(from, std::move(table), std::move(where),
+                                     op.ctx());
+}
+
+sim::Task<RgmaReply> ProducerServlet::select_admitted(net::Interface& from,
+                                                      std::string table,
+                                                      std::string where,
+                                                      trace::Ctx ctx) {
+  // Released when this body ends, before select() resumes and closes its
+  // ProducerSelect span.
   net::AdmissionSlot slot(&port_);
 
   RgmaReply reply;
   {
-    trace::Span wait(op.ctx(), trace::SpanKind::PoolWait, name_);
+    trace::Span wait(ctx, trace::SpanKind::PoolWait, name_);
     auto lease = co_await pool_.acquire();
     wait.end();
     {
-      trace::Span cpu(op.ctx(), trace::SpanKind::Cpu, "query_base",
+      trace::Span cpu(ctx, trace::SpanKind::Cpu, "query_base",
                       config_.query_base_cpu);
       co_await host_.cpu().consume(config_.query_base_cpu);
     }
     {
-      trace::Span servlet(op.ctx(), trace::SpanKind::Servlet);
+      trace::Span servlet(ctx, trace::SpanKind::Servlet);
       co_await host_.simulation().delay(config_.servlet_latency);
     }
 
-    trace::Span sql(op.ctx(), trace::SpanKind::SqlExecute, table);
+    trace::Span sql(ctx, trace::SpanKind::SqlExecute, table);
     rdbms::SqlExprPtr predicate;
     if (!where.empty()) predicate = rdbms::sql_parse_expression(where);
 
@@ -152,7 +162,7 @@ sim::Task<RgmaReply> ProducerServlet::select(net::Interface& from,
       reply.stale = true;
     }
   }
-  if (!co_await net_.transfer(nic_, from, reply.response_bytes, op.ctx(),
+  if (!co_await net_.transfer(nic_, from, reply.response_bytes, ctx,
                               trace::SpanKind::ResponseSend,
                               config_.connect_timeout)) {
     reply.timed_out = true;

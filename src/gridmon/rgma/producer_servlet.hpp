@@ -184,6 +184,12 @@ class ProducerServlet {
     RowCallback on_row;
   };
 
+  /// The admitted half of select(): it owns the admission slot, the SQL
+  /// scan and the response transfer, so select()'s own frame holds only
+  /// the request transfer and the admission.
+  sim::Task<RgmaReply> select_admitted(net::Interface& from,
+                                       std::string table, std::string where,
+                                       trace::Ctx ctx);
   sim::Task<void> registration_loop(Registry& registry);
   sim::Task<void> publisher_loop(double interval);
   sim::Task<void> push_row(net::Interface* consumer, RowCallback on_row,
