@@ -4,6 +4,8 @@
 #include <cmath>
 #include <functional>
 
+#include "gridmon/net/exchange.hpp"
+
 namespace gridmon::hawkeye {
 
 Agent::Agent(net::Network& net, host::Host& host, net::Interface& nic,
@@ -49,32 +51,17 @@ sim::Task<classad::ClassAd> Agent::collect(trace::Ctx ctx) {
 }
 
 sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await host_.simulation().delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    co_return unanswered_reply(net::Admission::TimedOut, ctx);
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    co_return unanswered_reply(admission, ctx);
+  // The Dial holds the port slot until query_admitted() is done.
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<HawkeyeReply>(ctx, machine_);
   }
   co_return co_await query_admitted(client, ctx);
 }
 
 sim::Task<HawkeyeReply> Agent::query_admitted(net::Interface& client,
                                               trace::Ctx ctx) {
-  // Released when this body ends, before query() resumes.
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   HawkeyeReply reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, machine_);
@@ -111,41 +98,14 @@ sim::Task<HawkeyeReply> Agent::query_admitted(net::Interface& client,
   co_return reply;
 }
 
-HawkeyeReply Agent::unanswered_reply(net::Admission how,
-                                     trace::Ctx ctx) const {
-  HawkeyeReply reply;
-  reply.timed_out = how == net::Admission::TimedOut;
-  if (ctx) {
-    ctx.col->instant(ctx,
-                     reply.timed_out ? trace::SpanKind::Timeout
-                                     : trace::SpanKind::Refused,
-                     machine_);
-  }
-  return reply;
-}
-
 sim::Task<HawkeyeReply> Agent::query_module(net::Interface& client,
                                             std::string module_name,
                                             trace::Ctx ctx) {
   auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    co_return unanswered_reply(net::Admission::TimedOut, ctx);
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    co_return unanswered_reply(admission, ctx);
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<HawkeyeReply>(ctx, machine_);
   }
 
   HawkeyeReply reply;

@@ -112,14 +112,11 @@ class Agent {
 
  private:
   sim::Task<classad::ClassAd> collect(trace::Ctx ctx = {});
-  /// The admitted half of query(): it owns the admission slot, both
-  /// transfers and the collection, so query()'s own frame holds only the
-  /// refused path (tool delay, connect, admit).
+  /// The admitted half of query(): the collection and the response, so
+  /// query()'s own frame holds only its net::Dial (tool delay, connect,
+  /// admission, request) and the admission slot it keeps.
   sim::Task<HawkeyeReply> query_admitted(net::Interface& client,
                                          trace::Ctx ctx);
-  /// The reply of an attempt that never reached the startd (`how`:
-  /// TimedOut or Refused), with its Timeout or Refused trace instant.
-  HawkeyeReply unanswered_reply(net::Admission how, trace::Ctx ctx) const;
   sim::Task<void> advertise_loop(Manager& manager);
 
   double current_load() const;

@@ -1,6 +1,7 @@
 #include "gridmon/hawkeye/manager.hpp"
 
 #include "gridmon/classad/parser.hpp"
+#include "gridmon/net/exchange.hpp"
 
 namespace gridmon::hawkeye {
 namespace {
@@ -181,36 +182,10 @@ sim::Task<bool> Manager::advertise(net::Interface& from, classad::ClassAd ad,
 
 sim::Task<HawkeyeReply> Manager::query_status(net::Interface& client,
                                               trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
   }
 
   HawkeyeReply reply;
@@ -243,36 +218,10 @@ sim::Task<HawkeyeReply> Manager::query_status(net::Interface& client,
 
 sim::Task<HawkeyeReply> Manager::query_dump(net::Interface& client,
                                             trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
   }
 
   HawkeyeReply reply;
@@ -302,36 +251,12 @@ sim::Task<HawkeyeReply> Manager::query_dump(net::Interface& client,
 sim::Task<HawkeyeReply> Manager::query_constraint(
     net::Interface& client, std::string constraint, trace::Ctx ctx) {
   auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(
-          client, nic_,
-          config_.request_bytes + static_cast<double>(constraint.size()), ctx,
-          trace::SpanKind::RequestSend, config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes +
+                            static_cast<double>(constraint.size())) !=
+      net::Admission::Ok) {
+    co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
   }
 
   HawkeyeReply reply;
@@ -375,36 +300,10 @@ sim::Task<HawkeyeReply> Manager::lookup_agent(net::Interface& client,
                                               std::string machine,
                                               std::string* address_out,
                                               trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "manager");
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    HawkeyeReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "manager");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    HawkeyeReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
   }
 
   HawkeyeReply reply;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 
+#include "gridmon/net/exchange.hpp"
 #include "gridmon/sim/event.hpp"
 
 namespace gridmon::mds {
@@ -260,17 +261,12 @@ sim::Task<MdsReply> Giis::query(net::Interface& client, QueryScope scope,
 
 sim::Task<MdsReply> Giis::search(net::Interface& client,
                                  SearchRequest request, trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    co_return unanswered_reply(net::Admission::TimedOut, ctx, name_);
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    co_return unanswered_reply(admission, ctx, name_);
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes +
+                            static_cast<double>(request.filter.size())) !=
+      net::Admission::Ok) {
+    co_return dial.unanswered<MdsReply>(ctx, name_);
   }
   co_return co_await search_admitted(client, std::move(request), ctx);
 }
@@ -278,16 +274,6 @@ sim::Task<MdsReply> Giis::search(net::Interface& client,
 sim::Task<MdsReply> Giis::search_admitted(net::Interface& client,
                                           SearchRequest request,
                                           trace::Ctx ctx) {
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(
-          client, nic_,
-          config_.request_bytes + static_cast<double>(request.filter.size()),
-          ctx, trace::SpanKind::RequestSend, config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   MdsReply reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, name_);
@@ -325,25 +311,10 @@ sim::Task<MdsReply> Giis::search_admitted(net::Interface& client,
 
 sim::Task<MdsReply> Giis::fetch(net::Interface& requester, trace::Ctx ctx) {
   trace::Span span(ctx, trace::SpanKind::Fetch, name_);
-  if (!co_await net_.connect(requester, nic_, span.ctx(),
-                             config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(requester, nic_, config_.request_bytes,
-                              span.ctx(), trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, requester, nic_, port_, span.ctx(),
+                 config_.connect_timeout);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<MdsReply>();  // a fetch marks no instant
   }
 
   MdsReply reply;

@@ -136,8 +136,8 @@ class Giis final : public MdsNode {
     bool fetched = false;   // data currently merged into the DIT
   };
 
-  /// The admitted half of search(): owns the listen port slot across
-  /// request, serve and response.
+  /// The admitted half of search(): serve and response, while the
+  /// entry frame's net::Dial holds the listen port slot.
   sim::Task<MdsReply> search_admitted(net::Interface& client,
                                       SearchRequest request, trace::Ctx ctx);
 

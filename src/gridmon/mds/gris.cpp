@@ -1,19 +1,8 @@
 #include "gridmon/mds/gris.hpp"
 
-namespace gridmon::mds {
+#include "gridmon/net/exchange.hpp"
 
-MdsReply unanswered_reply(net::Admission how, trace::Ctx ctx,
-                          const std::string& server) {
-  MdsReply reply;
-  reply.timed_out = how == net::Admission::TimedOut;
-  if (ctx) {
-    ctx.col->instant(ctx,
-                     reply.timed_out ? trace::SpanKind::Timeout
-                                     : trace::SpanKind::Refused,
-                     server);
-  }
-  return reply;
-}
+namespace gridmon::mds {
 
 Gris::Gris(net::Network& net, host::Host& host, net::Interface& nic,
            std::string name, std::vector<ProviderSpec> providers,
@@ -182,17 +171,12 @@ sim::Task<MdsReply> Gris::serve_filter(QueryScope refresh_scope,
 
 sim::Task<MdsReply> Gris::search(net::Interface& client,
                                  SearchRequest request, trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    co_return unanswered_reply(net::Admission::TimedOut, ctx, name_);
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    co_return unanswered_reply(admission, ctx, name_);
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes +
+                            static_cast<double>(request.filter.size())) !=
+      net::Admission::Ok) {
+    co_return dial.unanswered<MdsReply>(ctx, name_);
   }
   co_return co_await search_admitted(client, std::move(request), ctx);
 }
@@ -200,16 +184,6 @@ sim::Task<MdsReply> Gris::search(net::Interface& client,
 sim::Task<MdsReply> Gris::search_admitted(net::Interface& client,
                                           SearchRequest request,
                                           trace::Ctx ctx) {
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(
-          client, nic_,
-          config_.request_bytes + static_cast<double>(request.filter.size()),
-          ctx, trace::SpanKind::RequestSend, config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   auto filter = ldap::Filter::parse(request.filter);
   MdsReply reply = co_await serve_filter(QueryScope::All, *filter,
                                          std::move(request.attributes),
@@ -225,35 +199,18 @@ sim::Task<MdsReply> Gris::search_admitted(net::Interface& client,
 
 sim::Task<MdsReply> Gris::query(net::Interface& client, QueryScope scope,
                                 trace::Ctx ctx) {
-  // Client tool startup + GSI authentication.
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await host_.simulation().delay(config_.client_tool_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    co_return unanswered_reply(net::Admission::TimedOut, ctx, name_);
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    // Connection refused or SYNs swallowed.
-    co_return unanswered_reply(admission, ctx, name_);
+  // Client tool startup + GSI authentication, connect, admission and
+  // request. The Dial holds the port slot until query_admitted() is done.
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_tool_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<MdsReply>(ctx, name_);
   }
   co_return co_await query_admitted(client, scope, ctx);
 }
 
 sim::Task<MdsReply> Gris::query_admitted(net::Interface& client,
                                          QueryScope scope, trace::Ctx ctx) {
-  // Released when this body ends, before query() resumes, so a freed
-  // slot is handed to a queued waiter before the client moves on.
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-
   MdsReply reply = co_await serve(scope, ctx);
   reply.admitted = true;
 
@@ -267,25 +224,10 @@ sim::Task<MdsReply> Gris::query_admitted(net::Interface& client,
 
 sim::Task<MdsReply> Gris::fetch(net::Interface& requester, trace::Ctx ctx) {
   trace::Span span(ctx, trace::SpanKind::Fetch, name_);
-  if (!co_await net_.connect(requester, nic_, span.ctx(),
-                             config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    MdsReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(requester, nic_, config_.request_bytes,
-                              span.ctx(), trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    MdsReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, requester, nic_, port_, span.ctx(),
+                 config_.connect_timeout);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<MdsReply>();  // a fetch marks no instant
   }
   MdsReply reply = co_await serve(QueryScope::All, span.ctx());
   reply.admitted = true;

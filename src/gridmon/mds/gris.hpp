@@ -50,13 +50,6 @@ struct MdsReply {
   std::vector<ldap::Entry> payload;
 };
 
-/// The reply of a client attempt that never reached the server: `how`
-/// is TimedOut for a dead path (connect or blackholed SYN) or the
-/// listen queue's refusal. Marks the attempt's trace with a Timeout or
-/// Refused instant naming `server`.
-MdsReply unanswered_reply(net::Admission how, trace::Ctx ctx,
-                          const std::string& server);
-
 struct GrisConfig {
   /// slapd worker threads that make progress concurrently.
   int pool_size = 4;
@@ -189,8 +182,8 @@ class Gris final : public MdsNode {
   /// provider scripts for anything stale.
   sim::Task<RefreshOutcome> refresh(QueryScope scope, trace::Ctx ctx);
 
-  /// The admitted halves of query() and search(): they own the listen
-  /// port slot across request, serve and response.
+  /// The admitted halves of query() and search(): serve and response,
+  /// while the entry frame's net::Dial holds the listen port slot.
   sim::Task<MdsReply> query_admitted(net::Interface& client, QueryScope scope,
                                      trace::Ctx ctx);
   sim::Task<MdsReply> search_admitted(net::Interface& client,

@@ -32,6 +32,8 @@
 
 namespace gridmon::net {
 
+class Dial;
+
 /// A host's attachment point: duplex PS bandwidth servers.
 class Interface {
  public:
@@ -282,7 +284,7 @@ class OpSpan {
 
   void open(trace::SpanKind kind, double arg) {
     if (col_ != nullptr) {
-      seq_ = col_->open(trace::Ctx{col_, trace_id_, parent_}, kind, {}, arg);
+      seq_ = col_->open(parent(), kind, {}, arg);
     }
   }
   void close() noexcept {
@@ -290,6 +292,10 @@ class OpSpan {
       col_->close(seq_);
       seq_ = 0;
     }
+  }
+  /// The context the op's spans open under.
+  trace::Ctx parent() const noexcept {
+    return trace::Ctx{col_, trace_id_, parent_};
   }
 
  private:
@@ -311,6 +317,8 @@ class OpSpan {
 /// allocates nothing (a stall with a timeout allocates the race state of
 /// Event::park_for).
 class Network::Transfer : sim::Step {
+  friend class Dial;  // traces the client tool in a connect's span
+
  public:
   Transfer(Network& net, Interface& from, Interface& to, double payload_bytes,
            const trace::Ctx& ctx, trace::SpanKind kind,
@@ -333,13 +341,17 @@ class Network::Transfer : sim::Step {
     if (cross_site()) (void)net_->route(*from_, *to_);
     return false;
   }
-  bool await_suspend(std::coroutine_handle<> h) {
-    done_ = h;
+  bool await_suspend(std::coroutine_handle<> h) { return start(h); }
+  bool await_resume() const noexcept { return ok_; }
+
+  /// Start the transfer after await_ready said no, waking `done` when it
+  /// ends; false when it ended at once.
+  bool start(sim::Wake done) {
+    done_ = done;
     span_.open(kind_, reply_ ? 0 : bytes_);
     bytes_ += kMessageOverheadBytes;
     return send();
   }
-  bool await_resume() const noexcept { return ok_; }
 
  protected:
   /// `round_trip`: once delivered, send the same bytes back from `to` to

@@ -33,6 +33,8 @@
 
 namespace gridmon::net {
 
+class Dial;
+
 enum class PortState { Up, Refusing, Blackhole };
 
 /// Outcome of an `admit()` attempt. `Shed` means the request was parked
@@ -232,6 +234,8 @@ class ServerPort {
 /// with the same steps would, and allocates nothing (a timed blackhole
 /// wait allocates the race state of Event::park_for).
 class ServerPort::Admit : sim::Step {
+  friend class Dial;  // releases the slot of an admitted exchange
+
  public:
   Admit(ServerPort& port, double timeout, double service_deadline) noexcept
       : sim::Step{&Admit::on_wake},
@@ -248,13 +252,17 @@ class ServerPort::Admit : sim::Step {
     answer();
     return true;
   }
-  bool await_suspend(std::coroutine_handle<> h) {
-    entry_.wake = h;
+  bool await_suspend(std::coroutine_handle<> h) { return start(h); }
+  Admission await_resume() const noexcept { return entry_.result; }
+
+  /// Park after await_ready said no, waking `done` with the answer;
+  /// false when the answer came at once.
+  bool start(sim::Wake done) {
+    entry_.wake = done;
     // From here on timeout_ is the absolute end of the blackhole wait.
     if (timeout_ >= 0) timeout_ += port_->up_.sim().now();
     return run();
   }
-  Admission await_resume() const noexcept { return entry_.result; }
 
  private:
   static void on_wake(sim::Step* step) {

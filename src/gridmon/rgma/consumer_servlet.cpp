@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "gridmon/net/exchange.hpp"
+
 namespace gridmon::rgma {
 
 ConsumerServlet::ConsumerServlet(net::Network& net, host::Host& host,
@@ -42,35 +44,10 @@ sim::Task<RgmaReply> ConsumerServlet::query(net::Interface& client,
                                             std::string where,
                                             trace::Ctx ctx) {
   auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    RgmaReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<RgmaReply>(ctx, name_);
   }
 
   RgmaReply reply;

@@ -1,5 +1,6 @@
 #include "gridmon/rgma/producer_servlet.hpp"
 
+#include "gridmon/net/exchange.hpp"
 #include "gridmon/rdbms/sql_parser.hpp"
 
 namespace gridmon::rgma {
@@ -78,26 +79,34 @@ sim::Task<RgmaReply> ProducerServlet::select(net::Interface& from,
                                              std::string table,
                                              std::string where,
                                              trace::Ctx ctx) {
-  trace::Span op(ctx, trace::SpanKind::ProducerSelect, name_);
-  if (!co_await net_.transfer(from, nic_, config_.request_bytes, op.ctx(),
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    RgmaReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       name_);
+  return exchange(from, std::move(table), std::move(where), ctx, false);
+}
+
+sim::Task<RgmaReply> ProducerServlet::client_query(net::Interface& client,
+                                                   std::string table,
+                                                   std::string where,
+                                                   trace::Ctx ctx) {
+  return exchange(client, std::move(table), std::move(where), ctx, true);
+}
+
+sim::Task<RgmaReply> ProducerServlet::exchange(net::Interface& from,
+                                               std::string table,
+                                               std::string where,
+                                               trace::Ctx ctx, bool direct) {
+  net::Dial dial(net_, from, nic_, port_, ctx, config_.connect_timeout,
+                 direct ? config_.client_latency : net::Dial::kNoTool);
+  if (direct) {
+    if (co_await dial.connect() != net::Admission::Ok) {
+      co_return dial.unanswered<RgmaReply>(ctx, name_);
     }
-    co_return reply;
+  }
+  // The servlet container reads the request before it admits the work.
+  // The Dial holds the port slot until select_admitted() is done.
+  trace::Span op(ctx, trace::SpanKind::ProducerSelect, name_);
+  auto answer = co_await dial.send(config_.request_bytes, op.ctx());
+  if (answer == net::Admission::Ok) answer = co_await dial.admit();
+  if (answer != net::Admission::Ok) {
+    co_return dial.unanswered<RgmaReply>(ctx, name_);
   }
   co_return co_await select_admitted(from, std::move(table), std::move(where),
                                      op.ctx());
@@ -107,10 +116,6 @@ sim::Task<RgmaReply> ProducerServlet::select_admitted(net::Interface& from,
                                                       std::string table,
                                                       std::string where,
                                                       trace::Ctx ctx) {
-  // Released when this body ends, before select() resumes and closes its
-  // ProducerSelect span.
-  net::AdmissionSlot slot(&port_);
-
   RgmaReply reply;
   {
     trace::Span wait(ctx, trace::SpanKind::PoolWait, name_);
@@ -168,23 +173,6 @@ sim::Task<RgmaReply> ProducerServlet::select_admitted(net::Interface& from,
     reply.timed_out = true;
   }
   co_return reply;
-}
-
-sim::Task<RgmaReply> ProducerServlet::client_query(net::Interface& client,
-                                                   std::string table,
-                                                   std::string where,
-                                                   trace::Ctx ctx) {
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await host_.simulation().delay(config_.client_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, name_);
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  co_return co_await select(client, table, where, ctx);
 }
 
 void ProducerServlet::start_registration(Registry& registry) {

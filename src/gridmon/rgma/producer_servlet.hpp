@@ -131,8 +131,8 @@ class ProducerServlet {
                               std::string where = "", trace::Ctx ctx = {});
 
   /// A user querying this servlet directly (the paper's Experiment 3
-  /// "queried the ProducerServlet directly"): adds the Java client API
-  /// latency and connection setup around select().
+  /// "queried the ProducerServlet directly"): select() behind the Java
+  /// client API latency and a connection setup.
   sim::Task<RgmaReply> client_query(net::Interface& client,
                                     std::string table,
                                     std::string where = "",
@@ -184,9 +184,15 @@ class ProducerServlet {
     RowCallback on_row;
   };
 
-  /// The admitted half of select(): it owns the admission slot, the SQL
-  /// scan and the response transfer, so select()'s own frame holds only
-  /// the request transfer and the admission.
+  /// select() and, when `direct`, client_query(): the client tool and
+  /// connect of a direct query, then the request and the admission. Its
+  /// frame holds only that refused path; an admitted query continues in
+  /// select_admitted().
+  sim::Task<RgmaReply> exchange(net::Interface& from, std::string table,
+                                std::string where, trace::Ctx ctx,
+                                bool direct);
+  /// The admitted half of a select: the SQL scan and the response, while
+  /// exchange()'s net::Dial holds the admission slot.
   sim::Task<RgmaReply> select_admitted(net::Interface& from,
                                        std::string table, std::string where,
                                        trace::Ctx ctx);

@@ -1,5 +1,7 @@
 #include "gridmon/rgma/registry.hpp"
 
+#include "gridmon/net/exchange.hpp"
+
 namespace gridmon::rgma {
 namespace {
 
@@ -147,36 +149,10 @@ sim::Task<std::vector<ProducerInfo>> Registry::lookup(
 sim::Task<RgmaReply> Registry::client_query(net::Interface& client,
                                             std::string table,
                                             trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  {
-    trace::Span tool(ctx, trace::SpanKind::ClientTool);
-    co_await sim.delay(config_.client_latency);
-  }
-  if (!co_await net_.connect(client, nic_, ctx, config_.connect_timeout)) {
-    if (ctx) ctx.col->instant(ctx, trace::SpanKind::Timeout, "registry");
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
-  }
-  auto admission = co_await port_.admit(config_.connect_timeout);
-  if (admission != net::Admission::Ok) {
-    RgmaReply reply;
-    reply.timed_out = admission == net::Admission::TimedOut;
-    if (ctx) {
-      ctx.col->instant(ctx,
-                       reply.timed_out ? trace::SpanKind::Timeout
-                                       : trace::SpanKind::Refused,
-                       "registry");
-    }
-    co_return reply;
-  }
-  net::AdmissionSlot slot(&port_);
-  if (!co_await net_.transfer(client, nic_, config_.request_bytes, ctx,
-                              trace::SpanKind::RequestSend,
-                              config_.connect_timeout)) {
-    RgmaReply reply;
-    reply.timed_out = true;
-    co_return reply;
+  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
+                 config_.client_latency);
+  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
+    co_return dial.unanswered<RgmaReply>(ctx, "registry");
   }
 
   RgmaReply reply;

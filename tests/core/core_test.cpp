@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -391,29 +392,155 @@ sim::Task<void> await_attempt(AttemptTask task, QueryAttempt* out) {
   *out = co_await task;
 }
 
-/// Frames one query_gris attempt from uc01 allocates against a fresh
-/// one-provider GRIS with the given listen backlog.
-std::uint64_t gris_attempt_frames(int backlog, QueryAttempt* attempt) {
+/// Every client-facing service, each on its own Lucky node, with the
+/// same listen backlog.
+struct AllServices {
   Testbed tb;
-  mds::GrisConfig config;
-  config.backlog = backlog;
-  mds::Gris gris(tb.network(), tb.host("lucky7"), tb.nic("lucky7"), "lucky7",
-                 default_providers(1), config);
-  TracedQueryFn fn = query_gris(gris);
+  mds::Gris gris;
+  mds::Giis giis;
+  hawkeye::Agent agent;
+  hawkeye::Manager manager;
+  rgma::Registry registry;
+  rgma::ProducerServlet producer;
+  rgma::ConsumerServlet consumer;
+
+  template <typename Config>
+  static Config with_backlog(int backlog) {
+    Config c;
+    c.backlog = backlog;
+    return c;
+  }
+
+  explicit AllServices(int backlog)
+      : gris(tb.network(), tb.host("lucky7"), tb.nic("lucky7"), "lucky7",
+             default_providers(1), with_backlog<mds::GrisConfig>(backlog)),
+        giis(tb.network(), tb.host("lucky6"), tb.nic("lucky6"), "giis",
+             with_backlog<mds::GiisConfig>(backlog)),
+        agent(tb.network(), tb.host("lucky5"), tb.nic("lucky5"), "lucky5",
+              hawkeye::default_modules(),
+              with_backlog<hawkeye::AgentConfig>(backlog)),
+        manager(tb.network(), tb.host("lucky4"), tb.nic("lucky4"),
+                with_backlog<hawkeye::ManagerConfig>(backlog)),
+        registry(tb.network(), tb.host("lucky3"), tb.nic("lucky3"),
+                 with_backlog<rgma::RegistryConfig>(backlog)),
+        producer(tb.network(), tb.host("lucky1"), tb.nic("lucky1"), "ps1",
+                 with_backlog<rgma::ProducerServletConfig>(backlog)),
+        consumer(tb.network(), tb.host("lucky0"), tb.nic("lucky0"), "cs0",
+                 registry,
+                 with_backlog<rgma::ConsumerServletConfig>(backlog)) {
+    producer.add_producer("p1", "cpu");
+    consumer.add_producer_servlet(producer);
+  }
+};
+
+/// A client entry point, bound through its core adapter where it has
+/// one (so the adapter is pinned too).
+struct EntryPoint {
+  const char* name;
+  std::function<TracedQueryFn(AllServices&)> bind;
+};
+
+TracedQueryFn call(AttemptTask (*fn)(AllServices&, net::Interface&,
+                                     trace::Ctx),
+                   AllServices& s) {
+  return [fn, &s](net::Interface& c, trace::Ctx x) { return fn(s, c, x); };
+}
+
+const std::vector<EntryPoint>& entry_points() {
+  using S = AllServices;
+  using I = net::Interface;
+  using C = trace::Ctx;
+  static const std::vector<EntryPoint> kEntries = {
+      {"Gris::query", [](S& s) { return query_gris(s.gris); }},
+      {"Gris::search",
+       [](S& s) {
+         return call(+[](S& s, I& c, C x) -> AttemptTask {
+           return s.gris.search(c, mds::SearchRequest{}, x);
+         }, s);
+       }},
+      {"Gris::fetch",
+       [](S& s) {
+         return call(+[](S& s, I& c, C x) -> AttemptTask {
+           return s.gris.fetch(c, x);
+         }, s);
+       }},
+      {"Giis::search",
+       [](S& s) {
+         return call(+[](S& s, I& c, C x) -> AttemptTask {
+           return s.giis.search(c, mds::SearchRequest{}, x);
+         }, s);
+       }},
+      {"Giis::fetch",
+       [](S& s) {
+         return call(+[](S& s, I& c, C x) -> AttemptTask {
+           return s.giis.fetch(c, x);
+         }, s);
+       }},
+      {"Agent::query", [](S& s) { return query_agent(s.agent); }},
+      {"Agent::query_module",
+       [](S& s) {
+         return call(+[](S& s, I& c, C x) -> AttemptTask {
+           return s.agent.query_module(c, "cpu", x);
+         }, s);
+       }},
+      {"Manager::query_status",
+       [](S& s) { return query_manager_status(s.manager); }},
+      {"Manager::query_dump",
+       [](S& s) { return query_manager_dump(s.manager); }},
+      {"Manager::query_constraint",
+       [](S& s) { return query_manager_constraint(s.manager, "true"); }},
+      {"Manager::lookup_agent",
+       [](S& s) {
+         return call(+[](S& s, I& c, C x) -> AttemptTask {
+           return s.manager.lookup_agent(c, "lucky5", nullptr, x);
+         }, s);
+       }},
+      {"ConsumerServlet::query",
+       [](S& s) { return query_consumer_servlet(s.consumer, "cpu"); }},
+      {"Registry::client_query",
+       [](S& s) { return query_registry(s.registry, "cpu"); }},
+      {"ProducerServlet::client_query",
+       [](S& s) { return query_producer_servlet(s.producer, "cpu"); }},
+      {"ProducerServlet::select",
+       [](S& s) {
+         return call(+[](S& s, I& c, C x) -> AttemptTask {
+           return s.producer.select(c, "cpu", "", x);
+         }, s);
+       }},
+      {"query_giis", [](S& s) { return query_giis(s.giis); }},
+  };
+  return kEntries;
+}
+
+/// Frames one attempt of `entry` from uc01 allocates against fresh
+/// services with the given listen backlog.
+std::uint64_t attempt_frames(const EntryPoint& entry, int backlog,
+                             QueryAttempt* attempt) {
+  AllServices s(backlog);
+  TracedQueryFn fn = entry.bind(s);
   std::uint64_t frames = 0;
-  tb.sim().spawn(count_attempt_frames(fn, tb.nic("uc01"), attempt, &frames));
-  tb.sim().run();
+  s.tb.sim().spawn(count_attempt_frames(fn, s.tb.nic("uc01"), attempt,
+                                        &frames));
+  s.tb.sim().run();
   return frames;
 }
 
-// A refused GRIS attempt allocates the frame of Gris::query and nothing
-// else: no adapter frame, no admitted-half frame, and none for the
-// connect, its two SYN legs or the admission, which are awaitables in
-// the query's frame. Counts only; frame sizes are the compiler's
-// business.
+// A refused attempt allocates the entry point's own frame and nothing
+// else: no adapter frame, no admitted-half frame, and none for the client
+// tool, the connect, its two SYN legs, a request leg or the admission,
+// which run in a net::Dial inside that frame. Counts only; frame sizes
+// are the compiler's business.
+TEST(AttemptTaskTest, RefusedAttemptAllocatesOneFrameAtEveryEntryPoint) {
+  for (const EntryPoint& entry : entry_points()) {
+    QueryAttempt attempt;
+    EXPECT_EQ(attempt_frames(entry, 0, &attempt), 1u) << entry.name;
+    EXPECT_TRUE(attempt.refused()) << entry.name;
+  }
+}
+
 TEST(AttemptTaskTest, RefusedGrisAttemptAllocatesOneFrame) {
   QueryAttempt attempt;
-  EXPECT_EQ(gris_attempt_frames(0, &attempt), 1u);
+  EXPECT_EQ(attempt_frames(entry_points()[0], 0, &attempt), 1u);
   EXPECT_TRUE(attempt.refused());
 }
 
@@ -422,7 +549,7 @@ TEST(AttemptTaskTest, RefusedGrisAttemptAllocatesOneFrame) {
 // the CPU charges. The request and response transfers take no frame.
 TEST(AttemptTaskTest, AdmittedGrisAttemptFrameCount) {
   QueryAttempt attempt;
-  EXPECT_EQ(gris_attempt_frames(512, &attempt), 6u);
+  EXPECT_EQ(attempt_frames(entry_points()[0], 512, &attempt), 6u);
   EXPECT_TRUE(attempt.ok());
 }
 

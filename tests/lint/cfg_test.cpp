@@ -176,62 +176,6 @@ TEST(CfgBuild, NestedLambdaTokensBelongToNoNode) {
 
 // --- Dataflow instances ---------------------------------------------------
 
-TEST(Dataflow, ReachingDefsJoinUnionsBranchDefs) {
-  Parsed p(R"cpp(
-    int f(bool flip) {
-      int r = 0;
-      if (flip) {
-        r = 1;
-      }
-      return r;
-    }
-  )cpp");
-  Cfg cfg = p.cfg_of("f");
-  auto reach = gridmon::lint::reaching_defs(p.m, cfg);
-  int ret = cfg.node_of(p.tok("return"));
-  ASSERT_GE(ret, 0);
-  // Both the initial def and the branch redef reach the return.
-  EXPECT_EQ(reach[ret].at("r").size(), 2u);
-}
-
-TEST(Dataflow, ReachingDefsStraightLineIsStrongUpdate) {
-  Parsed p(R"cpp(
-    int f() {
-      int r = 0;
-      r = 1;
-      r = 2;
-      return r;
-    }
-  )cpp");
-  Cfg cfg = p.cfg_of("f");
-  auto reach = gridmon::lint::reaching_defs(p.m, cfg);
-  // Straight line: a later def kills the earlier ones; only sets of
-  // size one can appear at any entry.
-  for (const auto& st : reach) {
-    auto it = st.find("r");
-    if (it != st.end()) EXPECT_LE(it->second.size(), 1u);
-  }
-}
-
-TEST(Dataflow, LiveVarsExposeUpwardUse) {
-  Parsed p(R"cpp(
-    int f(int a) {
-      int dead = a;
-      int live = a + 1;
-      a = 0;
-      return live;
-    }
-  )cpp");
-  Cfg cfg = p.cfg_of("f");
-  auto live = gridmon::lint::live_vars(p.m, cfg);
-  // At entry, `a` is live (used before any redefinition); `live` and
-  // `dead` are not (defined before use / never used).
-  const auto& at_entry = live[cfg.entry];
-  EXPECT_TRUE(at_entry.count("a"));
-  EXPECT_FALSE(at_entry.count("dead"));
-  EXPECT_FALSE(at_entry.count("live"));
-}
-
 TEST(Dataflow, TaintJoinOrsBitsAcrossPaths) {
   // Drive solve_forward directly with a hand-rolled transfer: one branch
   // arm taints x with Env, the other with Clock; the join must OR them.

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "gridmon/net/exchange.hpp"
 #include "gridmon/sim/simulation.hpp"
 #include "gridmon/sim/task.hpp"
 
@@ -217,10 +218,13 @@ TEST(NetworkTest, ShutdownWithTransfersInFlight) {
 }
 
 // The awaitables live in the awaiting coroutine's frame: a GRIS attempt
-// frame carries a Connect, a Transfer and an Admit, so their sizes are
-// that frame's size (LP64 layouts).
+// frame carries a Dial (one Transfer for the connect and the request, and
+// an Admit) and the admitted half's frame the response Transfer, so their
+// sizes are those frames' size (LP64 layouts). A Dial is no larger than
+// the tool delay, tool span, Connect and Admit it replaced (192 B).
 static_assert(sizeof(void*) != 8 || sizeof(Network::Transfer) <= 96);
 static_assert(sizeof(void*) != 8 || sizeof(Network::Connect) <= 96);
+static_assert(sizeof(void*) != 8 || sizeof(Dial) <= 184);
 
 // Hops are routed by site id; the route table must follow WANs and sites
 // added after hosts attached, in either name order.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <set>
 
 namespace gridmon::lint {
 namespace {
@@ -31,10 +32,6 @@ bool is_compound_assign(const std::string& s) {
       "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
   };
   return std::find(ops.begin(), ops.end(), s) != ops.end();
-}
-
-std::vector<VarEvent> node_events(const Model& m, const Cfg& cfg, int node) {
-  return var_events(m, cfg.nodes[node].begin, cfg.nodes[node].end);
 }
 
 }  // namespace
@@ -94,72 +91,6 @@ bool join_bits(VarBits& dst, const VarBits& src) {
     }
   }
   return changed;
-}
-
-ReachingDefs reaching_defs(const Model& m, const Cfg& cfg) {
-  const int n = static_cast<int>(cfg.nodes.size());
-  ReachingDefs in(n);
-  // Seed every node (see solve_forward): entry-only seeding starves the
-  // worklist when all initial states are bottom.
-  std::vector<char> queued(n, 1);
-  std::vector<int> work;
-  for (int node = n - 1; node >= 0; --node) work.push_back(node);
-  while (!work.empty()) {
-    int node = work.back();
-    work.pop_back();
-    queued[node] = 0;
-    auto out = in[node];
-    for (const VarEvent& ev : node_events(m, cfg, node)) {
-      if (ev.kind != VarEventKind::Use) out[ev.name] = {ev.tok};
-    }
-    for (int s : cfg.nodes[node].succ) {
-      bool changed = false;
-      for (const auto& [name, defs] : out) {
-        auto& dst = in[s][name];
-        for (int d : defs) changed |= dst.insert(d).second;
-      }
-      if (changed && !queued[s]) {
-        queued[s] = 1;
-        work.push_back(s);
-      }
-    }
-  }
-  return in;
-}
-
-std::vector<std::set<std::string>> live_vars(const Model& m, const Cfg& cfg) {
-  const int n = static_cast<int>(cfg.nodes.size());
-  std::vector<std::set<std::string>> in(n);
-  std::vector<char> queued(n, 1);
-  std::vector<int> work;
-  for (int node = n - 1; node >= 0; --node) work.push_back(node);
-  while (!work.empty()) {
-    int node = work.back();
-    work.pop_back();
-    queued[node] = 0;
-    std::set<std::string> live;  // live-out = union of successor live-ins
-    for (int s : cfg.nodes[node].succ) {
-      live.insert(in[s].begin(), in[s].end());
-    }
-    auto events = node_events(m, cfg, node);
-    for (auto it = events.rbegin(); it != events.rend(); ++it) {
-      if (it->kind == VarEventKind::Def) {
-        live.erase(it->name);
-      } else {
-        live.insert(it->name);
-      }
-    }
-    if (live != in[node]) {
-      in[node] = std::move(live);
-      for (int p : cfg.nodes[node].pred) {
-        if (!queued[p]) {
-          queued[p] = 1;
-          work.push_back(p);
-        }
-      }
-    }
-  }
-  return in;
 }
 
 std::string taint_label(unsigned bits) {

@@ -1,15 +1,13 @@
 #pragma once
 
 /// \file dataflow.hpp
-/// A small worklist framework over per-function CFGs (cfg.hpp), plus the
-/// three canonical instances the flow-sensitive checks build on: reaching
-/// definitions, liveness, and a bitset taint lattice.
+/// A small worklist framework over per-function CFGs (cfg.hpp) and the
+/// bitset taint lattice the flow-sensitive checks build on.
 ///
 /// States are maps from variable name to a small value joined with bitwise
-/// OR (VarBits) or to sets joined with union (reaching defs, liveness). All
-/// lattices here are finite-height powersets over the identifiers that
-/// occur in one function body, so the worklist loops terminate without any
-/// widening.
+/// OR (VarBits). The lattice is a finite-height powerset over the
+/// identifiers that occur in one function body, so the worklist loop
+/// terminates without any widening.
 ///
 /// Variable events are extracted purely from token shape: an identifier is
 /// a *definition* when followed by `=` (assignment or initialised
@@ -20,7 +18,6 @@
 /// because mutating a member does not rebind the variable.
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -89,17 +86,7 @@ std::vector<VarBits> solve_forward(const Cfg& cfg, Transfer transfer) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical instances.
-
-/// Reaching definitions: node-entry map var -> set of def-site tokens.
-/// A Def/DefUse event replaces the set (strong update: one name, one
-/// binding per path); joins union the sets.
-using ReachingDefs = std::vector<std::map<std::string, std::set<int>>>;
-ReachingDefs reaching_defs(const Model& m, const Cfg& cfg);
-
-/// Liveness: node-entry set of variables with an upward-exposed use at or
-/// after the node (classic backward may-analysis).
-std::vector<std::set<std::string>> live_vars(const Model& m, const Cfg& cfg);
+// The taint instance.
 
 /// Taint lattice bits carried through VarBits by the determinism checks.
 /// Sources: getenv (Env), wall clocks (Clock), unseeded RNG (Rng).
