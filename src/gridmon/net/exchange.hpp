@@ -30,12 +30,12 @@ namespace gridmon::net {
 /// admitted Dial holds the port slot until it is destroyed, so a handler
 /// declares it before the state its service uses.
 ///
-/// Like Transfer, Connect and Admit, a Dial is a state machine in the
-/// awaiting coroutine's frame and allocates no frame of its own. Its one
-/// Transfer carries the connect round trip, then the request; the tool
-/// stage traces in the connect's span before the connect starts. It makes
-/// the span, event-queue, PS and port calls of the stages awaited one by
-/// one, in the same order.
+/// Like Transfer and Admit, a Dial is a state machine in the awaiting
+/// coroutine's frame and allocates no frame of its own. Its one Transfer
+/// carries the connect round trip, then the request; the tool stage
+/// traces in the connect's span before the connect starts. It makes the
+/// span, event-queue, PS and port calls of the stages awaited one by one,
+/// in the same order.
 ///
 /// A servlet that reads the request before it admits the work awaits the
 /// stages one at a time instead: `connect()`, `send()`, then `admit()`.
@@ -50,8 +50,7 @@ class Dial : sim::Step {
        double tool_latency = kNoTool) noexcept
       : sim::Step{&Dial::on_wake},
         tool_(tool_latency),
-        leg_(net, client, server, Network::kSynBytes, ctx,
-             trace::SpanKind::Connect, timeout, true),
+        leg_(net.connect(client, server, ctx, timeout)),
         admit_(port, timeout, -1) {}
   Dial(const Dial&) = delete;
   Dial& operator=(const Dial&) = delete;

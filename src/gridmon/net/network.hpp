@@ -152,7 +152,6 @@ class Network {
   }
 
   class Transfer;
-  class Connect;
 
   /// Move `payload_bytes` from `from` to `to`. Adds per-message protocol
   /// overhead, shares the sender NIC, (for cross-site flows) the WAN pipe,
@@ -197,12 +196,13 @@ class Network {
     wan.pipe.set_total_rate(wan.spec.bandwidth_bytes_per_s * factor);
   }
 
-  /// TCP-style connection establishment: one round trip of small packets.
-  /// Traced as a single Connect span (the SYN legs are not split out).
-  /// Yields false when a SYN times out across a downed WAN (see
-  /// `transfer`); with the default stall_timeout it never fails.
-  Connect connect(Interface& from, Interface& to, trace::Ctx ctx = {},
-                  double stall_timeout = -1);
+  /// TCP-style connection establishment: one round trip of kSynBytes
+  /// (SYN, then SYN-ACK) in one Transfer, traced as a single Connect span
+  /// (the SYN legs are not split out). Yields false when a SYN times out
+  /// across a downed WAN (see `transfer`); with the default stall_timeout
+  /// it never fails.
+  Transfer connect(Interface& from, Interface& to, trace::Ctx ctx = {},
+                   double stall_timeout = -1);
 
   sim::Simulation& simulation() noexcept { return sim_; }
 
@@ -317,7 +317,8 @@ class OpSpan {
 /// allocates nothing (a stall with a timeout allocates the race state of
 /// Event::park_for).
 class Network::Transfer : sim::Step {
-  friend class Dial;  // traces the client tool in a connect's span
+  friend class Network;  // builds connects
+  friend class Dial;     // traces the client tool in a connect's span
 
  public:
   Transfer(Network& net, Interface& from, Interface& to, double payload_bytes,
@@ -353,7 +354,7 @@ class Network::Transfer : sim::Step {
     return send();
   }
 
- protected:
+ private:
   /// `round_trip`: once delivered, send the same bytes back from `to` to
   /// `from` inside the same span (a connect's SYN and SYN-ACK).
   Transfer(Network& net, Interface& from, Interface& to, double payload_bytes,
@@ -369,7 +370,6 @@ class Network::Transfer : sim::Step {
         kind_(kind),
         reply_(round_trip) {}
 
- private:
   enum class Stage : std::uint8_t { Tx, Stall, Wan, Rx, Prop };
 
   static void on_wake(sim::Step* step) {
@@ -495,16 +495,6 @@ class Network::Transfer : sim::Step {
   bool healed_ = false;  // set by the heal event when it wins a timed stall
 };
 
-/// The awaitable Network::connect returns: a round-trip Transfer of
-/// kSynBytes (SYN, then SYN-ACK) inside one Connect span.
-class Network::Connect : public Transfer {
- public:
-  Connect(Network& net, Interface& from, Interface& to, const trace::Ctx& ctx,
-          double stall_timeout) noexcept
-      : Transfer(net, from, to, kSynBytes, ctx, trace::SpanKind::Connect,
-                 stall_timeout, true) {}
-};
-
 inline Network::Transfer Network::transfer(Interface& from, Interface& to,
                                            double payload_bytes,
                                            trace::Ctx ctx,
@@ -513,10 +503,11 @@ inline Network::Transfer Network::transfer(Interface& from, Interface& to,
   return Transfer(*this, from, to, payload_bytes, ctx, kind, stall_timeout);
 }
 
-inline Network::Connect Network::connect(Interface& from, Interface& to,
-                                         trace::Ctx ctx,
-                                         double stall_timeout) {
-  return Connect(*this, from, to, ctx, stall_timeout);
+inline Network::Transfer Network::connect(Interface& from, Interface& to,
+                                          trace::Ctx ctx,
+                                          double stall_timeout) {
+  return Transfer(*this, from, to, kSynBytes, ctx, trace::SpanKind::Connect,
+                  stall_timeout, true);
 }
 
 }  // namespace gridmon::net

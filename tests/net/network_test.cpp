@@ -221,9 +221,8 @@ TEST(NetworkTest, ShutdownWithTransfersInFlight) {
 // frame carries a Dial (one Transfer for the connect and the request, and
 // an Admit) and the admitted half's frame the response Transfer, so their
 // sizes are those frames' size (LP64 layouts). A Dial is no larger than
-// the tool delay, tool span, Connect and Admit it replaced (192 B).
+// the tool delay, tool span, connect and Admit it replaced (192 B).
 static_assert(sizeof(void*) != 8 || sizeof(Network::Transfer) <= 96);
-static_assert(sizeof(void*) != 8 || sizeof(Network::Connect) <= 96);
 static_assert(sizeof(void*) != 8 || sizeof(Dial) <= 184);
 
 // Hops are routed by site id; the route table must follow WANs and sites
