@@ -165,11 +165,13 @@ class Dial : sim::Step {
           stage_ = Stage::AdmitWait;
           if (!admit_.await_ready() && admit_.start(this)) return false;
           [[fallthrough]];
-        case Stage::AdmitWait:
-          admitted_ = admit_.await_resume() == Admission::Ok;
-          if (!admitted_ || bytes_ < 0) return answer(admit_.await_resume());
+        case Stage::AdmitWait: {
+          Admission admission = admit_.await_resume();
+          admitted_ = admission == Admission::Ok;
+          if (!admitted_ || bytes_ < 0) return answer(admission);
           aim(bytes_, leg_.span_.parent());
           break;
+        }
       }
     }
   }

@@ -318,7 +318,7 @@ class OpSpan {
 /// Event::park_for).
 class Network::Transfer : sim::Step {
   friend class Network;  // builds connects
-  friend class Dial;     // traces the client tool in a connect's span
+  friend class Dial;     // drives a connect and re-aims it at a request
 
  public:
   Transfer(Network& net, Interface& from, Interface& to, double payload_bytes,
@@ -345,15 +345,6 @@ class Network::Transfer : sim::Step {
   bool await_suspend(std::coroutine_handle<> h) { return start(h); }
   bool await_resume() const noexcept { return ok_; }
 
-  /// Start the transfer after await_ready said no, waking `done` when it
-  /// ends; false when it ended at once.
-  bool start(sim::Wake done) {
-    done_ = done;
-    span_.open(kind_, reply_ ? 0 : bytes_);
-    bytes_ += kMessageOverheadBytes;
-    return send();
-  }
-
  private:
   /// `round_trip`: once delivered, send the same bytes back from `to` to
   /// `from` inside the same span (a connect's SYN and SYN-ACK).
@@ -369,6 +360,15 @@ class Network::Transfer : sim::Step {
         span_(ctx),
         kind_(kind),
         reply_(round_trip) {}
+
+  /// Start the transfer after await_ready said no, waking `done` when it
+  /// ends; false when it ended at once.
+  bool start(sim::Wake done) {
+    done_ = done;
+    span_.open(kind_, reply_ ? 0 : bytes_);
+    bytes_ += kMessageOverheadBytes;
+    return send();
+  }
 
   enum class Stage : std::uint8_t { Tx, Stall, Wan, Rx, Prop };
 

@@ -234,7 +234,7 @@ class ServerPort {
 /// with the same steps would, and allocates nothing (a timed blackhole
 /// wait allocates the race state of Event::park_for).
 class ServerPort::Admit : sim::Step {
-  friend class Dial;  // releases the slot of an admitted exchange
+  friend class Dial;  // drives an Admit and releases its slot
 
  public:
   Admit(ServerPort& port, double timeout, double service_deadline) noexcept
@@ -255,6 +255,7 @@ class ServerPort::Admit : sim::Step {
   bool await_suspend(std::coroutine_handle<> h) { return start(h); }
   Admission await_resume() const noexcept { return entry_.result; }
 
+ private:
   /// Park after await_ready said no, waking `done` with the answer;
   /// false when the answer came at once.
   bool start(sim::Wake done) {
@@ -264,7 +265,6 @@ class ServerPort::Admit : sim::Step {
     return run();
   }
 
- private:
   static void on_wake(sim::Step* step) {
     auto* self = static_cast<Admit*>(step);
     if (self->timeout_ >= 0 && !self->entry_.restarted &&
