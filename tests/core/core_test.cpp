@@ -434,9 +434,11 @@ struct AllServices {
 };
 
 /// A client entry point, bound through its core adapter where it has
-/// one (so the adapter is pinned too).
+/// one (so the adapter is pinned too), and the frames one admitted
+/// attempt of it allocates.
 struct EntryPoint {
   const char* name;
+  std::uint64_t admitted_frames;
   std::function<TracedQueryFn(AllServices&)> bind;
 };
 
@@ -451,63 +453,63 @@ const std::vector<EntryPoint>& entry_points() {
   using I = net::Interface;
   using C = trace::Ctx;
   static const std::vector<EntryPoint> kEntries = {
-      {"Gris::query", [](S& s) { return query_gris(s.gris); }},
-      {"Gris::search",
+      {"Gris::query", 6, [](S& s) { return query_gris(s.gris); }},
+      {"Gris::search", 5,
        [](S& s) {
          return call(+[](S& s, I& c, C x) -> AttemptTask {
            return s.gris.search(c, mds::SearchRequest{}, x);
          }, s);
        }},
-      {"Gris::fetch",
+      {"Gris::fetch", 5,
        [](S& s) {
          return call(+[](S& s, I& c, C x) -> AttemptTask {
            return s.gris.fetch(c, x);
          }, s);
        }},
-      {"Giis::search",
+      {"Giis::search", 4,
        [](S& s) {
          return call(+[](S& s, I& c, C x) -> AttemptTask {
            return s.giis.search(c, mds::SearchRequest{}, x);
          }, s);
        }},
-      {"Giis::fetch",
+      {"Giis::fetch", 3,
        [](S& s) {
          return call(+[](S& s, I& c, C x) -> AttemptTask {
            return s.giis.fetch(c, x);
          }, s);
        }},
-      {"Agent::query", [](S& s) { return query_agent(s.agent); }},
-      {"Agent::query_module",
+      {"Agent::query", 3, [](S& s) { return query_agent(s.agent); }},
+      {"Agent::query_module", 1,
        [](S& s) {
          return call(+[](S& s, I& c, C x) -> AttemptTask {
            return s.agent.query_module(c, "cpu", x);
          }, s);
        }},
-      {"Manager::query_status",
+      {"Manager::query_status", 1,
        [](S& s) { return query_manager_status(s.manager); }},
-      {"Manager::query_dump",
+      {"Manager::query_dump", 1,
        [](S& s) { return query_manager_dump(s.manager); }},
-      {"Manager::query_constraint",
+      {"Manager::query_constraint", 1,
        [](S& s) { return query_manager_constraint(s.manager, "true"); }},
-      {"Manager::lookup_agent",
+      {"Manager::lookup_agent", 1,
        [](S& s) {
          return call(+[](S& s, I& c, C x) -> AttemptTask {
            return s.manager.lookup_agent(c, "lucky5", nullptr, x);
          }, s);
        }},
-      {"ConsumerServlet::query",
+      {"ConsumerServlet::query", 3,
        [](S& s) { return query_consumer_servlet(s.consumer, "cpu"); }},
-      {"Registry::client_query",
+      {"Registry::client_query", 2,
        [](S& s) { return query_registry(s.registry, "cpu"); }},
-      {"ProducerServlet::client_query",
+      {"ProducerServlet::client_query", 2,
        [](S& s) { return query_producer_servlet(s.producer, "cpu"); }},
-      {"ProducerServlet::select",
+      {"ProducerServlet::select", 2,
        [](S& s) {
          return call(+[](S& s, I& c, C x) -> AttemptTask {
            return s.producer.select(c, "cpu", "", x);
          }, s);
        }},
-      {"query_giis", [](S& s) { return query_giis(s.giis); }},
+      {"query_giis", 4, [](S& s) { return query_giis(s.giis); }},
   };
   return kEntries;
 }
@@ -551,6 +553,18 @@ TEST(AttemptTaskTest, AdmittedGrisAttemptFrameCount) {
   QueryAttempt attempt;
   EXPECT_EQ(attempt_frames(entry_points()[0], 512, &attempt), 6u);
   EXPECT_TRUE(attempt.ok());
+}
+
+// An admitted attempt adds the entry point's admitted half, where it has
+// one, and the coroutines of its service pipeline; a new frame on any
+// admitted path moves its pin.
+TEST(AttemptTaskTest, AdmittedAttemptFrameCountAtEveryEntryPoint) {
+  for (const EntryPoint& entry : entry_points()) {
+    QueryAttempt attempt;
+    EXPECT_EQ(attempt_frames(entry, 512, &attempt), entry.admitted_frames)
+        << entry.name;
+    EXPECT_TRUE(attempt.ok()) << entry.name;
+  }
 }
 
 sim::Task<mds::MdsReply> throwing_service() {

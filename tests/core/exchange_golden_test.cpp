@@ -1,17 +1,19 @@
 /// Scheduling goldens for the client side of every service exchange.
 ///
 /// Each case runs one traced attempt of one service entry point from a
-/// UChicago client against a server on the Lucky LAN, under one of five
+/// UChicago client against a server on the Lucky LAN, under one of six
 /// outcomes: admitted and answered, refused by a full listen queue
 /// (backlog 0), a connect that times out across a partitioned WAN, a
-/// blackholed service whose admission times out, and a request leg that
-/// times out (the WAN goes down as the request starts). It records the
-/// reply, the number of events popped until the attempt completed, a
-/// digest of every pop time, and the attempt's spans and instants in
-/// open order with their kinds, labels and times. The expected records
-/// in exchange_golden.txt were recorded before the client tool, connect
-/// and admission stages moved into one shared awaitable; any
-/// reimplementation must reproduce them byte for byte.
+/// blackholed service whose admission times out, a request leg that
+/// times out (the WAN goes down as the request starts), and a response
+/// leg that times out (the WAN goes down as the response starts and
+/// never heals). It records the reply, the number of events popped until
+/// the attempt completed, a digest of every pop time, and the attempt's
+/// spans and instants in open order with their kinds, labels and times.
+/// The expected records in exchange_golden.txt were recorded before the
+/// client tool, connect and admission stages moved into one shared
+/// awaitable, and the response-timeout records before the response leg
+/// joined it; any reimplementation must reproduce them byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +42,14 @@
 namespace gridmon::core {
 namespace {
 
-enum class Outcome { Ok, Refused, ConnectTimeout, AdmitTimeout, RequestTimeout };
+enum class Outcome {
+  Ok,
+  Refused,
+  ConnectTimeout,
+  AdmitTimeout,
+  RequestTimeout,
+  ResponseTimeout
+};
 
 const char* outcome_name(Outcome o) {
   switch (o) {
@@ -54,6 +63,8 @@ const char* outcome_name(Outcome o) {
       return "admit-timeout";
     case Outcome::RequestTimeout:
       return "request-timeout";
+    case Outcome::ResponseTimeout:
+      return "response-timeout";
   }
   return "?";
 }
@@ -202,19 +213,29 @@ void fold(std::uint64_t& hash, double d) {
   }
 }
 
-/// Run one attempt of `entry` under `outcome`; `request_at` is when the
-/// request leg starts in the admitted run (the partition time of a
-/// request-leg timeout). Returns the record; `request_start` (if not
-/// null) receives this run's first RequestSend start.
-std::string play(const Entry& entry, Outcome outcome, double request_at,
-                 double* request_start = nullptr) {
+/// When the client-facing request and response legs start in the
+/// admitted run (negative: not seen).
+struct LegStarts {
+  double request = -1;   // the first RequestSend
+  double response = -1;  // the last ResponseSend
+};
+
+/// Run one attempt of `entry` under `outcome`; `at` holds when the legs
+/// start in the admitted run (the partition time of a request- or
+/// response-leg timeout). Returns the record; `seen` (if not null)
+/// receives this run's leg starts.
+std::string play(const Entry& entry, Outcome outcome, const LegStarts& at,
+                 LegStarts* seen = nullptr) {
   Services s(outcome == Outcome::Refused ? 0 : 512);
   sim::Simulation& sim = s.tb.sim();
   net::Network& net = s.tb.network();
   if (outcome == Outcome::ConnectTimeout) net.set_wan_down("anl", "uc", true);
   if (outcome == Outcome::AdmitTimeout) entry.port(s).crash(true);
-  if (outcome == Outcome::RequestTimeout) {
-    sim.schedule(request_at, [&net] { net.set_wan_down("anl", "uc", true); });
+  if (outcome == Outcome::RequestTimeout ||
+      outcome == Outcome::ResponseTimeout) {
+    double down_at =
+        outcome == Outcome::RequestTimeout ? at.request : at.response;
+    sim.schedule(down_at, [&net] { net.set_wan_down("anl", "uc", true); });
   }
   sim.spawn(register_producer(s.registry, s.tb.nic("lucky1")));
   QueryAttempt reply;
@@ -241,9 +262,12 @@ std::string play(const Entry& entry, Outcome outcome, double request_at,
                 static_cast<unsigned long long>(pops));
   out += line;
   for (const trace::SpanRecord& r : s.col.spans()) {
-    if (request_start != nullptr && *request_start < 0 &&
+    if (seen != nullptr && seen->request < 0 &&
         r.kind == trace::SpanKind::RequestSend) {
-      *request_start = r.start;
+      seen->request = r.start;
+    }
+    if (seen != nullptr && r.kind == trace::SpanKind::ResponseSend) {
+      seen->response = r.start;
     }
     std::snprintf(line, sizeof line, "  %u<%u %s '%s' %a..%a %g\n", r.seq,
                   r.parent, trace::kind_name(r.kind),
@@ -253,13 +277,14 @@ std::string play(const Entry& entry, Outcome outcome, double request_at,
   return out;
 }
 
-/// The five outcome records of one entry point.
+/// The six outcome records of one entry point.
 std::string record(const Entry& entry) {
-  double request_at = -1;
-  std::string out = play(entry, Outcome::Ok, 0, &request_at);
+  LegStarts at;
+  std::string out = play(entry, Outcome::Ok, {}, &at);
   for (Outcome o : {Outcome::Refused, Outcome::ConnectTimeout,
-                    Outcome::AdmitTimeout, Outcome::RequestTimeout}) {
-    out += play(entry, o, request_at);
+                    Outcome::AdmitTimeout, Outcome::RequestTimeout,
+                    Outcome::ResponseTimeout}) {
+    out += play(entry, o, at);
   }
   return out;
 }
