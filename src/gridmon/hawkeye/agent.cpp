@@ -57,10 +57,10 @@ sim::Task<HawkeyeReply> Agent::query(net::Interface& client, trace::Ctx ctx) {
   if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
     co_return dial.unanswered<HawkeyeReply>(ctx, machine_);
   }
-  co_return co_await query_admitted(client, ctx);
+  co_return co_await query_admitted(dial, ctx);
 }
 
-sim::Task<HawkeyeReply> Agent::query_admitted(net::Interface& client,
+sim::Task<HawkeyeReply> Agent::query_admitted(net::Dial& dial,
                                               trace::Ctx ctx) {
   HawkeyeReply reply;
   {
@@ -90,9 +90,7 @@ sim::Task<HawkeyeReply> Agent::query_admitted(net::Interface& client,
   }
   // The startd hands the reply buffer to the kernel and moves on; unlike
   // the Manager's large result sets, a single ad fits the socket buffer.
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;
@@ -142,9 +140,7 @@ sim::Task<HawkeyeReply> Agent::query_module(net::Interface& client,
       reply.admitted = true;
     }
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;

@@ -112,11 +112,10 @@ class Agent {
 
  private:
   sim::Task<classad::ClassAd> collect(trace::Ctx ctx = {});
-  /// The admitted half of query(): the collection and the response, so
-  /// query()'s own frame holds only its net::Dial (tool delay, connect,
-  /// admission, request) and the admission slot it keeps.
-  sim::Task<HawkeyeReply> query_admitted(net::Interface& client,
-                                         trace::Ctx ctx);
+  /// The admitted half of query(): the collection, then the response
+  /// leg of `dial`, so query()'s own frame holds only its net::Dial and
+  /// the admission slot it keeps.
+  sim::Task<HawkeyeReply> query_admitted(net::Dial& dial, trace::Ctx ctx);
   sim::Task<void> advertise_loop(Manager& manager);
 
   double current_load() const;

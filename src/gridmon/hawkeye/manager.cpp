@@ -207,9 +207,7 @@ sim::Task<HawkeyeReply> Manager::query_status(net::Interface& client,
     reply.admitted = true;
     // Single-threaded daemon: the blocking response send happens inside
     // the service thread.
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
+    if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
       reply.timed_out = true;
     }
   }
@@ -239,9 +237,7 @@ sim::Task<HawkeyeReply> Manager::query_dump(net::Interface& client,
     reply.machines = ads_.size();
     reply.response_bytes = bytes;
     reply.admitted = true;
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
+    if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
       reply.timed_out = true;
     }
   }
@@ -287,9 +283,7 @@ sim::Task<HawkeyeReply> Manager::query_constraint(
     reply.machines = matches;
     reply.response_bytes = bytes;
     reply.admitted = true;
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
+    if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
       reply.timed_out = true;
     }
   }
@@ -322,9 +316,7 @@ sim::Task<HawkeyeReply> Manager::lookup_agent(net::Interface& client,
     }
     reply.response_bytes = 256;
     reply.admitted = true;
-    if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                                trace::SpanKind::ResponseSend,
-                                config_.connect_timeout)) {
+    if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
       reply.timed_out = true;
     }
   }

@@ -268,10 +268,10 @@ sim::Task<MdsReply> Giis::search(net::Interface& client,
       net::Admission::Ok) {
     co_return dial.unanswered<MdsReply>(ctx, name_);
   }
-  co_return co_await search_admitted(client, std::move(request), ctx);
+  co_return co_await search_admitted(dial, std::move(request), ctx);
 }
 
-sim::Task<MdsReply> Giis::search_admitted(net::Interface& client,
+sim::Task<MdsReply> Giis::search_admitted(net::Dial& dial,
                                           SearchRequest request,
                                           trace::Ctx ctx) {
   MdsReply reply;
@@ -297,13 +297,10 @@ sim::Task<MdsReply> Giis::search_admitted(net::Interface& client,
             static_cast<double>(result.entries.size()));
     reply.entries = result.entries.size();
     reply.response_bytes = result.wire_bytes();
-    reply.cache_hit = true;
     reply.admitted = true;
     reply.payload = std::move(result.entries);
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;
@@ -316,40 +313,11 @@ sim::Task<MdsReply> Giis::fetch(net::Interface& requester, trace::Ctx ctx) {
   if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
     co_return dial.unanswered<MdsReply>();  // a fetch marks no instant
   }
-
-  MdsReply reply;
-  {
-    trace::Span wait(span.ctx(), trace::SpanKind::PoolWait, name_);
-    auto lease = co_await pool_.acquire();
-    wait.end();
-    {
-      trace::Span cpu(span.ctx(), trace::SpanKind::Cpu, "query_base",
-                      config_.query_base_cpu);
-      co_await host_.cpu().consume(config_.query_base_cpu);
-    }
-    reply.stale = co_await refresh_cache(span.ctx());
-    // Everything except the o=grid root travels upward.
-    trace::Span search_span(span.ctx(), trace::SpanKind::LdapSearch);
-    auto filter = ldap::Filter::parse(
-        "(|(objectclass=MdsDevice)(objectclass=MdsHost)(objectclass=MdsVo))");
-    auto result = dit_.search(grid_root(), ldap::Scope::Subtree, *filter);
-    search_span.set_arg(static_cast<double>(result.entries_examined));
-    co_await host_.cpu().consume(
-        config_.examine_cpu_per_entry *
-            static_cast<double>(result.entries_examined) +
-        config_.serialize_cpu_per_entry *
-            static_cast<double>(result.entries.size()));
-    reply.entries = result.entries.size();
-    reply.response_bytes = result.wire_bytes();
-    reply.payload = std::move(result.entries);
-    reply.admitted = true;
-  }
-  if (!co_await net_.transfer(nic_, requester, reply.response_bytes,
-                              span.ctx(), trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
-  co_return reply;
+  // Everything except the o=grid root travels upward.
+  SearchRequest upward;
+  upward.filter =
+      "(|(objectclass=MdsDevice)(objectclass=MdsHost)(objectclass=MdsVo))";
+  co_return co_await search_admitted(dial, std::move(upward), span.ctx());
 }
 
 }  // namespace gridmon::mds

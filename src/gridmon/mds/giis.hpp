@@ -136,10 +136,10 @@ class Giis final : public MdsNode {
     bool fetched = false;   // data currently merged into the DIT
   };
 
-  /// The admitted half of search(): serve and response, while the
-  /// entry frame's net::Dial holds the listen port slot.
-  sim::Task<MdsReply> search_admitted(net::Interface& client,
-                                      SearchRequest request, trace::Ctx ctx);
+  /// The admitted half of search() and fetch(): serve, then the response
+  /// leg of the entry frame's net::Dial, which holds the listen port slot.
+  sim::Task<MdsReply> search_admitted(net::Dial& dial, SearchRequest request,
+                                      trace::Ctx ctx);
 
   sim::Task<void> registration_loop(MdsNode& node);
   sim::Task<void> serve_registration(MdsNode& node);

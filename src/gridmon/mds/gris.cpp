@@ -118,10 +118,6 @@ sim::Task<Gris::RefreshOutcome> Gris::refresh(QueryScope scope,
   co_return out;
 }
 
-sim::Task<MdsReply> Gris::serve(QueryScope scope, trace::Ctx ctx) {
-  co_return co_await serve_filter(scope, scope_filter(scope), {}, 0, ctx);
-}
-
 sim::Task<MdsReply> Gris::serve_filter(QueryScope refresh_scope,
                                        const ldap::Filter& filter,
                                        std::vector<std::string> attrs,
@@ -178,10 +174,10 @@ sim::Task<MdsReply> Gris::search(net::Interface& client,
       net::Admission::Ok) {
     co_return dial.unanswered<MdsReply>(ctx, name_);
   }
-  co_return co_await search_admitted(client, std::move(request), ctx);
+  co_return co_await search_admitted(dial, std::move(request), ctx);
 }
 
-sim::Task<MdsReply> Gris::search_admitted(net::Interface& client,
+sim::Task<MdsReply> Gris::search_admitted(net::Dial& dial,
                                           SearchRequest request,
                                           trace::Ctx ctx) {
   auto filter = ldap::Filter::parse(request.filter);
@@ -189,9 +185,7 @@ sim::Task<MdsReply> Gris::search_admitted(net::Interface& client,
                                          std::move(request.attributes),
                                          request.size_limit, ctx);
   reply.admitted = true;
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;
@@ -206,17 +200,15 @@ sim::Task<MdsReply> Gris::query(net::Interface& client, QueryScope scope,
   if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
     co_return dial.unanswered<MdsReply>(ctx, name_);
   }
-  co_return co_await query_admitted(client, scope, ctx);
+  co_return co_await query_admitted(dial, scope, ctx);
 }
 
-sim::Task<MdsReply> Gris::query_admitted(net::Interface& client,
-                                         QueryScope scope, trace::Ctx ctx) {
-  MdsReply reply = co_await serve(scope, ctx);
+sim::Task<MdsReply> Gris::query_admitted(net::Dial& dial, QueryScope scope,
+                                         trace::Ctx ctx) {
+  MdsReply reply =
+      co_await serve_filter(scope, scope_filter(scope), {}, 0, ctx);
   reply.admitted = true;
-
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;
@@ -229,14 +221,7 @@ sim::Task<MdsReply> Gris::fetch(net::Interface& requester, trace::Ctx ctx) {
   if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
     co_return dial.unanswered<MdsReply>();  // a fetch marks no instant
   }
-  MdsReply reply = co_await serve(QueryScope::All, span.ctx());
-  reply.admitted = true;
-  if (!co_await net_.transfer(nic_, requester, reply.response_bytes,
-                              span.ctx(), trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
-    reply.timed_out = true;
-  }
-  co_return reply;
+  co_return co_await query_admitted(dial, QueryScope::All, span.ctx());
 }
 
 }  // namespace gridmon::mds

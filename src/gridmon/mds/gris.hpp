@@ -182,16 +182,13 @@ class Gris final : public MdsNode {
   /// provider scripts for anything stale.
   sim::Task<RefreshOutcome> refresh(QueryScope scope, trace::Ctx ctx);
 
-  /// The admitted halves of query() and search(): serve and response,
-  /// while the entry frame's net::Dial holds the listen port slot.
-  sim::Task<MdsReply> query_admitted(net::Interface& client, QueryScope scope,
+  /// The admitted halves of query() and search(): serve, then the
+  /// response leg of the entry frame's net::Dial, which holds the listen
+  /// port slot.
+  sim::Task<MdsReply> query_admitted(net::Dial& dial, QueryScope scope,
                                      trace::Ctx ctx);
-  sim::Task<MdsReply> search_admitted(net::Interface& client,
-                                      SearchRequest request, trace::Ctx ctx);
-
-  /// The search itself plus CPU charges; returns the reply (admitted set
-  /// by caller).
-  sim::Task<MdsReply> serve(QueryScope scope, trace::Ctx ctx);
+  sim::Task<MdsReply> search_admitted(net::Dial& dial, SearchRequest request,
+                                      trace::Ctx ctx);
 
   /// Shared backend: refresh per `refresh_scope`, then run an arbitrary
   /// filtered search with attribute selection and size limit.

@@ -1,13 +1,13 @@
 #pragma once
 
 /// \file exchange.hpp
-/// The client side of one request/reply exchange with a service.
+/// One request/reply exchange between a client and a service.
 ///
 /// Every service in the paper is measured through the same client: a
 /// tool starts up, connects, is admitted or refused at the server's
-/// listen queue, and sends its query (§3.1). `Dial` runs that front for
-/// every service handler and builds the reply of an attempt that never
-/// got past it.
+/// listen queue, sends its query and waits for the answer (§3.1). `Dial`
+/// runs both directions of that exchange for every service handler and
+/// builds the reply of an attempt that never got past the request.
 
 #include <coroutine>
 #include <cstdint>
@@ -21,21 +21,22 @@
 
 namespace gridmon::net {
 
-/// The front of an exchange from `client` to `server`: the client tool's
-/// start-up (a ClientTool span over `tool_latency` seconds, when there is
-/// a tool), the connect, the admission at `port`, then the request leg.
+/// An exchange from `client` to `server`: the client tool's start-up (a
+/// ClientTool span over `tool_latency` seconds, when there is a tool),
+/// the connect, the admission at `port`, then the request leg.
 /// `co_await dial.request(bytes)` runs them all and yields Ok, the port's
 /// refusal, or TimedOut when the connect, a blackholed admission or the
-/// request leg gives up on a dead path after `timeout` seconds. An
-/// admitted Dial holds the port slot until it is destroyed, so a handler
-/// declares it before the state its service uses.
+/// request leg gives up on a dead path after `timeout` seconds. Once the
+/// service has served the request, `co_await dial.respond(bytes)` sends
+/// the answer back. An admitted Dial holds the port slot until it is
+/// destroyed, so a handler declares it before the state its service uses.
 ///
 /// Like Transfer and Admit, a Dial is a state machine in the awaiting
 /// coroutine's frame and allocates no frame of its own. Its one Transfer
-/// carries the connect round trip, then the request; the tool stage
-/// traces in the connect's span before the connect starts. It makes the
-/// span, event-queue, PS and port calls of the stages awaited one by one,
-/// in the same order.
+/// carries the connect round trip, then the request, then the response;
+/// the tool stage traces in the connect's span before the connect starts.
+/// It makes the span, event-queue, PS and port calls of the stages
+/// awaited one by one, in the same order.
 ///
 /// A servlet that reads the request before it admits the work awaits the
 /// stages one at a time instead: `connect()`, `send()`, then `admit()`.
@@ -90,7 +91,7 @@ class Dial : sim::Step {
   /// Ok or TimedOut. Comes after connect() or in place of it (a request
   /// on an open connection), before admit().
   Stages send(double bytes, const trace::Ctx& ctx) {
-    aim(bytes, ctx);
+    aim_request(bytes, ctx);
     pause_ = true;
     return Stages(*this);
   }
@@ -99,6 +100,17 @@ class Dial : sim::Step {
   Stages admit() noexcept {
     stage_ = Stage::Admit;
     pause_ = false;
+    return Stages(*this);
+  }
+
+  /// The response leg of `bytes` from the server back to the client,
+  /// traced as a ResponseSend under the request leg's context, with the
+  /// same stall timeout: Ok or TimedOut. Comes after an answered request.
+  Stages respond(double bytes) noexcept {
+    // The request leg points from the client to the server.
+    aim(*leg_.to_, *leg_.from_, bytes, leg_.span_.parent(),
+        trace::SpanKind::ResponseSend);
+    pause_ = true;
     return Stages(*this);
   }
 
@@ -169,24 +181,30 @@ class Dial : sim::Step {
           Admission admission = admit_.await_resume();
           admitted_ = admission == Admission::Ok;
           if (!admitted_ || bytes_ < 0) return answer(admission);
-          aim(bytes_, leg_.span_.parent());
+          aim_request(bytes_, leg_.span_.parent());
           break;
         }
       }
     }
   }
 
-  /// Re-aim the leg at a request of `bytes` from the client.
-  void aim(double bytes, const trace::Ctx& ctx) {
+  /// Re-aim the connect leg at a request of `bytes` from the client.
+  void aim_request(double bytes, const trace::Ctx& ctx) noexcept {
     // Until its SYN-ACK leg runs, the connect points from the client to
     // the server; after it, back.
     Interface& client = leg_.reply_ ? *leg_.from_ : *leg_.to_;
     Interface& server = leg_.reply_ ? *leg_.to_ : *leg_.from_;
+    aim(client, server, bytes, ctx, trace::SpanKind::RequestSend);
+  }
+
+  /// Re-aim the leg at `bytes` from `from` to `to`, with the same stall
+  /// timeout.
+  void aim(Interface& from, Interface& to, double bytes,
+           const trace::Ctx& ctx, trace::SpanKind kind) noexcept {
     Network& net = *leg_.net_;
     double timeout = leg_.stall_timeout_;
     leg_.~Transfer();
-    ::new (&leg_) Network::Transfer(net, client, server, bytes, ctx,
-                                    trace::SpanKind::RequestSend, timeout);
+    ::new (&leg_) Network::Transfer(net, from, to, bytes, ctx, kind, timeout);
     stage_ = Stage::Leg;
   }
 

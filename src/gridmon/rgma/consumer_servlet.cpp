@@ -103,9 +103,7 @@ sim::Task<RgmaReply> ConsumerServlet::query(net::Interface& client,
     reply.admitted = true;
     if (reply.rows > 0) reply.failed = false;  // partial results still count
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;

@@ -108,11 +108,11 @@ sim::Task<RgmaReply> ProducerServlet::exchange(net::Interface& from,
   if (answer != net::Admission::Ok) {
     co_return dial.unanswered<RgmaReply>(ctx, name_);
   }
-  co_return co_await select_admitted(from, std::move(table), std::move(where),
+  co_return co_await select_admitted(dial, std::move(table), std::move(where),
                                      op.ctx());
 }
 
-sim::Task<RgmaReply> ProducerServlet::select_admitted(net::Interface& from,
+sim::Task<RgmaReply> ProducerServlet::select_admitted(net::Dial& dial,
                                                       std::string table,
                                                       std::string where,
                                                       trace::Ctx ctx) {
@@ -167,9 +167,7 @@ sim::Task<RgmaReply> ProducerServlet::select_admitted(net::Interface& from,
       reply.stale = true;
     }
   }
-  if (!co_await net_.transfer(nic_, from, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;

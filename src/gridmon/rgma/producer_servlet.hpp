@@ -191,11 +191,10 @@ class ProducerServlet {
   sim::Task<RgmaReply> exchange(net::Interface& from, std::string table,
                                 std::string where, trace::Ctx ctx,
                                 bool direct);
-  /// The admitted half of a select: the SQL scan and the response, while
-  /// exchange()'s net::Dial holds the admission slot.
-  sim::Task<RgmaReply> select_admitted(net::Interface& from,
-                                       std::string table, std::string where,
-                                       trace::Ctx ctx);
+  /// The admitted half of a select: the SQL scan, then the response leg
+  /// of exchange()'s net::Dial, which holds the admission slot.
+  sim::Task<RgmaReply> select_admitted(net::Dial& dial, std::string table,
+                                       std::string where, trace::Ctx ctx);
   sim::Task<void> registration_loop(Registry& registry);
   sim::Task<void> publisher_loop(double interval);
   sim::Task<void> push_row(net::Interface* consumer, RowCallback on_row,

@@ -175,9 +175,7 @@ sim::Task<RgmaReply> Registry::client_query(net::Interface& client,
         128 + config_.row_bytes * static_cast<double>(result.rows.size());
     reply.admitted = true;
   }
-  if (!co_await net_.transfer(nic_, client, reply.response_bytes, ctx,
-                              trace::SpanKind::ResponseSend,
-                              config_.connect_timeout)) {
+  if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
     reply.timed_out = true;
   }
   co_return reply;
