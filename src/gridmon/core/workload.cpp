@@ -38,13 +38,6 @@ void WorkloadConfig::check_fits(int n, std::size_t hosts) const {
   }
 }
 
-UserWorkload::UserWorkload(Testbed& testbed, QueryFn query,
-                           WorkloadConfig config)
-    : UserWorkload(testbed,
-                   TracedQueryFn([q = std::move(query)](
-                       net::Interface& nic, trace::Ctx) { return q(nic); }),
-                   config) {}
-
 UserWorkload::UserWorkload(Testbed& testbed, TracedQueryFn query,
                            WorkloadConfig config)
     : testbed_(testbed),

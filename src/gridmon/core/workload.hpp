@@ -113,14 +113,10 @@ class [[nodiscard]] AttemptTask {
 };
 
 /// A client-side query function: performs one complete attempt against a
-/// service from the given client NIC. Adapters for each service live in
-/// adapters.hpp.
-using QueryFn = std::function<sim::Task<QueryAttempt>(net::Interface&)>;
-
-/// Trace-aware variant: also receives the query's trace context (the
-/// null Ctx when tracing is off). The adapters produce these, returning
-/// the service's own task; plain QueryFn lambdas in tests keep working
-/// via a wrapping constructor.
+/// service from the given client NIC under the query's trace context (the
+/// null Ctx when tracing is off). The adapters in adapters.hpp return the
+/// service's own task; a coroutine lambda returning
+/// sim::Task<QueryAttempt> works too.
 using TracedQueryFn = std::function<AttemptTask(net::Interface&, trace::Ctx)>;
 
 struct WorkloadConfig {
@@ -183,7 +179,6 @@ struct ClientCounters {
 
 class UserWorkload {
  public:
-  UserWorkload(Testbed& testbed, QueryFn query, WorkloadConfig config = {});
   UserWorkload(Testbed& testbed, TracedQueryFn query,
                WorkloadConfig config = {});
   UserWorkload(const UserWorkload&) = delete;

@@ -95,7 +95,8 @@ TEST(TestbedTest, SizingRule) {
 
 TEST(WorkloadTest, SpawnCapsUsersPerHost) {
   Testbed tb;
-  QueryFn noop = [](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn noop = [](net::Interface&,
+                          trace::Ctx) -> sim::Task<QueryAttempt> {
     co_return QueryAttempt{true, 100};
   };
   UserWorkload w(tb, noop);
@@ -107,7 +108,8 @@ TEST(WorkloadTest, SpawnCapsUsersPerHost) {
 TEST(WorkloadTest, ThinkTimePacesQueries) {
   Testbed tb;
   // Instant service: each user completes ~1 query per think period.
-  QueryFn instant = [](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn instant = [](net::Interface&,
+                             trace::Ctx) -> sim::Task<QueryAttempt> {
     co_return QueryAttempt{true, 0};
   };
   WorkloadConfig config;
@@ -122,7 +124,8 @@ TEST(WorkloadTest, ThinkTimePacesQueries) {
 
 TEST(WorkloadTest, ResponseTimeIncludesServiceDelay) {
   Testbed tb;
-  QueryFn slow = [&tb](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn slow = [&tb](net::Interface&,
+                             trace::Ctx) -> sim::Task<QueryAttempt> {
     co_await tb.sim().delay(3.0);
     co_return QueryAttempt{true, 0};
   };
@@ -140,7 +143,8 @@ TEST(WorkloadTest, RefusalsTriggerBackoffAndRetry) {
   Testbed tb;
   int attempts = 0;
   // Refuse the first two attempts of every query.
-  QueryFn flaky = [&attempts](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn flaky = [&attempts](net::Interface&,
+                                    trace::Ctx) -> sim::Task<QueryAttempt> {
     ++attempts;
     co_return QueryAttempt{attempts % 3 == 0, 0};
   };
@@ -226,7 +230,8 @@ TEST(OpenArrivalsTest, GrisPointMatchesRecordedGolden) {
 
 TEST(OpenArrivalsTest, ArrivalRateIsHonored) {
   Testbed tb;
-  QueryFn instant = [](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn instant = [](net::Interface&,
+                             trace::Ctx) -> sim::Task<QueryAttempt> {
     co_return QueryAttempt{true, 0};
   };
   UserWorkload w(tb, instant);
@@ -238,7 +243,8 @@ TEST(OpenArrivalsTest, ArrivalRateIsHonored) {
 
 TEST(OpenArrivalsTest, ResponseTimeMeasured) {
   Testbed tb;
-  QueryFn slow = [&tb](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn slow = [&tb](net::Interface&,
+                             trace::Ctx) -> sim::Task<QueryAttempt> {
     co_await tb.sim().delay(2.0);
     co_return QueryAttempt{true, 0};
   };
@@ -252,7 +258,8 @@ TEST(OpenArrivalsTest, ResponseTimeMeasured) {
 
 TEST(OpenArrivalsTest, GivesUpAfterMaxAttempts) {
   Testbed tb;
-  QueryFn always_refused = [](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn always_refused = [](net::Interface&,
+                                    trace::Ctx) -> sim::Task<QueryAttempt> {
     co_return QueryAttempt{false, 0};
   };
   WorkloadConfig config;
@@ -272,7 +279,8 @@ TEST(OpenArrivalsTest, OverloadGrowsOutstandingQueue) {
   // count must grow roughly linearly with time (no self-throttling).
   Testbed tb;
   sim::Resource server(tb.sim(), 1);
-  QueryFn one_at_a_time = [&](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn one_at_a_time = [&](net::Interface&,
+                                    trace::Ctx) -> sim::Task<QueryAttempt> {
     auto lease = co_await server.acquire();
     co_await tb.sim().delay(1.0);
     co_return QueryAttempt{true, 0};
@@ -291,7 +299,8 @@ TEST(OpenArrivalsTest, OverloadGrowsOutstandingQueue) {
 /// the open loop once broke out of its retry loop on `admitted` alone.
 TEST(OpenArrivalsTest, FailedAnswersAreNotCompletions) {
   Testbed tb;
-  QueryFn broken = [](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn broken = [](net::Interface&,
+                            trace::Ctx) -> sim::Task<QueryAttempt> {
     QueryAttempt a;
     a.admitted = true;
     a.failed = true;
@@ -320,7 +329,8 @@ TEST(OpenArrivalsTest, TracesOneQueryRootPerArrival) {
   collector.set_enabled(true);
   int calls = 0;
   // Refuse every other attempt, so some arrivals retry.
-  QueryFn flaky = [&calls](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn flaky = [&calls](net::Interface&,
+                                 trace::Ctx) -> sim::Task<QueryAttempt> {
     co_return QueryAttempt{++calls % 2 == 0, 0};
   };
   UserWorkload w(tb, flaky);
@@ -635,8 +645,8 @@ TEST(AttemptTaskTest, ViewMapsEveryServiceReply) {
 
 TEST(AttemptTaskTest, TaskOfQueryAttemptStillWorks) {
   Testbed tb;
-  // A coroutine lambda as a TracedQueryFn, and a QueryFn through the
-  // UserWorkload wrapper: both return sim::Task<QueryAttempt>.
+  // Coroutine lambdas as TracedQueryFns, awaited directly and through a
+  // UserWorkload: both return sim::Task<QueryAttempt>.
   TracedQueryFn traced = [](net::Interface&,
                             trace::Ctx) -> sim::Task<QueryAttempt> {
     co_return QueryAttempt{true, 42, false, false, true};
@@ -644,7 +654,8 @@ TEST(AttemptTaskTest, TaskOfQueryAttemptStillWorks) {
   QueryAttempt a;
   std::uint64_t frames = 0;
   tb.sim().spawn(count_attempt_frames(traced, tb.nic("uc01"), &a, &frames));
-  QueryFn plain = [](net::Interface&) -> sim::Task<QueryAttempt> {
+  TracedQueryFn plain = [](net::Interface&,
+                           trace::Ctx) -> sim::Task<QueryAttempt> {
     co_return QueryAttempt{true, 7};
   };
   UserWorkload w(tb, plain);

@@ -371,8 +371,9 @@ TEST(ServerPort, DisabledPolicyNeverQueuesOrSheds) {
 TEST(OpenArrivalRetries, LastScheduleEntryRepeats) {
   core::Testbed tb;
   std::vector<double> at;
-  core::QueryFn refused =
-      [&tb, &at](net::Interface&) -> sim::Task<core::QueryAttempt> {
+  core::TracedQueryFn refused =
+      [&tb, &at](net::Interface&,
+                 trace::Ctx) -> sim::Task<core::QueryAttempt> {
     at.push_back(tb.sim().now());
     co_return core::QueryAttempt{};
   };
@@ -421,8 +422,9 @@ StormResult run_storm(bool resilient, std::uint64_t seed) {
   tc.seed = seed;
   core::Testbed tb(tc);
   net::ServerPort port(tb.sim(), 6);
-  core::QueryFn query =
-      [&tb, &port](net::Interface&) -> sim::Task<core::QueryAttempt> {
+  core::TracedQueryFn query =
+      [&tb, &port](net::Interface&,
+                   trace::Ctx) -> sim::Task<core::QueryAttempt> {
     if (!port.try_admit()) co_return core::QueryAttempt{};
     co_await tb.sim().delay(0.6);
     port.release();
