@@ -90,7 +90,7 @@ class Dial : sim::Step {
   /// Only a request leg of `bytes`, traced as a RequestSend under `ctx`:
   /// Ok or TimedOut. Comes after connect() or in place of it (a request
   /// on an open connection), before admit().
-  Stages send(double bytes, const trace::Ctx& ctx) {
+  Stages send(double bytes, const trace::Ctx& ctx) noexcept {
     aim_request(bytes, ctx);
     pause_ = true;
     return Stages(*this);
