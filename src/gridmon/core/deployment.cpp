@@ -29,6 +29,16 @@ Deployment::Deployment(const ScenarioSpec& spec, int users, bool traced,
   if (spec_.query_deadline > 0) client.query_deadline = spec_.query_deadline;
   if (spec_.max_attempts > 0) client.max_attempts = spec_.max_attempts;
   if (spec_.resilience.enabled) client.resilience = spec_.resilience.client;
+  // Both engines: a fault touches only the physics shard's Simulation.
+  if (!spec_.faults.empty()) {
+    scenario_->register_faults(injector_);
+    for (const auto* pool : {&testbed_.lucky_names(), &testbed_.uc_names()}) {
+      for (const auto& name : *pool) {
+        injector_.add_host(name, testbed_.host(name));
+      }
+    }
+    injector_.arm(spec_.faults);
+  }
 
   if (spec_.engine.sharded()) {
     FrontierConfig fc;
@@ -44,15 +54,6 @@ Deployment::Deployment(const ScenarioSpec& spec, int users, bool traced,
   } else {
     workload_ = std::make_unique<UserWorkload>(testbed_, scenario_->query_fn(),
                                                std::move(client));
-    if (!spec_.faults.empty()) {
-      scenario_->register_faults(injector_);
-      for (const auto* pool : {&testbed_.lucky_names(), &testbed_.uc_names()}) {
-        for (const auto& name : *pool) {
-          injector_.add_host(name, testbed_.host(name));
-        }
-      }
-      injector_.arm(spec_.faults);
-    }
     traced_ = traced;
     if (traced_) {
       scenario_->instrument(collector_);
@@ -67,10 +68,6 @@ Deployment::Deployment(const ScenarioSpec& spec, int users, bool traced,
 }
 
 MetricsReport Deployment::measure(double x) {
-  const std::string server = spec_.server_host();
-  if (frontier_) {
-    return frontier_->measure_window(x, spec_.warmup, spec_.duration, server);
-  }
   MeasureConfig mc;
   mc.warmup = spec_.warmup;
   mc.duration = spec_.duration;
@@ -86,6 +83,8 @@ MetricsReport Deployment::measure(double x) {
     mc.port = scenario_->server_port();
     mc.goodput_deadline = spec_.goodput_deadline;
   }
+  const std::string server = spec_.server_host();
+  if (frontier_) return core::measure(testbed_, *frontier_, server, x, mc);
   return core::measure(testbed_, *workload_, server, x, mc);
 }
 

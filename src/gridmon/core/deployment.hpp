@@ -37,8 +37,9 @@ class Deployment {
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;
 
-  /// Run the spec's window through core::measure or
-  /// FrontierWorkload::measure_window; `x` labels the report. Call once.
+  /// Run the spec's window through core::measure on either engine, with
+  /// one MeasureConfig (fault recovery, shed and goodput probes); `x`
+  /// labels the report. Call once.
   MetricsReport measure(double x);
 
   bool traced() const noexcept { return traced_; }

@@ -4,29 +4,35 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "gridmon/core/experiment.hpp"
-
 namespace gridmon::core {
 namespace {
 
 // Mailbox protocol: one in-flight exchange per user, ever — a request
 // is answered by exactly one reply before the user's next timer can
 // send another. That satisfies the ShardGroup ordering contract (no
-// two same-(deliver_at, uid) messages from different shards).
+// two same-(deliver_at, uid) messages from different shards). A request
+// carries the attempt number (1 = a fresh query) in `a` and the query's
+// start in `f`; a reply, the attempt's flags and verdict and its bytes.
 constexpr std::uint32_t kMsgRequest = 1;
 constexpr std::uint32_t kMsgReply = 2;
 
-// Reply flags, packed into ShardMessage::a.
-constexpr std::uint64_t kFlagOk = 1u << 0;
-constexpr std::uint64_t kFlagRefused = 1u << 1;
+// Reply flags. Without kFlagSent the attempt was fast-failed by the
+// breaker or never settled (it lost the race to the query's deadline).
+constexpr std::uint64_t kFlagSent = 1u << 0;
+constexpr std::uint64_t kFlagAdmitted = 1u << 1;
 constexpr std::uint64_t kFlagTimeout = 1u << 2;
 constexpr std::uint64_t kFlagFailed = 1u << 3;
 constexpr std::uint64_t kFlagStale = 1u << 4;
+constexpr int kVerdictShift = 5;
+
+// The fast path's standing pool, as a multiple of the listen backlog.
+constexpr std::uint64_t kPoolFactor = 4;
 
 // User FSM states (SoA byte per user).
 constexpr std::uint8_t kThinking = 0;  // timer armed: issue next query
 constexpr std::uint8_t kWaiting = 1;   // attempt in flight, no timer
 constexpr std::uint8_t kBackoff = 2;   // timer armed: retry the query
+constexpr std::uint8_t kGivingUp = 3;  // timer armed: abandon at deadline
 
 /// Counter-based per-user randomness: two splitmix64 finalizer rounds
 /// over (seed, uid, draw index). Stateless in everything but a 4-byte
@@ -227,8 +233,13 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
   }
 
   /// Timer expiry: a Thinking user starts a fresh query, a Backoff user
-  /// retries the current one; both send one request to the gateway.
+  /// retries the current one; both send one request to the gateway. A
+  /// user GivingUp abandons its query at the deadline.
   void fire(std::uint32_t local) {
+    if (states[local] == kGivingUp) {
+      think(local, /*abandoned=*/true);
+      return;
+    }
     if (states[local] == kThinking) {
       ++counters.queries;
       retries[local] = 0;
@@ -238,7 +249,14 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
     owner.group_->post(
         index, 0,
         sim::ShardMessage{now_ + owner.lookahead_, uid_of(local), 0,
-                          kMsgRequest, 0, 0, 0});
+                          kMsgRequest, 0, retries[local] + 1u,
+                          query_starts[local]});
+  }
+
+  void think(std::uint32_t local, bool abandoned = false) {
+    if (abandoned) ++counters.abandoned;
+    states[local] = kThinking;
+    arm(now_ + owner.config_.client.think_time, local);
   }
 
   sim::SimTime now() const override { return now_; }
@@ -256,45 +274,52 @@ struct FrontierWorkload::ClientShard final : sim::ShardRunner {
     return fired;
   }
 
+  /// A reply: the client rules' per-user half, over the slabs.
   void deliver(const sim::ShardMessage& m) override {
     std::uint32_t local = static_cast<std::uint32_t>(
         m.uid / static_cast<std::uint64_t>(owner.config_.shards));
-    if (m.a & kFlagOk) {
+    QueryAttempt a{(m.a & kFlagAdmitted) != 0, m.f, (m.a & kFlagTimeout) != 0,
+                   (m.a & kFlagFailed) != 0, (m.a & kFlagStale) != 0};
+    double patience = owner.config_.client.query_deadline;
+    UserStep step = next_step(
+        counters, (m.a & kFlagSent) != 0 ? &a : nullptr,
+        static_cast<Verdict>(m.a >> kVerdictShift), now_,
+        patience > 0 ? query_starts[local] + patience : -1, [&] {
+          // Jittered from the user's counter stream: 1 - j + 2j*u is not
+          // bit-equal to BackoffPolicy::delay's Rng::uniform(1 - j, 1 + j).
+          double jitter = owner.backoff_.jitter;
+          return owner.backoff_.raw_delay(retries[local]) *
+                 (1.0 - jitter + 2.0 * jitter * draw01(m.uid, local));
+        });
+    if (step.verdict == Verdict::Done) {
       completions.push_back(Completion{now_, now_ - query_starts[local], m.f,
-                                       (m.a & kFlagStale) != 0, m.uid});
-      states[local] = kThinking;
-      arm(now_ + owner.config_.client.think_time, local);
-      return;
+                                       a.stale, m.uid});
+      think(local);
+    } else if (step.verdict == Verdict::Retry) {
+      if (retries[local] < kMaxAttemptsLimit - 1) ++retries[local];
+      states[local] = kBackoff;
+      arm(now_ + step.wait, local);
+    } else if (step.wait > 0) {
+      // The one live timer of a user backing off into its deadline.
+      states[local] = kGivingUp;
+      arm(now_ + step.wait, local);
+    } else {
+      think(local, /*abandoned=*/true);
     }
-    if (m.a & kFlagRefused) ++counters.refused;
-    if (m.a & kFlagTimeout) ++counters.timeouts;
-    if (m.a & kFlagFailed) ++counters.failures;
-    // Jittered from the user's counter stream: 1 - j + 2j*u is not
-    // bit-equal to BackoffPolicy::delay's Rng::uniform(1 - j, 1 + j).
-    double jitter = owner.backoff_.jitter;
-    double delay = owner.backoff_.raw_delay(retries[local]) *
-                   (1.0 - jitter + 2.0 * jitter * draw01(m.uid, local));
-    if (retries[local] < 0xffff) ++retries[local];
-    states[local] = kBackoff;
-    arm(now_ + delay, local);
   }
 };
 
 FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
                                    FrontierConfig config)
-    : testbed_(testbed), query_(std::move(query)), config_(config) {
+    : testbed_(testbed),
+      query_(std::move(query)),
+      config_(config),
+      policy_(config_.client.resilience) {
   if (config_.shards < 1) {
     throw std::invalid_argument("frontier workload needs >= 1 shard");
   }
-  const WorkloadConfig& client = config_.client;
-  if (client.query_deadline > 0 || client.max_attempts > 0 ||
-      client.resilience.enabled) {
-    throw std::invalid_argument(
-        "frontier workload: clients retry forever, with no deadline, "
-        "attempt cap or resilience policy");
-  }
-  backoff_.schedule = client.retry_schedule;
-  backoff_.jitter = client.retry_jitter;
+  backoff_.schedule = config_.client.retry_schedule;
+  backoff_.jitter = config_.client.retry_jitter;
   lookahead_ = config_.lookahead > 0
                    ? config_.lookahead
                    : testbed_.network().min_cross_site_latency();
@@ -309,11 +334,15 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
       throw std::invalid_argument(
           "frontier workload: admission_port needs server_host");
     }
-    if (config_.pool_factor < 1) {
-      throw std::invalid_argument(
-          "frontier workload: pool_factor must be >= 1");
-    }
     server_nic_ = &testbed_.nic(config_.server_host);
+    // The fast path's early refusals skew every client but the paper's,
+    // which retries forever against a plain listen queue
+    // (docs/SCALE.md): any other keeps every attempt on the full path.
+    const WorkloadConfig& c = config_.client;
+    if (c.query_deadline > 0 || c.max_attempts > 0 || c.resilience.enabled ||
+        config_.admission_port->policy().enabled) {
+      config_.admission_port = nullptr;
+    }
   }
   gateway_ = std::make_unique<sim::SimulationShard>(
       testbed_.sim(),
@@ -351,62 +380,68 @@ void FrontierWorkload::spawn_users(int n) {
   users_ = n;
 }
 
-std::size_t FrontierWorkload::run(double until) {
-  return group_->run(until);
+void FrontierWorkload::reply(std::uint64_t uid, const QueryAttempt* sent,
+                             Verdict verdict) {
+  std::uint64_t flags = static_cast<std::uint64_t>(verdict) << kVerdictShift;
+  if (sent != nullptr) {
+    flags |= kFlagSent | (sent->admitted ? kFlagAdmitted : 0) |
+             (sent->timed_out ? kFlagTimeout : 0) |
+             (sent->failed ? kFlagFailed : 0) |
+             (sent->stale ? kFlagStale : 0);
+  }
+  group_->post(0, shard_index_of(uid),
+               sim::ShardMessage{testbed_.sim().now() + lookahead_, uid, 0,
+                                 kMsgReply, 0, flags,
+                                 sent != nullptr ? sent->response_bytes : 0});
 }
 
 sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
-                                                  std::uint64_t uid) {
+                                                  std::uint64_t uid,
+                                                  std::uint64_t attempt,
+                                                  double start) {
   auto& sim = self.testbed_.sim();
   std::size_t slot = static_cast<std::size_t>(uid % self.nics_.size());
   ++self.attempts_;
   ++self.outstanding_;
-  QueryAttempt a = co_await self.query_(*self.nics_[slot], trace::Ctx{});
-  std::uint64_t flags = 0;
-  if (a.ok()) flags |= kFlagOk;
-  if (a.refused()) flags |= kFlagRefused;
-  if (a.timed_out) flags |= kFlagTimeout;
-  if (a.failed) flags |= kFlagFailed;
-  if (a.stale) flags |= kFlagStale;
-  self.group_->post(0, self.shard_index_of(uid),
-                    sim::ShardMessage{sim.now() + self.lookahead_, uid, 0,
-                                      kMsgReply, 0, flags,
-                                      a.response_bytes});
+  std::optional<QueryAttempt> a;
+  double patience = self.config_.client.query_deadline;
+  if (patience <= 0) {
+    a = co_await self.query_(*self.nics_[slot], trace::Ctx{});
+  } else {
+    // The legacy client's race, against the same absolute deadline.
+    a = co_await race_attempt(sim, self.query_, *self.nics_[slot],
+                              trace::Ctx{}, start + patience);
+  }
+  self.reply(uid, a ? &*a : nullptr,
+             a ? settle(self.policy_, self.config_.client.max_attempts,
+                        sim.now(), attempt, &*a)
+               : Verdict::Abandon);
   // The client script's bookkeeping CPU, charged on the user's real UC
   // host after a successful query (the refused path must stay cheap: at
   // frontier scale most attempts bounce off the listen queue).
   double cpu = self.config_.client.client_cpu_per_query;
-  if (a.ok() && cpu > 0) co_await self.hosts_[slot]->cpu().consume(cpu);
+  if (a && a->ok() && cpu > 0) {
+    co_await self.hosts_[slot]->cpu().consume(cpu);
+  }
   --self.outstanding_;
 }
 
-/// The batched refusal fast path. At frontier scale nearly every
-/// attempt bounces off a full listen queue, and the per-attempt price
-/// of that bounce — a 1.2 s tool startup plus a SYN each way across
-/// three processor-sharing stages — is what dominates wall-clock. The
-/// gateway therefore keeps a bounded standing pool of real attempts
-/// (pool_factor x the port's listen backlog of gateway_attempt
-/// coroutines) that run the full per-attempt physics, where the
-/// authoritative admission still happens; the pool is sized so the
-/// accept queue stays saturated and throughput, response time, and
-/// server load are attempt-for-attempt those of the unbatched model.
-/// Requests beyond the pool are doomed — thousands of pooled attempts
-/// are already ahead of them in line for every freed slot — so each
-/// lookahead-wide cohort of surplus requests is priced as ONE aggregate
-/// SYN/RST round trip. Processor sharing is a fluid model: n identical
-/// concurrent SYN flows between the same two NICs occupy the pipes like
-/// one flow of n times the bytes, so the aggregate carries the cohort's
-/// exact wire bytes. Shed refusal replies skip the tool-startup delay
-/// and land up to one bucket early; the shift is milliseconds against a
-/// seconds-deep retry ladder (the trade is documented in docs/SCALE.md,
-/// "The batched refusal fast path"). A down port bypasses the gate
-/// entirely so fault semantics stay with the real path.
+/// The batched refusal fast path (docs/SCALE.md). At frontier scale
+/// nearly every attempt bounces off a full listen queue. The gateway
+/// keeps a standing pool of kPoolFactor x backlog real attempts, where
+/// admission still happens, and prices each lookahead-wide cohort of
+/// surplus requests as ONE aggregate SYN/RST round trip carrying the
+/// cohort's exact wire bytes (processor sharing is a fluid model). Shed
+/// refusals skip the tool startup and land that much early. Each settles
+/// through the policy half as a refusal, in cohort order. A down port
+/// bypasses the gate. Only the plain client reaches it (constructor),
+/// whose verdicts need neither attempt number nor query start, so a
+/// cohort holds uids alone: the start wave keeps huge cohorts in flight.
 ///
-/// Determinism across shard counts survives because every input is
-/// K-independent: cohorts are [b*L, (b+1)*L) buckets of the canonical
-/// (deliver_at, uid, seq) mailbox order, the flush fires at the bucket
-/// boundary, and the pool counter moves only at flush and at
-/// gateway-attempt completion — all gateway-shard sim times.
+/// Every input is K-independent: cohorts are [b*L, (b+1)*L) buckets of
+/// the canonical mailbox order, the flush fires at the bucket boundary,
+/// and the pool counter moves only at flushes and gateway-attempt
+/// completions — all gateway-shard sim times.
 sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
   auto head = self.buckets_.begin();
   std::vector<std::uint64_t> batch = std::move(head->second);
@@ -416,14 +451,13 @@ sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
   std::size_t full = batch.size();
   if (port.up()) {
     std::uint64_t target =
-        static_cast<std::uint64_t>(self.config_.pool_factor) *
-        static_cast<std::uint64_t>(port.backlog());
+        kPoolFactor * static_cast<std::uint64_t>(port.backlog());
     std::uint64_t room =
         target > self.outstanding_ ? target - self.outstanding_ : 0;
     full = std::min(full, static_cast<std::size_t>(room));
   }
   for (std::size_t i = 0; i < full; ++i) {
-    sim.spawn(gateway_attempt(self, batch[i]));
+    sim.spawn(gateway_attempt(self, batch[i], 0, 0));
   }
   std::size_t shed = batch.size() - full;
   if (shed == 0) co_return;
@@ -438,18 +472,28 @@ sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
                  net::Network::kMessageOverheadBytes;
   co_await self.testbed_.network().transfer(rep, *self.server_nic_, bytes);
   co_await self.testbed_.network().transfer(*self.server_nic_, rep, bytes);
-  double at = sim.now() + self.lookahead_;
+  const QueryAttempt refused{};
   for (std::size_t i = full; i < batch.size(); ++i) {
-    self.group_->post(0, self.shard_index_of(batch[i]),
-                      sim::ShardMessage{at, batch[i], 0, kMsgReply, 0,
-                                        kFlagRefused, 0});
+    self.reply(batch[i], &refused,
+               settle(self.policy_, self.config_.client.max_attempts,
+                      sim.now(), 0, &refused));
   }
 }
 
 void FrontierWorkload::on_gateway_message(const sim::ShardMessage& m) {
   if (m.kind != kMsgRequest) return;
+  auto& sim = testbed_.sim();
+  // The client rules' policy half, shared by every user as in the legacy
+  // workload, sees each attempt here in canonical mailbox order.
+  if (m.a == 1) policy_.on_query();
+  if (!policy_.allow(sim.now())) {
+    reply(m.uid, nullptr,
+          settle(policy_, config_.client.max_attempts, sim.now(), m.a,
+                 nullptr));
+    return;
+  }
   if (config_.admission_port == nullptr) {
-    testbed_.sim().spawn(gateway_attempt(*this, m.uid));
+    sim.spawn(gateway_attempt(*this, m.uid, m.a, m.f));
     return;
   }
   // Deliveries arrive in canonical time order; bucket this request by
@@ -458,12 +502,10 @@ void FrontierWorkload::on_gateway_message(const sim::ShardMessage& m) {
   // member schedules the flush; a boundary-instant delivery (processed
   // before that flush fires, FIFO at equal times) keys a fresh bucket,
   // which is why buckets_ is a map and not a single pending vector.
-  auto& sim = testbed_.sim();
-  double deadline =
-      (std::floor(sim.now() / lookahead_) + 1.0) * lookahead_;
-  std::vector<std::uint64_t>& bucket = buckets_[deadline];
+  double flush_at = (std::floor(sim.now() / lookahead_) + 1.0) * lookahead_;
+  std::vector<std::uint64_t>& bucket = buckets_[flush_at];
   if (bucket.empty()) {
-    sim.schedule(deadline - sim.now(),
+    sim.schedule(flush_at - sim.now(),
                  [this] { testbed_.sim().spawn(flush_requests(*this)); });
   }
   bucket.push_back(m.uid);
@@ -492,33 +534,10 @@ ClientCounters FrontierWorkload::counters() const noexcept {
     total.refused += shard->counters.refused;
     total.timeouts += shard->counters.timeouts;
     total.failures += shard->counters.failures;
+    total.abandoned += shard->counters.abandoned;
   }
   total.attempts = attempts_;
   return total;
-}
-
-double FrontierWorkload::now() const noexcept { return group_->now(); }
-
-std::uint64_t FrontierWorkload::messages_delivered() const noexcept {
-  return group_->messages_delivered();
-}
-
-MetricsReport FrontierWorkload::measure_window(
-    double x, double warmup, double duration,
-    const std::string& server_host) {
-  double start = std::max(group_->now(), testbed_.sim().now());
-  std::size_t events = run(start + warmup);
-  double t0 = group_->now();
-  ClientCounters before = counters();
-  events += run(t0 + duration);
-  // Completions are walked in canonical (t, uid) order, so the float
-  // sums are byte-identical for every shard count.
-  MetricsReport p = window_report(testbed_, server_host, x,
-                                  merged_completions(), before, counters(),
-                                  t0, group_->now());
-  p.events = static_cast<double>(events);
-  p.shards = static_cast<double>(config_.shards);
-  return p;
 }
 
 }  // namespace gridmon::core

@@ -7,15 +7,19 @@
 ///
 /// Split of responsibilities across sim::ShardGroup shards:
 ///  - Shard 0 is the Testbed's full Simulation — every byte of network
-///    and CPU physics stays there. Each query attempt runs as a short
-///    gateway coroutine against the user's real UC-host NIC, through
-///    the scenario's unmodified query function, so the service under
-///    test sees exactly the traffic the legacy engine would send it.
+///    and CPU physics stays there, fault injection included. Each query
+///    attempt runs as a short gateway coroutine against the user's real
+///    UC-host NIC, through the scenario's unmodified query function, so
+///    the service under test sees exactly the traffic the legacy engine
+///    would send it. The gateway also runs the client rules' policy
+///    half (core::settle) over the retry budget and breaker every user
+///    shares, as in the legacy engine.
 ///  - Shards 1..K hold only user state, struct-of-arrays: one slab of
 ///    contiguous per-user fields (state byte, retry level, RNG draw
 ///    counter, query start time) plus a calendar of 16-byte timers in
 ///    lookahead-wide buckets (O(1) to arm, sorted per bucket as the
-///    clock reaches it). No coroutine frames, no per-user allocation.
+///    clock reaches it). They run the rules' per-user half (next_step)
+///    on each reply. No coroutine frames, no per-user allocation.
 ///
 /// The two sides talk exclusively through the group's deterministic
 /// mailboxes with one lookahead hop (the WAN one-way latency) in each
@@ -45,20 +49,19 @@ struct FrontierConfig {
   int shards = 1;        // client-state shards (>= 1)
   int threads = 0;       // >= 2 drives windows on a worker pool
   double lookahead = 0;  // window seconds; 0 = min WAN one-way latency
-  /// The client half, shared with the legacy engine. The FSM retries
-  /// forever with no resilience policy: the constructor rejects a
-  /// query_deadline, a max_attempts or an enabled policy.
+  /// The client half, run by the legacy engine's client rules (only the
+  /// backoff jitter is drawn differently). client_cpu_per_query runs
+  /// beside the user's think time rather than before it.
   WorkloadConfig client;
   /// Optional admission gate enabling the batched refusal fast path
   /// (see frontier.cpp): the gateway keeps a bounded standing pool of
   /// real in-flight attempts and prices each lookahead-window cohort of
   /// surplus attempts as one aggregate SYN/RST round trip. Point it at
   /// the scenario's server_port() and name the port's host; leave null
-  /// to keep every attempt on the full per-attempt physics path.
+  /// to keep every attempt on the full per-attempt physics path. Only a
+  /// plain client (retry forever, no policy) uses it (docs/SCALE.md).
   const net::ServerPort* admission_port = nullptr;
   std::string server_host;
-  /// Standing-pool size as a multiple of the port's listen backlog.
-  int pool_factor = 4;
 };
 
 /// The frontier's completion record is the legacy one; its uid makes
@@ -84,22 +87,13 @@ class FrontierWorkload {
 
   /// Drive all shards to absolute sim time `until` in lookahead
   /// windows. Returns events executed (gateway events + user timers).
-  std::size_t run(double until);
-
-  /// The shared measurement protocol over the sharded engine: warm up,
-  /// measure `duration` seconds, and report through core::window_report,
-  /// the computation behind core::measure(), plus the engine's event and
-  /// shard counts. Wall-clock stays with the caller, per the determinism
-  /// contract.
-  MetricsReport measure_window(double x, double warmup, double duration,
-                               const std::string& server_host);
+  std::size_t run(double until) { return group_->run(until); }
 
   /// All completions so far, canonically ordered by (t, uid) —
   /// identical bytes for every shard count.
   const std::vector<FrontierCompletion>& merged_completions();
 
-  /// Summed over the client shards. The FSM retries forever, so nothing
-  /// is ever abandoned.
+  /// Summed over the client shards, with the gateway's attempt count.
   ClientCounters counters() const noexcept;
   std::uint64_t refused_attempts() const noexcept { return counters().refused; }
   std::uint64_t error_count() const noexcept { return counters().errors(); }
@@ -111,16 +105,21 @@ class FrontierWorkload {
   int users() const noexcept { return users_; }
   int shards() const noexcept { return config_.shards; }
   double lookahead() const noexcept { return lookahead_; }
-  double now() const noexcept;
-  std::uint64_t messages_delivered() const noexcept;
+  double now() const noexcept { return group_->now(); }
+  std::uint64_t messages_delivered() const noexcept {
+    return group_->messages_delivered();
+  }
 
  private:
   struct ClientShard;
-
+  /// Attempt `attempt` (1-based) of the query `uid` started at `start`.
   static sim::Task<void> gateway_attempt(FrontierWorkload& self,
-                                         std::uint64_t uid);
+                                         std::uint64_t uid,
+                                         std::uint64_t attempt, double start);
   static sim::Task<void> flush_requests(FrontierWorkload& self);
   void on_gateway_message(const sim::ShardMessage& m);
+  /// Answer `uid` one hop from now: the attempt (null: none settled).
+  void reply(std::uint64_t uid, const QueryAttempt* sent, Verdict verdict);
   int shard_index_of(std::uint64_t uid) const noexcept {
     return 1 + static_cast<int>(uid % static_cast<std::uint64_t>(
                                           config_.shards));
@@ -129,6 +128,7 @@ class FrontierWorkload {
   Testbed& testbed_;
   TracedQueryFn query_;
   FrontierConfig config_;
+  resilience::ClientPolicy policy_;    // shared by every user
   resilience::BackoffPolicy backoff_;  // the ladder; jitter is drawn here
   double lookahead_ = 0;
   std::uint64_t seed_ = 0;

@@ -7,15 +7,16 @@
 /// ConfigError rather than stopping at the first bad key.
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <utility>
 
+#include "gridmon/ascii.hpp"
 #include "gridmon/core/scenario_spec.hpp"
 #include "gridmon/core/testbed.hpp"
+#include "gridmon/core/workload.hpp"
 
 namespace gridmon::core {
 namespace {
@@ -28,9 +29,7 @@ std::string trim(const std::string& s) {
 }
 
 std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  for (char& c : s) c = ascii::to_lower(c);
   return s;
 }
 
@@ -419,6 +418,8 @@ void validate_spec(const ScenarioSpec& spec, std::vector<std::string>& out) {
           "manager_stale_after must be non-negative");
   require(spec.query_deadline >= 0, "query_deadline must be non-negative");
   require(spec.max_attempts >= 0, "max_attempts must be non-negative");
+  require(spec.max_attempts <= kMaxAttemptsLimit,
+          "max_attempts must be at most 65536");
   require(spec.goodput_deadline >= 0,
           "goodput_deadline must be non-negative");
   require(spec.store.fsync_latency >= 0,
@@ -448,30 +449,10 @@ void validate_spec(const ScenarioSpec& spec, std::vector<std::string>& out) {
           "[engine] shards: the sharded engine needs a pull query; "
           "stream-fanout is push-only");
     }
-    if (!spec.faults.empty()) {
-      out.push_back(
-          "[engine] shards: fault injection is not supported by the "
-          "sharded engine yet (run with shards = 0)");
-    }
-    if (spec.resilience.enabled) {
-      out.push_back(
-          "[engine] shards: the resilience layer is not supported by the "
-          "sharded engine yet (run with shards = 0)");
-    }
     if (spec.lucky_clients) {
       out.push_back(
           "[engine] shards: the sharded engine drives the UC client pool "
           "only; lucky_clients must be false");
-    }
-    if (spec.query_deadline > 0) {
-      out.push_back(
-          "[engine] shards: query_deadline is not supported by the "
-          "sharded engine's frontier clients (run with shards = 0)");
-    }
-    if (spec.max_attempts > 0) {
-      out.push_back(
-          "[engine] shards: max_attempts is not supported by the "
-          "sharded engine's frontier clients (run with shards = 0)");
     }
   }
 }
@@ -489,6 +470,49 @@ ScenarioSpec SpecBuilder::build() {
     throw ConfigError(msg);
   }
   return spec_;
+}
+
+std::map<std::string, std::map<std::string, std::string>> parse_ini(
+    const std::string& text) {
+  std::map<std::string, std::map<std::string, std::string>> out;
+  std::string section;
+  std::stringstream ss(text);
+  std::string raw;
+  int line_no = 0;
+  while (std::getline(ss, raw)) {
+    ++line_no;
+    // Strip inline comments (';' or '#').
+    std::size_t cut = raw.find_first_of(";#");
+    std::string line = trim(cut == std::string::npos ? raw
+                                                     : raw.substr(0, cut));
+    if (line.empty()) continue;
+    if (line.front() == '[') {
+      if (line.back() != ']' || line.size() < 3) {
+        throw ConfigError("line " + std::to_string(line_no) +
+                          ": malformed section header");
+      }
+      section = lower(trim(line.substr(1, line.size() - 2)));
+      out[section];
+      continue;
+    }
+    std::size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": expected key = value");
+    }
+    std::string key = lower(trim(line.substr(0, eq)));
+    std::string value = trim(line.substr(eq + 1));
+    if (key.empty() || value.empty()) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": empty key or value");
+    }
+    if (section.empty()) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": key before any [section]");
+    }
+    out[section][key] = value;
+  }
+  return out;
 }
 
 ScenarioSpec parse_scenario_spec(const std::string& text) {

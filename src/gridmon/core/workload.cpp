@@ -9,10 +9,9 @@
 namespace gridmon::core {
 namespace {
 
-/// Shared mailbox between a user and one in-flight query attempt. The
-/// user may abandon the attempt at its deadline; the attempt coroutine
-/// keeps running (the server still does the work) and posts its result
-/// into a box nobody reads.
+/// Shared mailbox between a racing client and its attempt, which keeps
+/// running after the client walked away and posts into a box nobody
+/// reads.
 struct AttemptBox {
   std::optional<QueryAttempt> result;
   sim::Event done;
@@ -27,6 +26,19 @@ sim::Task<void> run_attempt(const TracedQueryFn& query, net::Interface& nic,
 }
 
 }  // namespace
+
+sim::Task<std::optional<QueryAttempt>> race_attempt(sim::Simulation& sim,
+                                                    const TracedQueryFn& query,
+                                                    net::Interface& nic,
+                                                    trace::Ctx ctx,
+                                                    double deadline) {
+  double remaining = deadline - sim.now();
+  if (remaining <= 0) co_return std::nullopt;
+  auto box = std::make_shared<AttemptBox>(sim);
+  sim.spawn(run_attempt(query, nic, ctx, box));
+  if (!co_await box->done.wait_for(remaining)) co_return std::nullopt;
+  co_return box->result;
+}
 
 void WorkloadConfig::check_fits(int n, std::size_t hosts) const {
   int capacity = max_users_per_host * static_cast<int>(hosts);
@@ -106,8 +118,7 @@ sim::Task<void> UserWorkload::client(UserWorkload& self, host::Host* host,
                           ? started + self.config_.query_deadline
                           : -1;
     std::size_t retry = 0;
-    int attempts = 0;
-    bool abandoned = false;
+    UserStep step;
     QueryAttempt attempt;
     // One trace per query (null Ctx while the collector is off or absent,
     // which keeps the whole iteration allocation-free).
@@ -117,75 +128,50 @@ sim::Task<void> UserWorkload::client(UserWorkload& self, host::Host* host,
     {
       trace::Span query_span(root, trace::SpanKind::Query);
       for (;;) {
-        ++attempts;
         // Circuit breaker toward the service: while Open, fail the
         // attempt locally without touching the network. Fast-fails are
         // client-side decisions, so they do not count as refusals.
-        bool fast_failed = !self.policy_.allow(sim.now());
-        if (fast_failed) {
+        bool sent = self.policy_.allow(sim.now());
+        if (!sent) {
           attempt = QueryAttempt{};
         } else if (deadline < 0) {
           ++self.counters_.attempts;
           attempt = co_await self.query_(nic, query_span.ctx());
         } else {
-          double remaining = deadline - sim.now();
-          if (remaining <= 0) {
-            abandoned = true;
-            break;
-          }
-          // Race the attempt against the script's remaining patience.
+          // Race the attempt against the script's remaining patience. On
+          // a loss the client kills its query tool and walks away,
+          // unsettled: the breaker learns nothing.
           ++self.counters_.attempts;
-          auto box = std::make_shared<AttemptBox>(sim);
-          sim.spawn(run_attempt(self.query_, nic, query_span.ctx(), box));
-          bool finished = co_await box->done.wait_for(remaining);
-          if (!finished || !box->result) {
-            // Deadline hit with the attempt still in flight: the client
-            // kills its query tool and walks away; the orphaned attempt
-            // runs on server-side until it fizzles out. The breaker
-            // learns nothing (the outcome is unknown to the client).
-            abandoned = true;
+          std::optional<QueryAttempt> raced = co_await race_attempt(
+              sim, self.query_, nic, query_span.ctx(), deadline);
+          if (!raced) {
+            step = UserStep{Verdict::Abandon};
             break;
           }
-          attempt = *box->result;
+          attempt = *raced;
         }
-        if (!fast_failed) {
-          self.policy_.record(sim.now(), attempt.ok());
-          if (attempt.timed_out) ++self.counters_.timeouts;
-          if (attempt.failed) ++self.counters_.failures;
-          if (attempt.ok()) break;
-          if (attempt.refused()) ++self.counters_.refused;
-        }
-        if (self.config_.max_attempts > 0 &&
-            attempts >= self.config_.max_attempts) {
-          abandoned = true;
-          break;
-        }
-        // Retry budget: an exhausted budget abandons the query rather
-        // than amplifying an outage into a retry storm.
-        if (!self.policy_.allow_retry()) {
-          abandoned = true;
-          break;
-        }
-        // Dropped SYN / failed attempt: wait out the retransmission timer.
-        double delay = self.backoff_.delay(retry, rng);
-        if (deadline >= 0 && sim.now() + delay >= deadline) {
-          // The deadline lands inside this backoff: die right there.
+        const QueryAttempt* settled = sent ? &attempt : nullptr;
+        Verdict verdict = settle(self.policy_, self.config_.max_attempts,
+                                 sim.now(), retry + 1, settled);
+        step = next_step(self.counters_, settled, verdict, sim.now(),
+                         deadline,
+                         [&] { return self.backoff_.delay(retry, rng); });
+        // Dropped SYN / failed attempt: wait out the retransmission
+        // timer, or die at the deadline when it lands inside it.
+        if (step.wait >= 0) {
           trace::Span backoff(query_span.ctx(), trace::SpanKind::Backoff);
-          if (deadline > sim.now()) co_await sim.delay(deadline - sim.now());
-          abandoned = true;
-          break;
+          co_await sim.delay(step.wait);
         }
-        trace::Span backoff(query_span.ctx(), trace::SpanKind::Backoff);
-        co_await sim.delay(delay);
+        if (step.verdict != Verdict::Retry) break;
         ++retry;
       }
       query_span.set_arg(attempt.response_bytes);
-      if (abandoned && root) {
+      if (step.verdict == Verdict::Abandon && root) {
         root.col->instant(query_span.ctx(), trace::SpanKind::Timeout,
                           "query_deadline");
       }
     }
-    if (abandoned) {
+    if (step.verdict == Verdict::Abandon) {
       ++self.counters_.abandoned;
     } else {
       self.completions_.push_back(Completion{sim.now(), sim.now() - started,

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -177,6 +178,72 @@ struct ClientCounters {
   }
 };
 
+/// The largest `max_attempts` either engine honours: the sharded engine
+/// counts a query's retries in 16 bits.
+inline constexpr int kMaxAttemptsLimit = 0x10000;
+
+/// What a query does once an attempt settles.
+enum class Verdict : std::uint8_t { Done, Retry, Abandon };
+
+/// The client rules' policy half, run once per attempt over what every
+/// user of a workload shares: `policy`, the retry budget and breaker
+/// toward the service (its allow() gated the attempt; a fast-failed one
+/// settles as null), and the `max_attempts` cap. An attempt that lost
+/// the race to its query's deadline is never settled.
+inline Verdict settle(resilience::ClientPolicy& policy, int max_attempts,
+                      double now, std::size_t attempt,
+                      const QueryAttempt* sent) {
+  if (sent != nullptr) {
+    policy.record(now, sent->ok());
+    if (sent->ok()) return Verdict::Done;
+  }
+  if (max_attempts > 0 && attempt >= static_cast<std::size_t>(max_attempts)) {
+    return Verdict::Abandon;
+  }
+  // Retry budget: an exhausted budget abandons the query rather than
+  // amplifying an outage into a retry storm.
+  return policy.allow_retry() ? Verdict::Retry : Verdict::Abandon;
+}
+
+/// The per-user half's answer. `wait` is the backoff before a Retry, or
+/// the time left to the deadline when that falls inside the backoff (an
+/// Abandon); negative means no backoff.
+struct UserStep {
+  Verdict verdict = Verdict::Done;
+  double wait = -1;
+};
+
+/// The client rules' per-user half: count the settled attempt `sent`
+/// (null: fast-failed or never settled) into `counters` and turn the
+/// verdict into the user's next step. A Retry takes its delay from
+/// `delay()`, the engine's own draw, and gives up at `deadline`
+/// (absolute; negative = none) when that falls inside the backoff. The
+/// caller counts an abandon when it takes effect.
+template <typename Delay>
+UserStep next_step(ClientCounters& counters, const QueryAttempt* sent,
+                   Verdict verdict, double now, double deadline,
+                   Delay&& delay) {
+  if (sent != nullptr) {
+    if (sent->timed_out) ++counters.timeouts;
+    if (sent->failed) ++counters.failures;
+    if (sent->refused()) ++counters.refused;
+  }
+  if (verdict != Verdict::Retry) return UserStep{verdict};
+  double wait = delay();
+  if (deadline >= 0 && now + wait >= deadline) {
+    return UserStep{Verdict::Abandon, deadline - now};
+  }
+  return UserStep{Verdict::Retry, wait};
+}
+
+/// Race one attempt against an absolute `deadline`: nullopt when that
+/// comes first, while the orphaned attempt runs on. `query` outlives it.
+sim::Task<std::optional<QueryAttempt>> race_attempt(sim::Simulation& sim,
+                                                    const TracedQueryFn& query,
+                                                    net::Interface& nic,
+                                                    trace::Ctx ctx,
+                                                    double deadline);
+
 class UserWorkload {
  public:
   UserWorkload(Testbed& testbed, TracedQueryFn query,
@@ -204,33 +271,16 @@ class UserWorkload {
   }
   const ClientCounters& counters() const noexcept { return counters_; }
   std::uint64_t refused_attempts() const noexcept { return counters_.refused; }
-  /// Attempts that timed out on a dead path (connect/transfer deadline).
-  std::uint64_t timeout_attempts() const noexcept {
-    return counters_.timeouts;
-  }
-  /// Attempts admitted but answered with an error by the service.
-  std::uint64_t failed_attempts() const noexcept { return counters_.failures; }
-  /// Whole queries given up on (deadline expired, max_attempts hit or
-  /// retry budget exhausted).
-  std::uint64_t abandoned_queries() const noexcept {
-    return counters_.abandoned;
-  }
   std::uint64_t error_count() const noexcept { return counters_.errors(); }
   int users() const noexcept { return users_; }
+  std::size_t run(double until) { return testbed_.sim().run(until); }
+  double now() const noexcept { return testbed_.sim().now(); }
   std::uint64_t total_queries() const noexcept { return counters_.queries; }
   std::uint64_t total_attempts() const noexcept { return counters_.attempts; }
   /// Queries in flight right now (open loop: grows without bound past
   /// saturation).
   std::uint64_t outstanding() const noexcept {
     return counters_.queries - completions_.size() - counters_.abandoned;
-  }
-  /// attempts/queries — 1.0 means no retries; the retry-storm signature
-  /// is this ratio diverging during an outage.
-  double retry_amplification() const noexcept {
-    return counters_.queries > 0
-               ? static_cast<double>(counters_.attempts) /
-                     static_cast<double>(counters_.queries)
-               : 0;
   }
   /// The shared client policy toward the service under test (fast-fail /
   /// budget-suppression counters live on its breaker and budget).

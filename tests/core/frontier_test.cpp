@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "gridmon/core/deployment.hpp"
 
@@ -17,24 +18,30 @@ using core::FrontierWorkload;
 
 namespace {
 
+/// A spec knob applied on top of run_digest's GRIS spec.
+using Knob = void (*)(core::SpecBuilder&);
+
 /// One complete sharded run through core::Deployment: GRIS scenario,
 /// `users` frontier users on K shards, one 10+30 s window. `lookahead`
 /// (0 = derived) and `client` set the timer knobs (think time, retry
-/// ladder). Returns the full observable surface as text at round-trip
-/// precision: the metrics row, the counters, and every completion.
+/// ladder); `knob`, when set, adds spec keys. Returns the full
+/// observable surface as text at round-trip precision: the metrics row,
+/// the counters, and every completion.
 std::string run_digest(int users, int shards, std::uint64_t seed,
                        int threads = 0, int gris_backlog = 0,
                        double lookahead = 0,
-                       const core::WorkloadConfig& client = {}) {
-  core::ScenarioSpec spec = core::ScenarioSpec::build()
-                                .service(core::ServiceKind::Gris)
-                                .gris_backlog(gris_backlog)
-                                .window(10.0, 30.0)
-                                .seed(seed)
-                                .shards(shards)
-                                .threads(threads)
-                                .lookahead(lookahead)
-                                .build();
+                       const core::WorkloadConfig& client = {},
+                       Knob knob = nullptr) {
+  core::SpecBuilder builder = core::ScenarioSpec::build();
+  builder.service(core::ServiceKind::Gris)
+      .gris_backlog(gris_backlog)
+      .window(10.0, 30.0)
+      .seed(seed)
+      .shards(shards)
+      .threads(threads)
+      .lookahead(lookahead);
+  if (knob != nullptr) knob(builder);
+  core::ScenarioSpec spec = builder.build();
   core::Deployment d(spec, users, /*traced=*/false, client);
   core::MetricsReport p = d.measure(users);
   FrontierWorkload& fw = *d.frontier();
@@ -66,6 +73,46 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// The client knobs both engines share, each an extra input to the
+/// shard-count and threading checks below: the deadline race, the
+/// attempt cap and the resilience layer at both ends (breaker, budget
+/// and a wait queue) against a saturated backlog, where each keeps every
+/// attempt off the batched fast path, and a crash of the server
+/// mid-window.
+struct ClientKnob {
+  const char* name;
+  int gris_backlog;
+  Knob apply;
+};
+const ClientKnob kClientKnobs[] = {
+    {"query_deadline", 4,
+     [](core::SpecBuilder& b) { b.query_deadline(8); }},
+    {"max_attempts", 4, [](core::SpecBuilder& b) { b.max_attempts(2); }},
+    {"resilience", 4,
+     [](core::SpecBuilder& b) {
+       resilience::Config res;
+       res.enabled = true;
+       res.client.enabled = true;
+       res.server.enabled = true;
+       res.server.queue_limit = 16;
+       b.resilience(res);
+     }},
+    {"crash", 0,
+     [](core::SpecBuilder& b) {
+       fault::FaultPlan plan;
+       plan.crash("server", 15, 25);
+       b.faults(std::move(plan));
+     }},
+};
+
+/// The metrics row with its last column, `shards`, spliced out: it
+/// necessarily differs between shard counts.
+std::string without_shards(std::string s) {
+  auto nl = s.find('\n');
+  auto comma = s.rfind(',', nl);
+  return s.substr(0, comma) + s.substr(nl);
+}
+
 /// The metrics row and counters line: everything before the completions.
 std::string head_of(const std::string& digest) {
   return digest.substr(0, digest.find('\n', digest.find('\n') + 1) + 1);
@@ -79,20 +126,22 @@ std::string log_of(const std::string& digest) {
 }  // namespace
 
 /// K=1 and K=3 must produce identical bytes: same completions, same
-/// float sums, same message counts modulo the shard column.
+/// float sums, same message counts modulo the shard column. Each client
+/// knob must hold this too, and must change the run it is applied to.
 TEST(FrontierDeterminism, ShardCountDoesNotChangeResults) {
   for (std::uint64_t seed : {42ull, 7ull}) {
     std::string k1 = run_digest(300, 1, seed);
     std::string k3 = run_digest(300, 3, seed);
-    // The metrics row's `shards` column necessarily differs; splice it
-    // out before comparing (it is the last CSV column).
-    auto normalize = [](std::string s) {
-      auto nl = s.find('\n');
-      auto comma = s.rfind(',', nl);
-      return s.substr(0, comma) + s.substr(nl);
-    };
-    EXPECT_EQ(normalize(k1), normalize(k3)) << "seed " << seed;
+    EXPECT_EQ(without_shards(k1), without_shards(k3)) << "seed " << seed;
     EXPECT_NE(k1.substr(0, k1.find('\n')), "");
+  }
+  for (const ClientKnob& knob : kClientKnobs) {
+    int backlog = knob.gris_backlog;
+    std::string k1 = run_digest(300, 1, 42, 0, backlog, 0, {}, knob.apply);
+    std::string k3 = run_digest(300, 3, 42, 0, backlog, 0, {}, knob.apply);
+    EXPECT_EQ(without_shards(k1), without_shards(k3)) << knob.name;
+    EXPECT_NE(k1, run_digest(300, 1, 42, 0, backlog))
+        << knob.name << " changed nothing";
   }
 }
 
@@ -106,6 +155,12 @@ TEST(FrontierDeterminism, SeedsDiverge) {
 
 TEST(FrontierDeterminism, ThreadedMatchesSerial) {
   EXPECT_EQ(run_digest(200, 4, 42, 0), run_digest(200, 4, 42, 3));
+  for (const ClientKnob& knob : kClientKnobs) {
+    int backlog = knob.gris_backlog;
+    EXPECT_EQ(run_digest(200, 4, 42, 0, backlog, 0, {}, knob.apply),
+              run_digest(200, 4, 42, 3, backlog, 0, {}, knob.apply))
+        << knob.name;
+  }
 }
 
 /// A tiny listen backlog saturates the port, so the batched refusal
@@ -114,12 +169,7 @@ TEST(FrontierDeterminism, ThreadedMatchesSerial) {
 TEST(FrontierDeterminism, SaturatedFastPathIsShardInvariant) {
   std::string k1 = run_digest(300, 1, 42, 0, /*gris_backlog=*/4);
   std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4);
-  auto normalize = [](std::string s) {
-    auto nl = s.find('\n');
-    auto comma = s.rfind(',', nl);
-    return s.substr(0, comma) + s.substr(nl);
-  };
-  EXPECT_EQ(normalize(k1), normalize(k3));
+  EXPECT_EQ(without_shards(k1), without_shards(k3));
   // The run must actually have exercised the batched path.
   EXPECT_EQ(k1.find(" fast=0 "), std::string::npos)
       << "expected fast-path refusals, digest: "
@@ -206,24 +256,4 @@ TEST(FrontierWorkloadApi, RejectsBadConfigs) {
   EXPECT_THROW(fw.spawn_users(100), std::logic_error);
   EXPECT_EQ(fw.users(), 100);
   EXPECT_GT(fw.lookahead(), 0.0);
-}
-
-/// The client half is the legacy WorkloadConfig, but the frontier FSM
-/// retries forever with no resilience policy: each client knob it does
-/// not model is refused, not silently ignored.
-TEST(FrontierWorkloadApi, RejectsClientKnobsItDoesNotModel) {
-  core::Testbed tb;
-  auto scenario = core::make_scenario(tb, core::ScenarioSpec{});
-  FrontierConfig deadline;
-  deadline.client.query_deadline = 25;
-  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), deadline),
-               std::invalid_argument);
-  FrontierConfig attempts;
-  attempts.client.max_attempts = 5;
-  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), attempts),
-               std::invalid_argument);
-  FrontierConfig policy;
-  policy.client.resilience.enabled = true;
-  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), policy),
-               std::invalid_argument);
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gridmon/core/scenario_spec.hpp"
+#include "gridmon/core/workload.hpp"
 
 namespace gridmon::core {
 namespace {
@@ -99,33 +100,56 @@ TEST(SpecBuilderTest, ShardedEngineRejectsUnsupportedCombinations) {
                    .shards(4)
                    .build(),
                ConfigError);
-  // Fault injection is a legacy-engine feature for now.
-  EXPECT_THROW(parse_scenario_spec("[experiment]\nservice = gris\n"
-                                   "[engine]\nshards = 4\n"
-                                   "[faults]\ncrash = server, 30, 60\n"),
-               ConfigError);
+  // Both engines run one client rule set: faults, the resilience layer
+  // and the abandonment knobs are legal on the sharded engine too.
+  EXPECT_NO_THROW(parse_scenario_spec("[experiment]\nservice = gris\n"
+                                      "[engine]\nshards = 4\n"
+                                      "[faults]\ncrash = server, 30, 60\n"));
   fault::FaultPlan plan;
   plan.crash("server", 30, 60);
-  EXPECT_THROW(
-      ScenarioSpec::build().faults(std::move(plan)).shards(2).build(),
-      ConfigError);
-  // And so is the resilience layer.
+  EXPECT_NO_THROW(
+      ScenarioSpec::build().faults(std::move(plan)).shards(2).build());
   resilience::Config res;
   res.enabled = true;
-  EXPECT_THROW(
-      ScenarioSpec::build().resilience(res).shards(2).build(),
-      ConfigError);
-  // The frontier clients retry forever from the UC pool: the legacy
-  // abandonment knobs and the lucky-client placement are rejected.
+  EXPECT_NO_THROW(ScenarioSpec::build().resilience(res).shards(2).build());
+  EXPECT_NO_THROW(ScenarioSpec::build().query_deadline(25).shards(2).build());
+  EXPECT_NO_THROW(ScenarioSpec::build().max_attempts(5).shards(2).build());
+  // The frontier drives the UC client pool only.
   EXPECT_THROW(ScenarioSpec::build().lucky_clients(true).shards(2).build(),
-               ConfigError);
-  EXPECT_THROW(ScenarioSpec::build().query_deadline(25).shards(2).build(),
-               ConfigError);
-  EXPECT_THROW(ScenarioSpec::build().max_attempts(5).shards(2).build(),
                ConfigError);
   // All knobs stay legal on the legacy engine.
   EXPECT_NO_THROW(
       ScenarioSpec::build().lucky_clients(true).query_deadline(25).build());
+}
+
+// The sharded engine counts a query's retries in 16 bits, so one bound on
+// max_attempts holds for both engines: a cap it cannot reach is a config
+// error, not a cap that silently never fires.
+TEST(SpecBuilderTest, MaxAttemptsIsBoundedForBothEngines) {
+  for (int shards : {0, 2}) {
+    EXPECT_NO_THROW(ScenarioSpec::build()
+                        .max_attempts(kMaxAttemptsLimit)
+                        .shards(shards)
+                        .build())
+        << "shards " << shards;
+    EXPECT_THROW(ScenarioSpec::build()
+                     .max_attempts(kMaxAttemptsLimit + 1)
+                     .shards(shards)
+                     .build(),
+                 ConfigError)
+        << "shards " << shards;
+  }
+  EXPECT_EQ(kMaxAttemptsLimit, 65536);
+  try {
+    parse_scenario_spec(
+        "[experiment]\nservice = gris\n[faults]\nmax_attempts = 65537\n");
+    FAIL() << "max_attempts = 65537 accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(
+        std::string(e.what()).find("max_attempts must be at most 65536"),
+        std::string::npos)
+        << e.what();
+  }
 }
 
 // The lucky pool seats 7 nodes x 100 users; a sweep point past that is a
