@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       SweepPoint p = measure(tb, w, spec.server_host(), n, opt.measure());
       progress(s.name, n, p);
       std::cout << "    outstanding at end: " << w.outstanding()
-                << ", abandoned: " << w.counters().abandoned << "\n";
+                << ", abandoned: " << w.abandoned_queries() << "\n";
       s.points.push_back(p);
     }
     figures.push_back(std::move(s));

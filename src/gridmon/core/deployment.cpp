@@ -84,8 +84,10 @@ MetricsReport Deployment::measure(double x) {
     mc.goodput_deadline = spec_.goodput_deadline;
   }
   const std::string server = spec_.server_host();
-  if (frontier_) return core::measure(testbed_, *frontier_, server, x, mc);
-  return core::measure(testbed_, *workload_, server, x, mc);
+  if (!frontier_) return core::measure(testbed_, *workload_, server, x, mc);
+  MetricsReport p = core::measure(testbed_, *frontier_, server, x, mc);
+  p.shards = static_cast<double>(frontier_->shards());
+  return p;
 }
 
 }  // namespace gridmon::core

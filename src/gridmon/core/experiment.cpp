@@ -1,9 +1,9 @@
 #include "gridmon/core/experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <ostream>
-#include <type_traits>
 
 #include "gridmon/core/frontier.hpp"
 #include "gridmon/net/server_port.hpp"
@@ -26,22 +26,14 @@ SweepPoint measure(Testbed& testbed, Engine& workload,
   if (config.collector != nullptr) config.collector->set_enabled(false);
   double t1 = workload.now();
 
-  constexpr bool kSharded = std::is_same_v<Engine, FrontierWorkload>;
-  std::span<const Completion> log;
-  if constexpr (kSharded) {
-    log = workload.merged_completions();
-  } else {
-    log = workload.completions();
-  }
-  SweepPoint p = window_report(testbed, server_host, x, log, before,
-                               workload.counters(), t0, t1, config);
+  SweepPoint p = window_report(testbed, server_host, x, workload.completions(),
+                               before, workload.counters(), t0, t1, config);
   if (config.port != nullptr && t1 > t0) {
     p.shed_rate =
         static_cast<double>(config.port->total_shed() - shed_before) /
         (t1 - t0);
   }
   p.events = static_cast<double>(events);
-  if constexpr (kSharded) p.shards = static_cast<double>(workload.shards());
   return p;
 }
 
@@ -112,6 +104,42 @@ SweepPoint window_report(Testbed& testbed, const std::string& server_host,
     }
   }
   return p;
+}
+
+SweepPoint replicate(const std::vector<std::uint64_t>& seeds,
+                     const std::function<SweepPoint(std::uint64_t)>& run_one,
+                     double* throughput_stddev_out) {
+  SweepPoint mean;
+  mean.availability = 0;   // the struct default is 1; accumulate from zero
+  mean.peak_rss_kb = 0;    // likewise (-1 = "not measured")
+  mean.shards = 0;         // likewise (the struct default is 1)
+  std::vector<double> throughputs;
+  // The schema is the field list: every metric column accumulates and
+  // averages, so new columns join replication without touching this loop.
+  for (auto seed : seeds) {
+    SweepPoint p = run_one(seed);
+    mean.x = p.x;
+    for (const auto& col : metric_columns()) {
+      if (col.field == &SweepPoint::x) continue;
+      mean.*(col.field) += p.*(col.field);
+    }
+    throughputs.push_back(p.throughput);
+  }
+  double n = static_cast<double>(seeds.size());
+  if (n > 0) {
+    for (const auto& col : metric_columns()) {
+      if (col.field == &SweepPoint::x) continue;
+      mean.*(col.field) /= n;
+    }
+  }
+  if (throughput_stddev_out != nullptr) {
+    double ss = 0;
+    for (double t : throughputs) {
+      ss += (t - mean.throughput) * (t - mean.throughput);
+    }
+    *throughput_stddev_out = n > 1 ? std::sqrt(ss / n) : 0;
+  }
+  return mean;
 }
 
 void print_figures(std::ostream& os, int first_figure,

@@ -23,8 +23,6 @@ class ServerPort;
 
 namespace gridmon::core {
 
-class FrontierWorkload;
-
 struct MeasureConfig {
   double warmup = 120.0;
   double duration = 600.0;  // the paper's 10-minute span
@@ -60,9 +58,8 @@ using SweepPoint = MetricsReport;
 
 /// Run the clock through warmup+duration and collect a SweepPoint for
 /// either engine's `workload` (a UserWorkload's closed users, open
-/// arrivals, or both; a FrontierWorkload, which also reports its shard
-/// count) with host metrics from `server_host`. `events` counts the
-/// simulator events of both spans.
+/// arrivals, or both; or a FrontierWorkload) with host metrics from
+/// `server_host`. `events` counts the simulator events of both spans.
 template <typename Engine>
 SweepPoint measure(Testbed& testbed, Engine& workload,
                    const std::string& server_host, double x,
@@ -79,6 +76,14 @@ SweepPoint window_report(Testbed& testbed, const std::string& server_host,
                          const ClientCounters& before,
                          const ClientCounters& after, double t0, double t1,
                          const MeasureConfig& config = {});
+
+/// Replicate a whole sweep-point experiment across `seeds` independent
+/// random streams and average the metrics (population stddev of the
+/// throughput is reported through `throughput_stddev_out` when given).
+/// `run_one` builds and measures a fresh deployment for one seed.
+SweepPoint replicate(const std::vector<std::uint64_t>& seeds,
+                     const std::function<SweepPoint(std::uint64_t)>& run_one,
+                     double* throughput_stddev_out = nullptr);
 
 /// A figure = one metric across sweep points for several series.
 struct Series {

@@ -25,9 +25,6 @@ constexpr std::uint64_t kFlagFailed = 1u << 3;
 constexpr std::uint64_t kFlagStale = 1u << 4;
 constexpr int kVerdictShift = 5;
 
-// The fast path's standing pool, as a multiple of the listen backlog.
-constexpr std::uint64_t kPoolFactor = 4;
-
 // User FSM states (SoA byte per user).
 constexpr std::uint8_t kThinking = 0;  // timer armed: issue next query
 constexpr std::uint8_t kWaiting = 1;   // attempt in flight, no timer
@@ -334,6 +331,10 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
       throw std::invalid_argument(
           "frontier workload: admission_port needs server_host");
     }
+    if (config_.pool_factor < 1) {
+      throw std::invalid_argument(
+          "frontier workload: pool_factor must be >= 1");
+    }
     server_nic_ = &testbed_.nic(config_.server_host);
     // The fast path's early refusals skew every client but the paper's,
     // which retries forever against a plain listen queue
@@ -428,7 +429,7 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
 
 /// The batched refusal fast path (docs/SCALE.md). At frontier scale
 /// nearly every attempt bounces off a full listen queue. The gateway
-/// keeps a standing pool of kPoolFactor x backlog real attempts, where
+/// keeps a standing pool of pool_factor x backlog real attempts, where
 /// admission still happens, and prices each lookahead-wide cohort of
 /// surplus requests as ONE aggregate SYN/RST round trip carrying the
 /// cohort's exact wire bytes (processor sharing is a fluid model). Shed
@@ -451,7 +452,8 @@ sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
   std::size_t full = batch.size();
   if (port.up()) {
     std::uint64_t target =
-        kPoolFactor * static_cast<std::uint64_t>(port.backlog());
+        static_cast<std::uint64_t>(self.config_.pool_factor) *
+        static_cast<std::uint64_t>(port.backlog());
     std::uint64_t room =
         target > self.outstanding_ ? target - self.outstanding_ : 0;
     full = std::min(full, static_cast<std::size_t>(room));
@@ -486,6 +488,15 @@ void FrontierWorkload::on_gateway_message(const sim::ShardMessage& m) {
   // The client rules' policy half, shared by every user as in the legacy
   // workload, sees each attempt here in canonical mailbox order.
   if (m.a == 1) policy_.on_query();
+  // A request sent within one hop of its query's deadline lands here past
+  // it: the legacy client would never have started it, so it takes no
+  // breaker slot (a half-open probe never settled would pin the breaker)
+  // and counts as no attempt.
+  double patience = config_.client.query_deadline;
+  if (patience > 0 && m.f + patience <= sim.now()) {
+    reply(m.uid, nullptr, Verdict::Abandon);
+    return;
+  }
   if (!policy_.allow(sim.now())) {
     reply(m.uid, nullptr,
           settle(policy_, config_.client.max_attempts, sim.now(), m.a,

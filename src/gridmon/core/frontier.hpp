@@ -62,6 +62,8 @@ struct FrontierConfig {
   /// plain client (retry forever, no policy) uses it (docs/SCALE.md).
   const net::ServerPort* admission_port = nullptr;
   std::string server_host;
+  /// Standing-pool size as a multiple of the port's listen backlog.
+  int pool_factor = 4;
 };
 
 /// The frontier's completion record is the legacy one; its uid makes
@@ -92,6 +94,10 @@ class FrontierWorkload {
   /// All completions so far, canonically ordered by (t, uid) —
   /// identical bytes for every shard count.
   const std::vector<FrontierCompletion>& merged_completions();
+  /// The merged log, under the legacy engine's name for core::measure.
+  const std::vector<FrontierCompletion>& completions() {
+    return merged_completions();
+  }
 
   /// Summed over the client shards, with the gateway's attempt count.
   ClientCounters counters() const noexcept;

@@ -1,10 +1,28 @@
 #include "gridmon/core/scenario_spec.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <sstream>
+
 #include "gridmon/core/adapters.hpp"
 #include "gridmon/core/scenarios.hpp"
 
 namespace gridmon::core {
 namespace {
+
+std::string trim(const std::string& s) {
+  std::size_t b = s.find_first_not_of(" \t\r");
+  if (b == std::string::npos) return "";
+  std::size_t e = s.find_last_not_of(" \t\r");
+  return s.substr(b, e - b + 1);
+}
+
+std::string lower(std::string s) {
+  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return s;
+}
 
 [[noreturn]] void bad_variant(const ScenarioSpec& spec) {
   throw ConfigError("service '" + spec.service_name() +
@@ -270,6 +288,49 @@ std::unique_ptr<Scenario> make_scenario(Testbed& tb,
   auto s = build_scenario(tb, spec);
   if (spec.resilience.enabled) s->apply_resilience(spec.resilience);
   return s;
+}
+
+std::map<std::string, std::map<std::string, std::string>> parse_ini(
+    const std::string& text) {
+  std::map<std::string, std::map<std::string, std::string>> out;
+  std::string section;
+  std::stringstream ss(text);
+  std::string raw;
+  int line_no = 0;
+  while (std::getline(ss, raw)) {
+    ++line_no;
+    // Strip inline comments (';' or '#').
+    std::size_t cut = raw.find_first_of(";#");
+    std::string line = trim(cut == std::string::npos ? raw
+                                                     : raw.substr(0, cut));
+    if (line.empty()) continue;
+    if (line.front() == '[') {
+      if (line.back() != ']' || line.size() < 3) {
+        throw ConfigError("line " + std::to_string(line_no) +
+                          ": malformed section header");
+      }
+      section = lower(trim(line.substr(1, line.size() - 2)));
+      out[section];
+      continue;
+    }
+    std::size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": expected key = value");
+    }
+    std::string key = lower(trim(line.substr(0, eq)));
+    std::string value = trim(line.substr(eq + 1));
+    if (key.empty() || value.empty()) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": empty key or value");
+    }
+    if (section.empty()) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": key before any [section]");
+    }
+    out[section][key] = value;
+  }
+  return out;
 }
 
 }  // namespace gridmon::core

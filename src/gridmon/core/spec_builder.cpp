@@ -7,13 +7,13 @@
 /// ConfigError rather than stopping at the first bad key.
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <utility>
 
-#include "gridmon/ascii.hpp"
 #include "gridmon/core/scenario_spec.hpp"
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/core/workload.hpp"
@@ -29,7 +29,9 @@ std::string trim(const std::string& s) {
 }
 
 std::string lower(std::string s) {
-  for (char& c : s) c = ascii::to_lower(c);
+  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
   return s;
 }
 
@@ -470,49 +472,6 @@ ScenarioSpec SpecBuilder::build() {
     throw ConfigError(msg);
   }
   return spec_;
-}
-
-std::map<std::string, std::map<std::string, std::string>> parse_ini(
-    const std::string& text) {
-  std::map<std::string, std::map<std::string, std::string>> out;
-  std::string section;
-  std::stringstream ss(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(ss, raw)) {
-    ++line_no;
-    // Strip inline comments (';' or '#').
-    std::size_t cut = raw.find_first_of(";#");
-    std::string line = trim(cut == std::string::npos ? raw
-                                                     : raw.substr(0, cut));
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      if (line.back() != ']' || line.size() < 3) {
-        throw ConfigError("line " + std::to_string(line_no) +
-                          ": malformed section header");
-      }
-      section = lower(trim(line.substr(1, line.size() - 2)));
-      out[section];
-      continue;
-    }
-    std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": expected key = value");
-    }
-    std::string key = lower(trim(line.substr(0, eq)));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty() || value.empty()) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": empty key or value");
-    }
-    if (section.empty()) {
-      throw ConfigError("line " + std::to_string(line_no) +
-                        ": key before any [section]");
-    }
-    out[section][key] = value;
-  }
-  return out;
 }
 
 ScenarioSpec parse_scenario_spec(const std::string& text) {

@@ -271,6 +271,17 @@ class UserWorkload {
   }
   const ClientCounters& counters() const noexcept { return counters_; }
   std::uint64_t refused_attempts() const noexcept { return counters_.refused; }
+  /// Attempts that timed out on a dead path (connect/transfer deadline).
+  std::uint64_t timeout_attempts() const noexcept {
+    return counters_.timeouts;
+  }
+  /// Attempts admitted but answered with an error by the service.
+  std::uint64_t failed_attempts() const noexcept { return counters_.failures; }
+  /// Whole queries given up on (deadline expired, max_attempts hit or
+  /// retry budget exhausted).
+  std::uint64_t abandoned_queries() const noexcept {
+    return counters_.abandoned;
+  }
   std::uint64_t error_count() const noexcept { return counters_.errors(); }
   int users() const noexcept { return users_; }
   std::size_t run(double until) { return testbed_.sim().run(until); }
@@ -281,6 +292,14 @@ class UserWorkload {
   /// saturation).
   std::uint64_t outstanding() const noexcept {
     return counters_.queries - completions_.size() - counters_.abandoned;
+  }
+  /// attempts/queries — 1.0 means no retries; the retry-storm signature
+  /// is this ratio diverging during an outage.
+  double retry_amplification() const noexcept {
+    return counters_.queries > 0
+               ? static_cast<double>(counters_.attempts) /
+                     static_cast<double>(counters_.queries)
+               : 0;
   }
   /// The shared client policy toward the service under test (fast-fail /
   /// budget-suppression counters live on its breaker and budget).

@@ -2,18 +2,33 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
 #include "gridmon/core/adapters.hpp"
 #include "gridmon/core/scenarios.hpp"
 
 namespace gridmon::core {
 namespace {
 
+TEST(ReplicateTest, AveragesAcrossSeeds) {
+  std::vector<std::uint64_t> used;
+  auto run_one = [&](std::uint64_t seed) {
+    used.push_back(seed);
+    SweepPoint p;
+    p.x = 7;
+    p.throughput = static_cast<double>(seed);
+    p.response = 2.0 * static_cast<double>(seed);
+    return p;
+  };
+  double stddev = -1;
+  SweepPoint mean = replicate({1, 2, 3}, run_one, &stddev);
+  EXPECT_EQ(used, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(mean.x, 7);
+  EXPECT_DOUBLE_EQ(mean.throughput, 2.0);
+  EXPECT_DOUBLE_EQ(mean.response, 4.0);
+  EXPECT_NEAR(stddev, std::sqrt(2.0 / 3.0), 1e-12);
+}
+
 TEST(ReplicateTest, RealExperimentSeedsAgreeClosely) {
-  std::vector<double> throughputs;
-  for (std::uint64_t seed : {11, 22, 33}) {
+  auto run_one = [](std::uint64_t seed) {
     TestbedConfig tc;
     tc.seed = seed;
     Testbed tb(tc);
@@ -24,14 +39,13 @@ TEST(ReplicateTest, RealExperimentSeedsAgreeClosely) {
     MeasureConfig mc;
     mc.warmup = 30;
     mc.duration = 90;
-    throughputs.push_back(measure(tb, w, "lucky7", 50, mc).throughput);
-  }
-  double mean = (throughputs[0] + throughputs[1] + throughputs[2]) / 3;
-  double ss = 0;
-  for (double t : throughputs) ss += (t - mean) * (t - mean);
-  EXPECT_GT(mean, 8.0);
+    return measure(tb, w, "lucky7", 50, mc);
+  };
+  double stddev = -1;
+  SweepPoint mean = replicate({11, 22, 33}, run_one, &stddev);
+  EXPECT_GT(mean.throughput, 8.0);
   // Different seeds perturb only think-time phases: spread is tiny.
-  EXPECT_LT(std::sqrt(ss / 3), 0.15 * mean);
+  EXPECT_LT(stddev, 0.15 * mean.throughput);
 }
 
 TEST(MeasureTest, RefusedRateReported) {

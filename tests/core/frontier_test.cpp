@@ -103,6 +103,20 @@ const ClientKnob kClientKnobs[] = {
        plan.crash("server", 15, 25);
        b.faults(std::move(plan));
      }},
+    // The breaker and budget beside the deadline race, with a crash to
+    // trip the breaker: retries reach the gateway one hop late, some past
+    // their query's deadline.
+    {"resilience_deadline", 0,
+     [](core::SpecBuilder& b) {
+       resilience::Config res;
+       res.enabled = true;
+       res.client.enabled = true;
+       b.resilience(res);
+       b.query_deadline(8);
+       fault::FaultPlan plan;
+       plan.crash("server", 15, 25);
+       b.faults(std::move(plan));
+     }},
 };
 
 /// The metrics row with its last column, `shards`, spliced out: it
@@ -236,6 +250,29 @@ TEST(FrontierDeterminism, EdgeTimersMatchRecordedGolden) {
   std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4,
                               /*lookahead=*/0.001, client);
   EXPECT_EQ(d.substr(d.find('\n')), k3.substr(k3.find('\n')));
+}
+
+/// A request that reaches the gateway after its query's deadline is
+/// never sent: it counts no attempt and asks the breaker for no slot.
+/// Here the deadline is half a (widened) hop, so every query is late.
+TEST(FrontierWorkloadApi, RequestPastItsDeadlineIsNeverSent) {
+  core::SpecBuilder builder = core::ScenarioSpec::build();
+  resilience::Config res;
+  res.enabled = true;
+  res.client.enabled = true;
+  builder.service(core::ServiceKind::Gris)
+      .window(10.0, 30.0)
+      .shards(2)
+      .lookahead(1.0)
+      .query_deadline(0.5)
+      .resilience(res);
+  core::Deployment d(builder.build(), 100);
+  core::MetricsReport p = d.measure(100);
+  core::ClientCounters c = d.frontier()->counters();
+  EXPECT_GT(c.queries, 0u);
+  EXPECT_EQ(c.attempts, 0u);
+  EXPECT_GT(c.abandoned, 0u);
+  EXPECT_EQ(p.throughput, 0.0);
 }
 
 TEST(FrontierWorkloadApi, RejectsBadConfigs) {

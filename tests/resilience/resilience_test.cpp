@@ -390,9 +390,9 @@ TEST(OpenArrivalRetries, LastScheduleEntryRepeats) {
   EXPECT_DOUBLE_EQ(at[3] - at[2], 4.0);
   EXPECT_DOUBLE_EQ(at[4] - at[3], 4.0);
   // Every finished query spent exactly its five attempts.
-  EXPECT_GT(w.counters().abandoned, 0u);
-  EXPECT_EQ(w.counters().abandoned + w.outstanding(), w.total_queries());
-  EXPECT_GE(w.total_attempts(), 5 * w.counters().abandoned);
+  EXPECT_GT(w.abandoned_queries(), 0u);
+  EXPECT_EQ(w.abandoned_queries() + w.outstanding(), w.total_queries());
+  EXPECT_GE(w.total_attempts(), 5 * w.abandoned_queries());
   EXPECT_LT(w.total_attempts(), 5 * w.total_queries() + 1);
 }
 
@@ -455,14 +455,13 @@ StormResult run_storm(bool resilient, std::uint64_t seed) {
   StormResult r;
   r.pre_goodput = w.goodput(20, 80, kDeadline);
   r.post_goodput = w.goodput(150, 200, kDeadline);
-  r.amp = static_cast<double>(w.total_attempts()) /
-          static_cast<double>(w.total_queries());
+  r.amp = w.retry_amplification();
   r.suppressed = w.resilience_policy().budget().suppressed();
   r.fast_fails = w.resilience_policy().breaker().fast_fails();
   r.completions = w.completions();
   r.queries = w.total_queries();
   r.attempts = w.total_attempts();
-  r.abandoned = w.counters().abandoned;
+  r.abandoned = w.abandoned_queries();
   return r;
 }
 
