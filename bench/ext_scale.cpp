@@ -226,7 +226,6 @@ int main(int argc, char** argv) {
   // --shards is this bench's own flag; peel it off before the shared
   // parser (which rejects unknown options).
   int shard_override = 0;
-  int thread_override = 0;
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -234,17 +233,13 @@ int main(int argc, char** argv) {
       shard_override = std::atoi(arg.c_str() + 9);
     } else if (arg == "--shards" && i + 1 < argc) {
       shard_override = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      thread_override = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      thread_override = std::atoi(argv[++i]);
     } else {
       passthrough.push_back(argv[i]);
     }
   }
   BenchOptions opt = bench::parse_options(
       static_cast<int>(passthrough.size()), passthrough.data(), false,
-      "[--shards K] [--threads T]");
+      "[--shards K]");
   int shards = shard_override > 0 ? shard_override : kDefaultShards;
 
   std::vector<int> sweep;
@@ -276,9 +271,8 @@ int main(int argc, char** argv) {
   configs.push_back(
       {"R-GMA ProducerServlet",
        scale_spec(ScenarioSpec::build().service(ServiceKind::RgmaMediated))});
-  const ScenarioSpec sharded = scale_spec(core::SpecBuilder(configs[0].spec)
-                                              .shards(shards)
-                                              .threads(thread_override));
+  const ScenarioSpec sharded =
+      scale_spec(core::SpecBuilder(configs[0].spec).shards(shards));
 
   std::vector<ScalePoint> points;
   if (opt.users > 0 && shard_override > 0) {

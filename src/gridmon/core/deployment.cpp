@@ -43,7 +43,6 @@ Deployment::Deployment(const ScenarioSpec& spec, int users, bool traced,
   if (spec_.engine.sharded()) {
     FrontierConfig fc;
     fc.shards = spec_.engine.shards;
-    fc.threads = spec_.engine.threads;
     fc.lookahead = spec_.engine.lookahead;
     fc.client = std::move(client);
     fc.admission_port = scenario_->server_port();

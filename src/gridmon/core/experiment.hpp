@@ -77,14 +77,6 @@ SweepPoint window_report(Testbed& testbed, const std::string& server_host,
                          const ClientCounters& after, double t0, double t1,
                          const MeasureConfig& config = {});
 
-/// Replicate a whole sweep-point experiment across `seeds` independent
-/// random streams and average the metrics (population stddev of the
-/// throughput is reported through `throughput_stddev_out` when given).
-/// `run_one` builds and measures a fresh deployment for one seed.
-SweepPoint replicate(const std::vector<std::uint64_t>& seeds,
-                     const std::function<SweepPoint(std::uint64_t)>& run_one,
-                     double* throughput_stddev_out = nullptr);
-
 /// A figure = one metric across sweep points for several series.
 struct Series {
   std::string name;

@@ -17,13 +17,16 @@ constexpr std::uint32_t kMsgRequest = 1;
 constexpr std::uint32_t kMsgReply = 2;
 
 // Reply flags. Without kFlagSent the attempt was fast-failed by the
-// breaker or never settled (it lost the race to the query's deadline).
+// breaker or lost the race to the query's deadline.
 constexpr std::uint64_t kFlagSent = 1u << 0;
 constexpr std::uint64_t kFlagAdmitted = 1u << 1;
 constexpr std::uint64_t kFlagTimeout = 1u << 2;
 constexpr std::uint64_t kFlagFailed = 1u << 3;
 constexpr std::uint64_t kFlagStale = 1u << 4;
 constexpr int kVerdictShift = 5;
+
+// The fast path's standing pool of real attempts, in listen backlogs.
+constexpr std::uint64_t kPoolFactor = 4;
 
 // User FSM states (SoA byte per user).
 constexpr std::uint8_t kThinking = 0;  // timer armed: issue next query
@@ -315,6 +318,10 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
   if (config_.shards < 1) {
     throw std::invalid_argument("frontier workload needs >= 1 shard");
   }
+  if (config_.threads != 0 && config_.threads != 1) {
+    throw std::invalid_argument(
+        "frontier workload: threads must be 0 or 1 (single-threaded)");
+  }
   backoff_.schedule = config_.client.retry_schedule;
   backoff_.jitter = config_.client.retry_jitter;
   lookahead_ = config_.lookahead > 0
@@ -330,10 +337,6 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
     if (config_.server_host.empty()) {
       throw std::invalid_argument(
           "frontier workload: admission_port needs server_host");
-    }
-    if (config_.pool_factor < 1) {
-      throw std::invalid_argument(
-          "frontier workload: pool_factor must be >= 1");
     }
     server_nic_ = &testbed_.nic(config_.server_host);
     // The fast path's early refusals skew every client but the paper's,
@@ -354,8 +357,7 @@ FrontierWorkload::FrontierWorkload(Testbed& testbed, TracedQueryFn query,
     clients_.push_back(std::make_unique<ClientShard>(*this, s + 1));
     runners.push_back(clients_.back().get());
   }
-  group_ = std::make_unique<sim::ShardGroup>(std::move(runners), lookahead_,
-                                             config_.threads);
+  group_ = std::make_unique<sim::ShardGroup>(std::move(runners), lookahead_);
 }
 
 FrontierWorkload::~FrontierWorkload() { testbed_.sim().shutdown(); }
@@ -416,7 +418,7 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
   self.reply(uid, a ? &*a : nullptr,
              a ? settle(self.policy_, self.config_.client.max_attempts,
                         sim.now(), attempt, &*a)
-               : Verdict::Abandon);
+               : settle_lost(self.policy_, sim.now()));
   // The client script's bookkeeping CPU, charged on the user's real UC
   // host after a successful query (the refused path must stay cheap: at
   // frontier scale most attempts bounce off the listen queue).
@@ -429,7 +431,7 @@ sim::Task<void> FrontierWorkload::gateway_attempt(FrontierWorkload& self,
 
 /// The batched refusal fast path (docs/SCALE.md). At frontier scale
 /// nearly every attempt bounces off a full listen queue. The gateway
-/// keeps a standing pool of pool_factor x backlog real attempts, where
+/// keeps a standing pool of kPoolFactor x backlog real attempts, where
 /// admission still happens, and prices each lookahead-wide cohort of
 /// surplus requests as ONE aggregate SYN/RST round trip carrying the
 /// cohort's exact wire bytes (processor sharing is a fluid model). Shed
@@ -452,8 +454,7 @@ sim::Task<void> FrontierWorkload::flush_requests(FrontierWorkload& self) {
   std::size_t full = batch.size();
   if (port.up()) {
     std::uint64_t target =
-        static_cast<std::uint64_t>(self.config_.pool_factor) *
-        static_cast<std::uint64_t>(port.backlog());
+        kPoolFactor * static_cast<std::uint64_t>(port.backlog());
     std::uint64_t room =
         target > self.outstanding_ ? target - self.outstanding_ : 0;
     full = std::min(full, static_cast<std::size_t>(room));
@@ -490,8 +491,7 @@ void FrontierWorkload::on_gateway_message(const sim::ShardMessage& m) {
   if (m.a == 1) policy_.on_query();
   // A request sent within one hop of its query's deadline lands here past
   // it: the legacy client would never have started it, so it takes no
-  // breaker slot (a half-open probe never settled would pin the breaker)
-  // and counts as no attempt.
+  // breaker slot and counts as no attempt.
   double patience = config_.client.query_deadline;
   if (patience > 0 && m.f + patience <= sim.now()) {
     reply(m.uid, nullptr, Verdict::Abandon);

@@ -47,7 +47,9 @@ namespace gridmon::core {
 
 struct FrontierConfig {
   int shards = 1;        // client-state shards (>= 1)
-  int threads = 0;       // >= 2 drives windows on a worker pool
+  /// Kept only because perf/ assigns it. The engine is single-threaded:
+  /// 0 and 1 both run inline, anything else is rejected.
+  int threads = 0;
   double lookahead = 0;  // window seconds; 0 = min WAN one-way latency
   /// The client half, run by the legacy engine's client rules (only the
   /// backoff jitter is drawn differently). client_cpu_per_query runs
@@ -62,8 +64,6 @@ struct FrontierConfig {
   /// plain client (retry forever, no policy) uses it (docs/SCALE.md).
   const net::ServerPort* admission_port = nullptr;
   std::string server_host;
-  /// Standing-pool size as a multiple of the port's listen backlog.
-  int pool_factor = 4;
 };
 
 /// The frontier's completion record is the legacy one; its uid makes
@@ -124,7 +124,8 @@ class FrontierWorkload {
                                          std::uint64_t attempt, double start);
   static sim::Task<void> flush_requests(FrontierWorkload& self);
   void on_gateway_message(const sim::ShardMessage& m);
-  /// Answer `uid` one hop from now: the attempt (null: none settled).
+  /// Answer `uid` one hop from now: the attempt (null: none sent, or
+  /// lost to the deadline).
   void reply(std::uint64_t uid, const QueryAttempt* sent, Verdict verdict);
   int shard_index_of(std::uint64_t uid) const noexcept {
     return 1 + static_cast<int>(uid % static_cast<std::uint64_t>(

@@ -76,7 +76,6 @@
 ///
 ///   [engine]
 ///   shards    = 8      ; user partitions for the sharded engine (0 = legacy)
-///   threads   = 0      ; worker threads for the shards (0 = run inline)
 ///   lookahead = 0      ; conservative window seconds (0 = derive from the
 ///                      ; network's minimum cross-site one-way latency)
 ///
@@ -133,7 +132,6 @@ class ConfigError : public std::runtime_error {
 /// conservative-lookahead engine with that many user partitions.
 struct EngineSpec {
   int shards = 0;     // user partitions (0 = legacy sequential engine)
-  int threads = 0;    // worker threads for the shards (0 = run inline)
   double lookahead = 0;  // window seconds (0 = derive from the network)
 
   bool sharded() const { return shards > 0; }
@@ -299,7 +297,6 @@ class SpecBuilder {
   SpecBuilder& goodput_deadline(double v) { spec_.goodput_deadline = v; return *this; }
   SpecBuilder& engine(EngineSpec v) { spec_.engine = v; return *this; }
   SpecBuilder& shards(int v) { spec_.engine.shards = v; return *this; }
-  SpecBuilder& threads(int v) { spec_.engine.threads = v; return *this; }
   SpecBuilder& lookahead(double v) { spec_.engine.lookahead = v; return *this; }
 
   /// The INI path: apply one `[section] key = value` triple. Malformed

@@ -6,14 +6,13 @@
 /// config file (or a bench preset) reports every problem in one
 /// ConfigError rather than stopping at the first bad key.
 
-#include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <utility>
 
+#include "gridmon/ascii.hpp"
 #include "gridmon/core/scenario_spec.hpp"
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/core/workload.hpp"
@@ -29,9 +28,7 @@ std::string trim(const std::string& s) {
 }
 
 std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  for (char& c : s) c = ascii::to_lower(c);
   return s;
 }
 
@@ -326,8 +323,6 @@ void apply_engine_key(ScenarioSpec& spec, const std::string& key,
   if (key == "shards") {
     // 0 (legacy) is a legal value here, so bypass parse_int's > 0 rule.
     spec.engine.shards = parse_whole<int>(value);
-  } else if (key == "threads") {
-    spec.engine.threads = parse_whole<int>(value);
   } else if (key == "lookahead") {
     spec.engine.lookahead = parse_double(value);
   } else {
@@ -442,7 +437,6 @@ void validate_spec(const ScenarioSpec& spec, std::vector<std::string>& out) {
                   "volatile");
   }
   require(spec.engine.shards >= 0, "[engine] shards must be non-negative");
-  require(spec.engine.threads >= 0, "[engine] threads must be non-negative");
   require(spec.engine.lookahead >= 0,
           "[engine] lookahead must be non-negative");
   if (spec.engine.sharded()) {
@@ -496,6 +490,49 @@ ScenarioSpec parse_scenario_spec(const std::string& text) {
     }
   }
   return builder.build();
+}
+
+std::map<std::string, std::map<std::string, std::string>> parse_ini(
+    const std::string& text) {
+  std::map<std::string, std::map<std::string, std::string>> out;
+  std::string section;
+  std::stringstream ss(text);
+  std::string raw;
+  int line_no = 0;
+  while (std::getline(ss, raw)) {
+    ++line_no;
+    // Strip inline comments (';' or '#').
+    std::size_t cut = raw.find_first_of(";#");
+    std::string line = trim(cut == std::string::npos ? raw
+                                                     : raw.substr(0, cut));
+    if (line.empty()) continue;
+    if (line.front() == '[') {
+      if (line.back() != ']' || line.size() < 3) {
+        throw ConfigError("line " + std::to_string(line_no) +
+                          ": malformed section header");
+      }
+      section = lower(trim(line.substr(1, line.size() - 2)));
+      out[section];
+      continue;
+    }
+    std::size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": expected key = value");
+    }
+    std::string key = lower(trim(line.substr(0, eq)));
+    std::string value = trim(line.substr(eq + 1));
+    if (key.empty() || value.empty()) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": empty key or value");
+    }
+    if (section.empty()) {
+      throw ConfigError("line " + std::to_string(line_no) +
+                        ": key before any [section]");
+    }
+    out[section][key] = value;
+  }
+  return out;
 }
 
 }  // namespace gridmon::core

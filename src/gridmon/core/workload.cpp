@@ -139,13 +139,13 @@ sim::Task<void> UserWorkload::client(UserWorkload& self, host::Host* host,
           attempt = co_await self.query_(nic, query_span.ctx());
         } else {
           // Race the attempt against the script's remaining patience. On
-          // a loss the client kills its query tool and walks away,
-          // unsettled: the breaker learns nothing.
+          // a loss the client kills its query tool and walks away; the
+          // breaker hears a failure.
           ++self.counters_.attempts;
           std::optional<QueryAttempt> raced = co_await race_attempt(
               sim, self.query_, nic, query_span.ctx(), deadline);
           if (!raced) {
-            step = UserStep{Verdict::Abandon};
+            step = UserStep{settle_lost(self.policy_, sim.now())};
             break;
           }
           attempt = *raced;

@@ -189,7 +189,7 @@ enum class Verdict : std::uint8_t { Done, Retry, Abandon };
 /// user of a workload shares: `policy`, the retry budget and breaker
 /// toward the service (its allow() gated the attempt; a fast-failed one
 /// settles as null), and the `max_attempts` cap. An attempt that lost
-/// the race to its query's deadline is never settled.
+/// the race to its query's deadline settles through settle_lost.
 inline Verdict settle(resilience::ClientPolicy& policy, int max_attempts,
                       double now, std::size_t attempt,
                       const QueryAttempt* sent) {
@@ -205,6 +205,15 @@ inline Verdict settle(resilience::ClientPolicy& policy, int max_attempts,
   return policy.allow_retry() ? Verdict::Retry : Verdict::Abandon;
 }
 
+/// The policy half for an attempt that lost the race to its query's
+/// deadline: the client killed it, so the breaker hears a failure (a
+/// half-open probe gives its slot back and re-opens the breaker) and the
+/// query is abandoned.
+inline Verdict settle_lost(resilience::ClientPolicy& policy, double now) {
+  policy.record(now, false);
+  return Verdict::Abandon;
+}
+
 /// The per-user half's answer. `wait` is the backoff before a Retry, or
 /// the time left to the deadline when that falls inside the backoff (an
 /// Abandon); negative means no backoff.
@@ -214,7 +223,7 @@ struct UserStep {
 };
 
 /// The client rules' per-user half: count the settled attempt `sent`
-/// (null: fast-failed or never settled) into `counters` and turn the
+/// (null: fast-failed or lost to the deadline) into `counters` and turn the
 /// verdict into the user's next step. A Retry takes its delay from
 /// `delay()`, the engine's own draw, and gives up at `deadline`
 /// (absolute; negative = none) when that falls inside the backoff. The
@@ -271,17 +280,6 @@ class UserWorkload {
   }
   const ClientCounters& counters() const noexcept { return counters_; }
   std::uint64_t refused_attempts() const noexcept { return counters_.refused; }
-  /// Attempts that timed out on a dead path (connect/transfer deadline).
-  std::uint64_t timeout_attempts() const noexcept {
-    return counters_.timeouts;
-  }
-  /// Attempts admitted but answered with an error by the service.
-  std::uint64_t failed_attempts() const noexcept { return counters_.failures; }
-  /// Whole queries given up on (deadline expired, max_attempts hit or
-  /// retry budget exhausted).
-  std::uint64_t abandoned_queries() const noexcept {
-    return counters_.abandoned;
-  }
   std::uint64_t error_count() const noexcept { return counters_.errors(); }
   int users() const noexcept { return users_; }
   std::size_t run(double until) { return testbed_.sim().run(until); }
@@ -292,14 +290,6 @@ class UserWorkload {
   /// saturation).
   std::uint64_t outstanding() const noexcept {
     return counters_.queries - completions_.size() - counters_.abandoned;
-  }
-  /// attempts/queries — 1.0 means no retries; the retry-storm signature
-  /// is this ratio diverging during an outage.
-  double retry_amplification() const noexcept {
-    return counters_.queries > 0
-               ? static_cast<double>(counters_.attempts) /
-                     static_cast<double>(counters_.queries)
-               : 0;
   }
   /// The shared client policy toward the service under test (fast-fail /
   /// budget-suppression counters live on its breaker and budget).

@@ -14,8 +14,8 @@
 ///
 /// The last search's result is memoized until the tree next changes, so a
 /// service that answers the same query over an unchanged tree (a GIIS
-/// between cache refreshes) walks it once. Searching writes the memo:
-/// never search one Dit from two threads at once.
+/// between cache refreshes) walks it once. Searching writes the memo
+/// without a lock; the simulator runs on one thread.
 
 #include <functional>
 #include <map>

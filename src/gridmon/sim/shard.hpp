@@ -34,19 +34,11 @@
 /// (deliver_at, uid) must originate from the same shard (their relative
 /// order is then fixed by seq). Request/reply protocols that keep at
 /// most one in-flight exchange per uid satisfy this by construction.
-///
-/// Threads are opt-in (threads >= 2): persistent workers own disjoint
-/// shard sets for the whole run, and all cross-thread hand-off happens
-/// at the mutex/condition-variable barrier, so the threaded schedule is
-/// (provably, and under TSan in CI) identical to the serial one.
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -118,10 +110,9 @@ class SimulationShard final : public ShardRunner {
 class ShardGroup {
  public:
   /// `shards` must outlive the group. `lookahead` is the window length
-  /// in simulated seconds (> 0). `threads` >= 2 enables the worker
-  /// pool; 0/1 runs windows inline on the caller's thread.
-  ShardGroup(std::vector<ShardRunner*> shards, double lookahead,
-             int threads = 0)
+  /// in simulated seconds (> 0). Windows run inline on the caller's
+  /// thread, one shard after another.
+  ShardGroup(std::vector<ShardRunner*> shards, double lookahead)
       : shards_(), lookahead_(lookahead) {
     if (shards.empty()) throw std::invalid_argument("ShardGroup: no shards");
     if (!(lookahead > 0)) {
@@ -134,14 +125,10 @@ class ShardGroup {
       shards_.push_back(std::move(shard));
       shards_.back().outbox.resize(shards.size());
     }
-    int usable = static_cast<int>(shards.size());
-    if (threads >= 2) start_workers(std::min(threads, usable));
   }
 
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
-
-  ~ShardGroup() { stop_workers(); }
 
   /// Queue a message from shard `from` to shard `to`. Buffered in the
   /// sender's outbox until the next barrier — posting to your own shard
@@ -174,11 +161,7 @@ class ShardGroup {
       SimTime end = now_ + lookahead_;
       if (end > until) end = until;
       window_end_ = end;
-      if (workers_.empty()) {
-        for (PerShard& s : shards_) executed += run_window(s, end);
-      } else {
-        executed += run_window_threaded(end);
-      }
+      for (PerShard& s : shards_) executed += run_window(s, end);
       now_ = end;
       ++windows_;
     }
@@ -192,8 +175,7 @@ class ShardGroup {
   int shard_count() const noexcept { return static_cast<int>(shards_.size()); }
   double lookahead() const noexcept { return lookahead_; }
   std::uint64_t windows_run() const noexcept { return windows_; }
-  /// Total cross-shard messages delivered so far. Call between run()s
-  /// (the counter is per-shard inside a window).
+  /// Total cross-shard messages delivered so far.
   std::uint64_t messages_delivered() const noexcept {
     std::uint64_t total = 0;
     for (const PerShard& s : shards_) total += s.delivered;
@@ -235,7 +217,7 @@ class ShardGroup {
     const ShardMessage* last;
   };
 
-  /// Barrier phase (single-threaded): rebuild every inbox in canonical
+  /// Barrier phase: rebuild every inbox in canonical
   /// order from its undelivered tail and the outboxes addressed to it.
   /// Runs are listed tail first, then by sender, and merged stably, so a
   /// tie on the whole key (outside the protocol contract) resolves the
@@ -305,72 +287,6 @@ class ShardGroup {
                merged_.data(), shard_message_before);
   }
 
-  // ---- worker pool (threads >= 2) ----
-
-  void start_workers(int count) {
-    workers_.reserve(static_cast<std::size_t>(count));
-    worker_events_.assign(static_cast<std::size_t>(count), 0);
-    for (int w = 0; w < count; ++w) {
-      workers_.emplace_back([this, w, count] { worker_main(w, count); });
-    }
-  }
-
-  void stop_workers() {
-    if (workers_.empty()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : workers_) t.join();
-    workers_.clear();
-  }
-
-  std::size_t run_window_threaded(SimTime end) {
-    int n = static_cast<int>(workers_.size());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      threaded_end_ = end;
-      done_count_ = 0;
-      ++generation_;
-    }
-    cv_work_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this, n] { return done_count_ == n; });
-    std::size_t executed = 0;
-    for (std::size_t e : worker_events_) executed += e;
-    std::fill(worker_events_.begin(), worker_events_.end(), std::size_t{0});
-    return executed;
-  }
-
-  /// Workers own a fixed stride of shards for the whole run; shard
-  /// state crosses threads only through the barrier's mutex.
-  void worker_main(int w, int worker_count) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      SimTime end;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_work_.wait(lock,
-                      [this, seen] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        end = threaded_end_;
-      }
-      std::size_t executed = 0;
-      for (std::size_t s = static_cast<std::size_t>(w); s < shards_.size();
-           s += static_cast<std::size_t>(worker_count)) {
-        executed += run_window(shards_[s], end);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        worker_events_[static_cast<std::size_t>(w)] = executed;
-        ++done_count_;
-      }
-      cv_done_.notify_one();
-    }
-  }
-
   std::vector<PerShard> shards_;
   double lookahead_;
   SimTime now_ = 0;
@@ -380,16 +296,6 @@ class ShardGroup {
   std::vector<ShardMessage> round_a_;  // pairwise-merge rounds
   std::vector<ShardMessage> round_b_;
   std::vector<ShardMessage> merged_;   // next inbox, swapped in
-
-  std::vector<std::thread> workers_;
-  std::vector<std::size_t> worker_events_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  int done_count_ = 0;
-  SimTime threaded_end_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace gridmon::sim

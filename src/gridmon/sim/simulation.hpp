@@ -160,8 +160,7 @@ class Simulation {
   /// of the client tasks ever finishes, and the sweep would read every
   /// cold frame for nothing.
   void maybe_prune() {
-    const std::uint64_t* finished = &detail::detached_finished();
-    if (finished == pruned_counter_ && *finished == pruned_at_) {
+    if (detail::detached_finished() == pruned_at_) {
       events_since_prune_ = 0;
       return;
     }
@@ -169,8 +168,7 @@ class Simulation {
   }
 
   void prune_done_tasks() {
-    pruned_counter_ = &detail::detached_finished();
-    pruned_at_ = *pruned_counter_;
+    pruned_at_ = detail::detached_finished();
     events_since_prune_ = 0;
     std::erase_if(tasks_, [](const Task<void>& t) { return t.done(); });
     // Each prune is O(live tasks); spacing prunes at least that many
@@ -183,10 +181,7 @@ class Simulation {
   SimTime now_ = 0;
   std::size_t events_since_prune_ = 0;
   std::size_t prune_threshold_ = kPruneInterval;
-  // The detached-finish counter (and its value) at the last sweep; the
-  // counter is per thread, so a simulation moved to another thread
-  // sweeps once before trusting it again.
-  const std::uint64_t* pruned_counter_ = nullptr;
+  // The detached-finish counter's value at the last sweep.
   std::uint64_t pruned_at_ = 0;
   std::vector<Task<void>> tasks_;
 };

@@ -1,6 +1,5 @@
 #include "gridmon/trace/reader.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -8,6 +7,8 @@
 #include <memory>
 #include <sstream>
 #include <variant>
+
+#include "gridmon/ascii.hpp"
 
 namespace gridmon::trace {
 namespace {
@@ -210,7 +211,7 @@ class Parser {
     std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
+           (ascii::is_digit(s_[pos_]) ||
             s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
             s_[pos_] == '+' || s_[pos_] == '-')) {
       ++pos_;

@@ -198,7 +198,7 @@ std::string open_gris_digest() {
   out << p.throughput << ' ' << p.response << ' ' << p.load1 << ' ' << p.cpu
       << " queries=" << w.total_queries()
       << " attempts=" << w.total_attempts()
-      << " abandoned=" << w.abandoned_queries()
+      << " abandoned=" << w.counters().abandoned
       << " completions=" << w.completions().size() << '\n';
   for (const Completion& c : w.completions()) {
     out << c.t << ' ' << c.response_time << ' ' << c.bytes << ' ' << c.stale
@@ -268,7 +268,7 @@ TEST(OpenArrivalsTest, GivesUpAfterMaxAttempts) {
   UserWorkload w(tb, always_refused, config);
   w.start_arrivals(1.0, tb.uc_names());
   tb.sim().run(60.0);
-  EXPECT_GT(w.abandoned_queries(), 30u);
+  EXPECT_GT(w.counters().abandoned, 30u);
   EXPECT_TRUE(w.completions().empty());
   // At the cutoff at most the newest arrival can still be mid-retry.
   EXPECT_LE(w.outstanding(), 1u);
@@ -314,10 +314,10 @@ TEST(OpenArrivalsTest, FailedAnswersAreNotCompletions) {
   tb.sim().run(60.0);
   EXPECT_GT(w.total_queries(), 60u);
   EXPECT_TRUE(w.completions().empty());
-  EXPECT_EQ(w.failed_attempts(), w.total_attempts());
+  EXPECT_EQ(w.counters().failures, w.total_attempts());
   EXPECT_EQ(w.refused_attempts(), 0u);
   // Every query is abandoned after its second failure, or still retrying.
-  EXPECT_EQ(w.abandoned_queries() + w.outstanding(), w.total_queries());
+  EXPECT_EQ(w.counters().abandoned + w.outstanding(), w.total_queries());
   EXPECT_LE(w.outstanding(), 2u);
 }
 

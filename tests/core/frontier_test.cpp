@@ -28,8 +28,7 @@ using Knob = void (*)(core::SpecBuilder&);
 /// observable surface as text at round-trip precision: the metrics row,
 /// the counters, and every completion.
 std::string run_digest(int users, int shards, std::uint64_t seed,
-                       int threads = 0, int gris_backlog = 0,
-                       double lookahead = 0,
+                       int gris_backlog = 0, double lookahead = 0,
                        const core::WorkloadConfig& client = {},
                        Knob knob = nullptr) {
   core::SpecBuilder builder = core::ScenarioSpec::build();
@@ -38,7 +37,6 @@ std::string run_digest(int users, int shards, std::uint64_t seed,
       .window(10.0, 30.0)
       .seed(seed)
       .shards(shards)
-      .threads(threads)
       .lookahead(lookahead);
   if (knob != nullptr) knob(builder);
   core::ScenarioSpec spec = builder.build();
@@ -74,7 +72,7 @@ std::uint64_t fnv1a(const std::string& s) {
 }
 
 /// The client knobs both engines share, each an extra input to the
-/// shard-count and threading checks below: the deadline race, the
+/// shard-count check below: the deadline race, the
 /// attempt cap and the resilience layer at both ends (breaker, budget
 /// and a wait queue) against a saturated backlog, where each keeps every
 /// attempt off the batched fast path, and a crash of the server
@@ -151,10 +149,10 @@ TEST(FrontierDeterminism, ShardCountDoesNotChangeResults) {
   }
   for (const ClientKnob& knob : kClientKnobs) {
     int backlog = knob.gris_backlog;
-    std::string k1 = run_digest(300, 1, 42, 0, backlog, 0, {}, knob.apply);
-    std::string k3 = run_digest(300, 3, 42, 0, backlog, 0, {}, knob.apply);
+    std::string k1 = run_digest(300, 1, 42, backlog, 0, {}, knob.apply);
+    std::string k3 = run_digest(300, 3, 42, backlog, 0, {}, knob.apply);
     EXPECT_EQ(without_shards(k1), without_shards(k3)) << knob.name;
-    EXPECT_NE(k1, run_digest(300, 1, 42, 0, backlog))
+    EXPECT_NE(k1, run_digest(300, 1, 42, backlog))
         << knob.name << " changed nothing";
   }
 }
@@ -167,22 +165,12 @@ TEST(FrontierDeterminism, SeedsDiverge) {
   EXPECT_NE(run_digest(200, 2, 42), run_digest(200, 2, 43));
 }
 
-TEST(FrontierDeterminism, ThreadedMatchesSerial) {
-  EXPECT_EQ(run_digest(200, 4, 42, 0), run_digest(200, 4, 42, 3));
-  for (const ClientKnob& knob : kClientKnobs) {
-    int backlog = knob.gris_backlog;
-    EXPECT_EQ(run_digest(200, 4, 42, 0, backlog, 0, {}, knob.apply),
-              run_digest(200, 4, 42, 3, backlog, 0, {}, knob.apply))
-        << knob.name;
-  }
-}
-
 /// A tiny listen backlog saturates the port, so the batched refusal
 /// fast path (frontier.cpp flush_requests) carries most attempts; its
 /// cohorts must be shard-count-independent too.
 TEST(FrontierDeterminism, SaturatedFastPathIsShardInvariant) {
-  std::string k1 = run_digest(300, 1, 42, 0, /*gris_backlog=*/4);
-  std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4);
+  std::string k1 = run_digest(300, 1, 42, /*gris_backlog=*/4);
+  std::string k3 = run_digest(300, 3, 42, /*gris_backlog=*/4);
   EXPECT_EQ(without_shards(k1), without_shards(k3));
   // The run must actually have exercised the batched path.
   EXPECT_EQ(k1.find(" fast=0 "), std::string::npos)
@@ -221,7 +209,7 @@ TEST(FrontierDeterminism, MatchesRecordedGolden) {
        2713, 5538705214112088586ull},
   };
   for (const Golden& g : goldens) {
-    std::string d = run_digest(300, 1, 42, 0, g.backlog);
+    std::string d = run_digest(300, 1, 42, g.backlog);
     EXPECT_EQ(head_of(d), g.head) << "backlog " << g.backlog;
     EXPECT_EQ(log_of(d).size(), g.size) << "backlog " << g.backlog;
     EXPECT_EQ(fnv1a(log_of(d)), g.hash) << "backlog " << g.backlog;
@@ -237,7 +225,7 @@ TEST(FrontierDeterminism, EdgeTimersMatchRecordedGolden) {
   core::WorkloadConfig client;
   client.think_time = 0.0005;
   client.retry_schedule = {0.5, 3, 20};
-  std::string d = run_digest(300, 1, 42, 0, /*gris_backlog=*/4,
+  std::string d = run_digest(300, 1, 42, /*gris_backlog=*/4,
                              /*lookahead=*/0.001, client);
   EXPECT_EQ(head_of(d),
             "300,1.3333333333333333,9.5488887276654459,0,"
@@ -247,7 +235,7 @@ TEST(FrontierDeterminism, EdgeTimersMatchRecordedGolden) {
             "messages=2546\n");
   EXPECT_EQ(log_of(d).size(), 2568u);
   EXPECT_EQ(fnv1a(log_of(d)), 15995935691818659404ull);
-  std::string k3 = run_digest(300, 3, 42, 0, /*gris_backlog=*/4,
+  std::string k3 = run_digest(300, 3, 42, /*gris_backlog=*/4,
                               /*lookahead=*/0.001, client);
   EXPECT_EQ(d.substr(d.find('\n')), k3.substr(k3.find('\n')));
 }
@@ -284,7 +272,13 @@ TEST(FrontierWorkloadApi, RejectsBadConfigs) {
   zero.shards = 0;
   EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), zero),
                std::invalid_argument);
+  // The engine is single-threaded: 0 and 1 both run inline.
+  FrontierConfig threaded;
+  threaded.threads = 2;
+  EXPECT_THROW(FrontierWorkload(tb, scenario->query_fn(), threaded),
+               std::invalid_argument);
   FrontierConfig ok;
+  ok.threads = 1;
   FrontierWorkload fw(tb, scenario->query_fn(), ok);
   EXPECT_THROW(fw.spawn_users(0), std::invalid_argument);
   // 20 UC hosts x 50 users is the default capacity.

@@ -58,14 +58,16 @@ TEST(SpecBuilderTest, CollectsEveryError) {
 
 TEST(SpecBuilderTest, IniPathCollectsAllBadKeys) {
   // First-error parsing would stop at the first bad key; the builder
-  // reports all three.
+  // reports all four. The engine is single-threaded: `threads` is no key.
   const std::string ini =
       "[experiment]\n"
       "service = gris\n"
       "users = ten\n"
       "collectors = -3\n"
       "[store]\n"
-      "mode = paranoid\n";
+      "mode = paranoid\n"
+      "[engine]\n"
+      "threads = 2\n";
   try {
     parse_scenario_spec(ini);
     FAIL() << "parse_scenario_spec should have thrown";
@@ -76,21 +78,23 @@ TEST(SpecBuilderTest, IniPathCollectsAllBadKeys) {
     EXPECT_NE(msg.find("unknown durability mode 'paranoid'"),
               std::string::npos)
         << msg;
+    EXPECT_NE(msg.find("[engine] threads: unknown key 'threads'"),
+              std::string::npos)
+        << msg;
   }
 }
 
 TEST(SpecBuilderTest, EngineSectionParses) {
-  ScenarioSpec spec = parse_scenario_spec(
-      "[experiment]\n"
-      "service = gris\n"
-      "[engine]\n"
-      "shards = 8\n"
-      "threads = 2\n"
-      "lookahead = 0.005\n");
-  EXPECT_EQ(spec.engine.shards, 8);
-  EXPECT_EQ(spec.engine.threads, 2);
-  EXPECT_DOUBLE_EQ(spec.engine.lookahead, 0.005);
-  EXPECT_TRUE(spec.engine.sharded());
+  // Section names and keys fold to lower case.
+  for (const std::string engine :
+       {"[engine]\nshards = 8\nlookahead = 0.005\n",
+        "[ENGINE]\nSHARDS = 8\nLOOKAHEAD = 0.005\n"}) {
+    ScenarioSpec spec =
+        parse_scenario_spec("[experiment]\nservice = gris\n" + engine);
+    EXPECT_EQ(spec.engine.shards, 8) << engine;
+    EXPECT_DOUBLE_EQ(spec.engine.lookahead, 0.005) << engine;
+    EXPECT_TRUE(spec.engine.sharded()) << engine;
+  }
 }
 
 TEST(SpecBuilderTest, ShardedEngineRejectsUnsupportedCombinations) {
@@ -184,7 +188,7 @@ TEST(SpecBuilderTest, IniNumbersRejectFractionsOverflowAndInfinity) {
        "bad integer '3.7'"},
       {"[experiment]\nservice = gris\n[engine]\nshards = 1e10\n",
        "bad integer '1e10'"},
-      {"[experiment]\nservice = gris\n[engine]\nthreads = 99999999999\n",
+      {"[experiment]\nservice = gris\n[engine]\nshards = 99999999999\n",
        "bad integer '99999999999'"},
   };
   for (const auto& [ini, why] : bad) {
@@ -225,19 +229,16 @@ TEST(SpecBuilderTest, IniSeedTakesEveryUint64AndNothingBeyond) {
   }
 }
 
-// shards, threads and max_attempts are counts: zero is legal (legacy
-// engine, hardware threads, no retry), a negative count or trailing text
-// is not.
+// shards and max_attempts are counts: zero is legal (legacy engine, no
+// retry), a negative count or trailing text is not.
 TEST(SpecBuilderTest, IniCountKeysTakeZeroButNotNegativesOrText) {
   ScenarioSpec spec = parse_scenario_spec(
-      "[experiment]\nservice = gris\n[engine]\nshards = 0\nthreads = 0\n"
+      "[experiment]\nservice = gris\n[engine]\nshards = 0\n"
       "[faults]\nmax_attempts = 0\n");
   EXPECT_EQ(spec.engine.shards, 0);
-  EXPECT_EQ(spec.engine.threads, 0);
   EXPECT_EQ(spec.max_attempts, 0);
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"[engine]\nshards = -1\n", "bad integer '-1'"},
-      {"[engine]\nthreads = -2\n", "bad integer '-2'"},
       {"[faults]\nmax_attempts = -1\n", "bad integer '-1'"},
       {"[engine]\nshards = 4x\n", "bad integer '4x'"},
   };

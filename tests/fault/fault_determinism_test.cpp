@@ -67,8 +67,8 @@ FaultRun run_faulted_gris(std::uint64_t seed) {
   csv << p.x << ',' << p.throughput << ',' << p.response << ','
       << p.availability << ',' << p.error_rate << ',' << p.stale_frac << ','
       << p.recovery << ',' << workload.refused_attempts() << ','
-      << workload.timeout_attempts() << ',' << workload.failed_attempts()
-      << ',' << workload.abandoned_queries() << '\n';
+      << workload.counters().timeouts << ',' << workload.counters().failures
+      << ',' << workload.counters().abandoned << '\n';
   out.csv = csv.str();
   out.errors = workload.error_count();
   out.injected = injector.injected();

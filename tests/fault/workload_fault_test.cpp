@@ -51,7 +51,7 @@ TEST(WorkloadFaultTest, FaultFreeRunWithDeadlineHasNoErrors) {
 
   EXPECT_GT(w.completions().size(), 10u);
   EXPECT_EQ(w.error_count(), 0u);
-  EXPECT_EQ(w.abandoned_queries(), 0u);
+  EXPECT_EQ(w.counters().abandoned, 0u);
   EXPECT_DOUBLE_EQ(window(rig, w, 0, 120).stale_frac, 0.0);
   rig.tb.sim().shutdown();
 }
@@ -74,7 +74,7 @@ TEST(WorkloadFaultTest, DeadlineAbandonsQueriesDuringBlackholeCrash) {
   w.spawn_users(3, rig.tb.uc_names());
   rig.tb.sim().run(220);
 
-  EXPECT_GT(w.abandoned_queries(), 0u);
+  EXPECT_GT(w.counters().abandoned, 0u);
   EXPECT_GT(w.error_count(), 0u);
   // Nobody finished a query inside the blackhole window...
   EXPECT_DOUBLE_EQ(window(rig, w, 60, 100).throughput, 0.0);
@@ -105,7 +105,7 @@ TEST(WorkloadFaultTest, RefuseCrashCountsRefusalsAndCapsRetries) {
   rig.tb.sim().run(240);
 
   EXPECT_GT(w.refused_attempts(), 0u);
-  EXPECT_GT(w.abandoned_queries(), 0u);
+  EXPECT_GT(w.counters().abandoned, 0u);
   EXPECT_GE(window(rig, w, 0, 240, 120).recovery, 0.0);
   rig.tb.sim().shutdown();
 }
@@ -134,7 +134,7 @@ TEST(WorkloadFaultTest, CollectorOutageYieldsStaleReadsNotErrors) {
   // The outage is fully masked: stale answers, zero errors.
   EXPECT_GT(window(rig, w, 70, 140).stale_frac, 0.0);
   EXPECT_EQ(w.error_count(), 0u);
-  EXPECT_EQ(w.abandoned_queries(), 0u);
+  EXPECT_EQ(w.counters().abandoned, 0u);
   // Before the outage and well after it, answers are fresh again.
   EXPECT_DOUBLE_EQ(window(rig, w, 0, 60).stale_frac, 0.0);
   EXPECT_DOUBLE_EQ(window(rig, w, 180, 220).stale_frac, 0.0);

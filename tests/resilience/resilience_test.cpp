@@ -2,8 +2,9 @@
 /// policy, retry budget, circuit-breaker state machine, ServerPort queue
 /// disciplines (FIFO/LIFO/deadline-EDF) with deadline shedding, the
 /// open-arrival retry schedules, seed-determinism with resilience on,
-/// and the metastable-failure regression (an outage-then-heal storm
-/// converges with budgets and breakers, and stays degraded without).
+/// the metastable-failure regression (an outage-then-heal storm
+/// converges with budgets and breakers, and stays degraded without), and
+/// a half-open probe lost to the query deadline re-opening the breaker.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "gridmon/core/frontier.hpp"
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/core/workload.hpp"
 #include "gridmon/net/server_port.hpp"
@@ -390,9 +392,9 @@ TEST(OpenArrivalRetries, LastScheduleEntryRepeats) {
   EXPECT_DOUBLE_EQ(at[3] - at[2], 4.0);
   EXPECT_DOUBLE_EQ(at[4] - at[3], 4.0);
   // Every finished query spent exactly its five attempts.
-  EXPECT_GT(w.abandoned_queries(), 0u);
-  EXPECT_EQ(w.abandoned_queries() + w.outstanding(), w.total_queries());
-  EXPECT_GE(w.total_attempts(), 5 * w.abandoned_queries());
+  EXPECT_GT(w.counters().abandoned, 0u);
+  EXPECT_EQ(w.counters().abandoned + w.outstanding(), w.total_queries());
+  EXPECT_GE(w.total_attempts(), 5 * w.counters().abandoned);
   EXPECT_LT(w.total_attempts(), 5 * w.total_queries() + 1);
 }
 
@@ -455,13 +457,14 @@ StormResult run_storm(bool resilient, std::uint64_t seed) {
   StormResult r;
   r.pre_goodput = w.goodput(20, 80, kDeadline);
   r.post_goodput = w.goodput(150, 200, kDeadline);
-  r.amp = w.retry_amplification();
+  r.amp = static_cast<double>(w.total_attempts()) /
+          static_cast<double>(w.total_queries());
   r.suppressed = w.resilience_policy().budget().suppressed();
   r.fast_fails = w.resilience_policy().breaker().fast_fails();
   r.completions = w.completions();
   r.queries = w.total_queries();
   r.attempts = w.total_attempts();
-  r.abandoned = w.abandoned_queries();
+  r.abandoned = w.counters().abandoned;
   return r;
 }
 
@@ -567,6 +570,55 @@ TEST(MetastableFailure, BudgetsAndBreakersConvergeAfterHeal) {
   EXPECT_GT(res.post_goodput, 0.8 * res.pre_goodput);
   EXPECT_LT(base.post_goodput, 0.7 * base.pre_goodput);
   EXPECT_GT(res.post_goodput, base.post_goodput);
+}
+
+// ------------------------------------------------- half-open probe
+
+/// A service that refuses every query for 20 s, so the client's breaker
+/// trips; then blackholes every query past the 3 s deadline until
+/// t = 40, so each half-open probe loses its race; then answers. Ten
+/// closed-loop users on either engine (the sharded one at K = 1).
+/// Returns the attempts that reached the service after it healed: none
+/// if a lost probe kept its slot and pinned the breaker half-open.
+std::uint64_t served_after_heal(bool sharded) {
+  core::Testbed tb;
+  std::uint64_t served = 0;
+  core::TracedQueryFn query =
+      [&tb, &served](net::Interface&,
+                     trace::Ctx) -> sim::Task<core::QueryAttempt> {
+    double now = tb.sim().now();
+    if (now < 20) co_return core::QueryAttempt{};
+    if (now < 40) {
+      co_await tb.sim().delay(1000);
+      co_return core::QueryAttempt{};
+    }
+    ++served;
+    co_await tb.sim().delay(0.1);
+    co_return core::QueryAttempt{true, 0};
+  };
+  core::WorkloadConfig cfg;
+  cfg.query_deadline = 3;
+  cfg.resilience.enabled = true;
+  cfg.resilience.breaker.window = 8;
+  cfg.resilience.breaker.min_samples = 4;
+  cfg.resilience.breaker.open_duration = 5;
+  if (sharded) {
+    core::FrontierConfig fc;
+    fc.client = cfg;
+    core::FrontierWorkload w(tb, query, fc);
+    w.spawn_users(10);
+    w.run(100);
+  } else {
+    core::UserWorkload w(tb, query, cfg);
+    w.spawn_users(10, tb.uc_names());
+    w.run(100);
+  }
+  return served;
+}
+
+TEST(HalfOpenProbe, LostRaceReopensTheBreakerOnBothEngines) {
+  EXPECT_GT(served_after_heal(false), 100u) << "legacy engine";
+  EXPECT_GT(served_after_heal(true), 100u) << "sharded engine";
 }
 
 }  // namespace

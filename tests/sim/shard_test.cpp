@@ -51,40 +51,6 @@ class RecordingShard final : public ShardRunner {
   std::vector<std::string>& journal_;
 };
 
-/// A ping-pong runner for the threaded test: every delivery answers the
-/// peer one lookahead later, so the message stream stays dense.
-class PingPongShard final : public ShardRunner {
- public:
-  PingPongShard(int self, int peer) : self_(self), peer_(peer) {}
-  void bind(ShardGroup& group) { group_ = &group; }
-
-  SimTime now() const override { return now_; }
-  std::size_t run(SimTime until) override {
-    if (until > now_) now_ = until;
-    return 0;
-  }
-  void deliver(const ShardMessage& m) override {
-    ++received_;
-    checksum_ = checksum_ * 1099511628211ull + m.uid + m.a;
-    if (m.a < 64) {
-      group_->post(self_, peer_,
-                   ShardMessage{m.deliver_at + group_->lookahead(), m.uid, 0,
-                                0, 0, m.a + 1, 0});
-    }
-  }
-
-  std::uint64_t received() const { return received_; }
-  std::uint64_t checksum() const { return checksum_; }
-
- private:
-  int self_;
-  int peer_;
-  ShardGroup* group_ = nullptr;
-  SimTime now_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t checksum_ = 14695981039346656037ull;
-};
-
 /// The message fields the canonical order and the property test look
 /// at; `from` and `seq` identify a message uniquely.
 struct Posted {
@@ -187,14 +153,14 @@ class ScriptedShard final : public ShardRunner {
 }  // namespace
 
 TEST(ShardGroup, ExchangeMatchesReferenceSort) {
-  auto run = [](int senders, int threads) {
+  auto run = [](int senders) {
     std::vector<std::unique_ptr<ScriptedShard>> shards;
     std::vector<ShardRunner*> runners;
     for (int s = 0; s <= senders; ++s) {
       shards.push_back(std::make_unique<ScriptedShard>(s, senders, 30.0));
       runners.push_back(shards.back().get());
     }
-    ShardGroup group(runners, 1.0, threads);
+    ShardGroup group(runners, 1.0);
     for (auto& s : shards) s->bind(group);
     group.run(40.0);
     std::vector<Posted> expected;
@@ -217,18 +183,14 @@ TEST(ShardGroup, ExchangeMatchesReferenceSort) {
     EXPECT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < std::min(got.size(), expected.size()); ++i) {
       if (got[i] == expected[i]) continue;
-      ADD_FAILURE() << senders << " senders, threads " << threads
-                    << ": delivery " << i << " is " << got[i]
-                    << ", expected " << expected[i];
+      ADD_FAILURE() << senders << " senders: delivery " << i << " is "
+                    << got[i] << ", expected " << expected[i];
       break;
     }
-    return shards[0]->delivered();
+    return got.size();
   };
   for (int senders = 1; senders <= 4; ++senders) {
-    std::vector<Posted> serial = run(senders, 0);
-    EXPECT_GT(serial.size(), 400u * static_cast<std::size_t>(senders));
-    EXPECT_EQ(run(senders, 2), serial) << senders << " senders";
-    EXPECT_EQ(run(senders, senders + 1), serial) << senders << " senders";
+    EXPECT_GT(run(senders), 400u * static_cast<std::size_t>(senders));
   }
 }
 
@@ -334,29 +296,6 @@ TEST(ShardGroup, DeliverySequenceIsShardCountIndependent) {
   // protocol contract), so even (t, uid) ties resolve identically via
   // seq, and equality must hold line for line.
   EXPECT_EQ(one, three);
-}
-
-TEST(ShardGroup, ThreadedScheduleMatchesSerial) {
-  auto run_pair = [](int threads) {
-    PingPongShard left(0, 1);
-    PingPongShard right(1, 0);
-    ShardGroup group({&left, &right}, 0.5, threads);
-    left.bind(group);
-    right.bind(group);
-    // Seed eight independent ping-pong chains.
-    for (std::uint64_t uid = 0; uid < 8; ++uid) {
-      group.post(0, 1, ShardMessage{1.0 + static_cast<double>(uid), uid, 0,
-                                    0, 0, 0, 0});
-    }
-    group.run(200.0);
-    return std::pair<std::uint64_t, std::uint64_t>(
-        left.checksum() * 31 + right.checksum(),
-        left.received() + right.received());
-  };
-  auto serial = run_pair(0);
-  auto threaded = run_pair(2);
-  EXPECT_GT(serial.second, 8u * 60u);  // the chains actually ran
-  EXPECT_EQ(serial, threaded);
 }
 
 TEST(ShardGroup, WindowAccountingAdvancesClock) {
