@@ -616,9 +616,30 @@ std::uint64_t served_after_heal(bool sharded) {
   return served;
 }
 
-TEST(HalfOpenProbe, LostRaceReopensTheBreakerOnBothEngines) {
-  EXPECT_GT(served_after_heal(false), 100u) << "legacy engine";
-  EXPECT_GT(served_after_heal(true), 100u) << "sharded engine";
+TEST(HalfOpenProbe, LostRaceReopensTheBreakerOnLegacyEngine) {
+  EXPECT_GT(served_after_heal(false), 100u);
+}
+
+TEST(HalfOpenProbe, LostRaceReopensTheBreakerOnShardedEngine) {
+  EXPECT_GT(served_after_heal(true), 100u);
+}
+
+/// The shared rule both engines call: a probe that lost its race is a
+/// failure, so the breaker re-opens for open_duration and grants the
+/// next probe when that has passed.
+TEST(HalfOpenProbe, SettleLostReopensAndRestartsTheTimer) {
+  resilience::ClientPolicyConfig cfg;
+  cfg.enabled = true;
+  cfg.breaker = small_breaker();
+  resilience::ClientPolicy policy(cfg);
+  for (int i = 0; i < 4; ++i) policy.record(0.0, false);  // open at t=0
+  ASSERT_TRUE(policy.allow(10.0));                         // the probe
+  EXPECT_FALSE(policy.allow(12.0));
+  EXPECT_EQ(core::settle_lost(policy, 13.0), core::Verdict::Abandon);
+  EXPECT_EQ(policy.breaker().trips(), 2u);
+  EXPECT_EQ(policy.breaker_state(22.9), CircuitBreaker::State::Open);
+  EXPECT_EQ(policy.breaker_state(23.0), CircuitBreaker::State::HalfOpen);
+  EXPECT_TRUE(policy.allow(23.0));
 }
 
 }  // namespace
