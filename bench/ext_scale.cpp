@@ -19,6 +19,7 @@
 ///   $ ./bench/ext_scale --users 10000   # one legacy point per series
 ///   $ ./bench/ext_scale --users 1000000 --shards 8   # one sharded point
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -226,13 +227,28 @@ int main(int argc, char** argv) {
   // --shards is this bench's own flag; peel it off before the shared
   // parser (which rejects unknown options).
   int shard_override = 0;
+  // The whole value must be a positive integer; anything else is a usage
+  // error.
+  auto parse_shards = [argv](const std::string& v) {
+    int k = 0;
+    auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), k);
+    if (ec != std::errc() || end != v.data() + v.size() || k <= 0) {
+      std::cerr << argv[0] << ": --shards needs a positive integer\n";
+      std::exit(2);
+    }
+    return k;
+  };
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--shards=", 0) == 0) {
-      shard_override = std::atoi(arg.c_str() + 9);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shard_override = std::atoi(argv[++i]);
+      shard_override = parse_shards(arg.substr(9));
+    } else if (arg == "--shards") {
+      if (i + 1 >= argc) {
+        std::cerr << argv[0] << ": --shards needs a value\n";
+        std::exit(2);
+      }
+      shard_override = parse_shards(argv[++i]);
     } else {
       passthrough.push_back(argv[i]);
     }

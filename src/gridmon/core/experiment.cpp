@@ -140,7 +140,7 @@ void print_figures(std::ostream& os, int first_figure,
         double v = -1;
         for (const auto& p : s.points) {
           if (p.x == x) {
-            v = m.field == &SweepPoint::load1 ? p.load1 : p.*(m.field);
+            v = p.*(m.field);
             break;
           }
         }

@@ -47,11 +47,7 @@ std::vector<mds::ProviderSpec> default_providers(int count) {
 
 GrisScenario::GrisScenario(Testbed& tb, int providers, bool cache,
                            const std::string& host)
-    : GrisScenario(tb, default_providers(providers), cache, host) {}
-
-GrisScenario::GrisScenario(Testbed& tb, std::vector<mds::ProviderSpec> providers,
-                           bool cache, const std::string& host)
-    : GrisScenario(tb, std::move(providers),
+    : GrisScenario(tb, default_providers(providers),
                    [cache] {
                      mds::GrisConfig config;
                      config.cache_enabled = cache;

@@ -106,9 +106,6 @@ struct GrisScenario : Scenario {
 
   GrisScenario(Testbed& tb, int providers, bool cache,
                const std::string& host = "lucky7");
-  /// Explicit provider specs (the TTL / entry-volume ablations).
-  GrisScenario(Testbed& tb, std::vector<mds::ProviderSpec> providers,
-               bool cache, const std::string& host = "lucky7");
   /// Full config control (the overload ablations shrink the listen
   /// backlog so the admission queue, not slapd's internals, is the bound).
   GrisScenario(Testbed& tb, std::vector<mds::ProviderSpec> providers,

@@ -10,6 +10,9 @@ namespace {
 constexpr std::uint8_t kOpPut = 1;    // machine, received_at, ad text
 constexpr std::uint8_t kOpErase = 2;  // machine
 
+// The Cpu span over each query kind's base charge, by Manager::Kind.
+constexpr const char* kCpuSpan[] = {"status", "dump", "query_base", "lookup"};
+
 }  // namespace
 
 Manager::Manager(net::Network& net, host::Host& host, net::Interface& nic,
@@ -180,142 +183,74 @@ sim::Task<bool> Manager::advertise(net::Interface& from, classad::ClassAd ad,
   co_return true;
 }
 
-sim::Task<HawkeyeReply> Manager::query_status(net::Interface& client,
-                                              trace::Ctx ctx) {
+sim::Task<HawkeyeReply> Manager::serve(net::Interface& client, Kind kind,
+                                       std::string arg,
+                                       std::string* address_out,
+                                       trace::Ctx ctx) {
   net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
                  config_.client_tool_latency);
-  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
-    co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
-  }
-
-  HawkeyeReply reply;
-  {
-    trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
-    auto lease = co_await thread_.acquire();
-    wait.end();
-    reply.stale = expire_and_check_stale();
-    trace::Span cpu(ctx, trace::SpanKind::Cpu, "status");
-    co_await host_.cpu().consume(config_.query_base_cpu);
-    // Summary line per machine straight out of the indexed store: a fixed
-    // handful of attributes each.
-    double attrs = 10.0 * static_cast<double>(ads_.size());
-    co_await host_.cpu().consume(config_.status_cpu_per_attr * attrs);
-    cpu.end();
-    reply.machines = ads_.size();
-    reply.response_bytes =
-        config_.status_bytes_per_machine * static_cast<double>(ads_.size());
-    reply.admitted = true;
-    // Single-threaded daemon: the blocking response send happens inside
-    // the service thread.
-    if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
-      reply.timed_out = true;
-    }
-  }
-  co_return reply;
-}
-
-sim::Task<HawkeyeReply> Manager::query_dump(net::Interface& client,
-                                            trace::Ctx ctx) {
-  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
-                 config_.client_tool_latency);
-  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
-    co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
-  }
-
-  HawkeyeReply reply;
-  {
-    trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
-    auto lease = co_await thread_.acquire();
-    wait.end();
-    reply.stale = expire_and_check_stale();
-    trace::Span cpu(ctx, trace::SpanKind::Cpu, "dump");
-    co_await host_.cpu().consume(config_.query_base_cpu);
-    co_await host_.cpu().consume(config_.dump_cpu_per_attr * total_attrs());
-    cpu.end();
-    double bytes = 0;
-    for (const auto& [name, e] : ads_) bytes += e.ad.wire_bytes();
-    reply.machines = ads_.size();
-    reply.response_bytes = bytes;
-    reply.admitted = true;
-    if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
-      reply.timed_out = true;
-    }
-  }
-  co_return reply;
-}
-
-sim::Task<HawkeyeReply> Manager::query_constraint(
-    net::Interface& client, std::string constraint, trace::Ctx ctx) {
-  auto& sim = host_.simulation();
-  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
-                 config_.client_tool_latency);
-  if (co_await dial.request(config_.request_bytes +
-                            static_cast<double>(constraint.size())) !=
+  if (co_await dial.request(
+          config_.request_bytes +
+          (kind == Kind::Constraint ? static_cast<double>(arg.size()) : 0)) !=
       net::Admission::Ok) {
     co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
   }
 
   HawkeyeReply reply;
   {
-    trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
+    // One span, re-aimed stage by stage: pool wait, base CPU charge and,
+    // for a constraint, the ClassAd scan.
+    trace::Span span(ctx, trace::SpanKind::PoolWait, "manager");
     auto lease = co_await thread_.acquire();
-    wait.end();
+    span.end();
     reply.stale = expire_and_check_stale();
-    {
-      trace::Span cpu(ctx, trace::SpanKind::Cpu, "query_base",
-                      config_.query_base_cpu);
-      co_await host_.cpu().consume(config_.query_base_cpu);
+    span = trace::Span(ctx, trace::SpanKind::Cpu,
+                       kCpuSpan[static_cast<int>(kind)],
+                       kind == Kind::Constraint ? config_.query_base_cpu : 0);
+    co_await host_.cpu().consume(config_.query_base_cpu);
+    // The pool as it stands after the base charge sizes the rest of the
+    // work (crash() may have emptied it meanwhile).
+    classad::ExprPtr expr;
+    if (kind == Kind::Constraint) {
+      span.end();
+      span = trace::Span(ctx, trace::SpanKind::ClassAdEval, arg,
+                         static_cast<double>(ads_.size()));
+      expr = classad::parse_expression(arg);
     }
-    trace::Span scan(ctx, trace::SpanKind::ClassAdEval, constraint,
-                     static_cast<double>(ads_.size()));
-    auto expr = classad::parse_expression(constraint);
-    co_await host_.cpu().consume(config_.match_cpu_per_ad *
-                                 static_cast<double>(ads_.size()));
-    double bytes = 128;  // envelope
-    std::size_t matches = 0;
-    for (const auto& [name, e] : ads_) {
-      if (classad::satisfies(e.ad, *expr, sim.now())) {
-        ++matches;
-        bytes += e.ad.wire_bytes();
+    if (kind != Kind::Lookup) {
+      // Status: a summary line of a fixed handful of attributes per
+      // machine; dump: every attribute; constraint: every ad evaluated.
+      double n = static_cast<double>(ads_.size());
+      co_await host_.cpu().consume(
+          kind == Kind::Status ? config_.status_cpu_per_attr * (10.0 * n)
+          : kind == Kind::Dump ? config_.dump_cpu_per_attr * total_attrs()
+                               : config_.match_cpu_per_ad * n);
+    }
+    if (kind == Kind::Status) {
+      reply.machines = ads_.size();
+      reply.response_bytes =
+          config_.status_bytes_per_machine * static_cast<double>(ads_.size());
+    } else if (kind == Kind::Lookup) {
+      if (find_machine(arg) != nullptr) {  // indexed lookup
+        reply.machines = 1;
+        if (address_out != nullptr) *address_out = arg;
+      }
+      reply.response_bytes = 256;
+    } else {
+      // Dump: every full ad; constraint: the matching ones in an envelope.
+      if (kind == Kind::Constraint) reply.response_bytes = 128;
+      for (const auto& [name, e] : ads_) {
+        if (!expr ||
+            classad::satisfies(e.ad, *expr, host_.simulation().now())) {
+          ++reply.machines;
+          reply.response_bytes += e.ad.wire_bytes();
+        }
       }
     }
-    scan.end();
-    reply.machines = matches;
-    reply.response_bytes = bytes;
+    span.end();
     reply.admitted = true;
-    if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
-      reply.timed_out = true;
-    }
-  }
-  co_return reply;
-}
-
-sim::Task<HawkeyeReply> Manager::lookup_agent(net::Interface& client,
-                                              std::string machine,
-                                              std::string* address_out,
-                                              trace::Ctx ctx) {
-  net::Dial dial(net_, client, nic_, port_, ctx, config_.connect_timeout,
-                 config_.client_tool_latency);
-  if (co_await dial.request(config_.request_bytes) != net::Admission::Ok) {
-    co_return dial.unanswered<HawkeyeReply>(ctx, "manager");
-  }
-
-  HawkeyeReply reply;
-  {
-    trace::Span wait(ctx, trace::SpanKind::PoolWait, "manager");
-    auto lease = co_await thread_.acquire();
-    wait.end();
-    reply.stale = expire_and_check_stale();
-    trace::Span cpu(ctx, trace::SpanKind::Cpu, "lookup");
-    co_await host_.cpu().consume(config_.query_base_cpu);
-    cpu.end();
-    const classad::ClassAd* ad = find_machine(machine);  // indexed lookup
-    if (ad != nullptr) {
-      reply.machines = 1;
-      if (address_out != nullptr) *address_out = machine;
-    }
-    reply.response_bytes = 256;
-    reply.admitted = true;
+    // Single-threaded daemon: the blocking response send happens inside
+    // the service thread.
     if (co_await dial.respond(reply.response_bytes) != net::Admission::Ok) {
       reply.timed_out = true;
     }

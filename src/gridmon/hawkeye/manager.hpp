@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gridmon/classad/classad.hpp"
@@ -102,17 +103,24 @@ class Manager : private store::Durable {
   /// Directory-style lookup (the paper's Experiment 2): the status
   /// summary of pool members — cheap, served from the indexed store.
   sim::Task<HawkeyeReply> query_status(net::Interface& client,
-                                       trace::Ctx ctx = {});
+                                       trace::Ctx ctx = {}) {
+    return serve(client, Kind::Status, {}, nullptr, ctx);
+  }
 
   /// Full-data dump of every machine's complete Startd ad (Experiment 3).
   sim::Task<HawkeyeReply> query_dump(net::Interface& client,
-                                     trace::Ctx ctx = {});
+                                     trace::Ctx ctx = {}) {
+    return serve(client, Kind::Dump, {}, nullptr, ctx);
+  }
 
   /// Constraint scan over all resident ads (Experiment 4's worst case is
   /// a constraint no machine meets). Returns matching machine count.
   sim::Task<HawkeyeReply> query_constraint(net::Interface& client,
                                            std::string constraint,
-                                           trace::Ctx ctx = {});
+                                           trace::Ctx ctx = {}) {
+    return serve(client, Kind::Constraint, std::move(constraint), nullptr,
+                 ctx);
+  }
 
   /// The paper's §2.3 two-step protocol: "the client must first consult
   /// the Manager for the Agent's IP-address" before querying a Module
@@ -121,7 +129,9 @@ class Manager : private store::Durable {
   sim::Task<HawkeyeReply> lookup_agent(net::Interface& client,
                                        std::string machine,
                                        std::string* address_out,
-                                       trace::Ctx ctx = {});
+                                       trace::Ctx ctx = {}) {
+    return serve(client, Kind::Lookup, std::move(machine), address_out, ctx);
+  }
 
   /// Attach resource timelines ("manager.daemon") to a trace collector.
   void instrument(trace::Collector& col) {
@@ -179,6 +189,17 @@ class Manager : private store::Durable {
     classad::ClassAd ad;
     double received_at = 0;
   };
+
+  /// The four client queries; one coroutine serves them all.
+  enum class Kind { Status, Dump, Constraint, Lookup };
+
+  /// One Manager request: the Dial, the daemon thread, the stale check,
+  /// the base CPU charge, the kind's own work and the response. `arg` is
+  /// the constraint or the machine name (by value: the public entries
+  /// return this task unawaited).
+  sim::Task<HawkeyeReply> serve(net::Interface& client, Kind kind,
+                                std::string arg, std::string* address_out,
+                                trace::Ctx ctx);
 
   double total_attrs() const;
   /// Drop resident ads past ad_lifetime (no-op when disabled) and return

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "gridmon/core/scenarios.hpp"
 #include "gridmon/core/testbed.hpp"
 #include "gridmon/fault/injector.hpp"
@@ -19,9 +21,37 @@
 namespace gridmon {
 namespace {
 
-sim::Task<void> run_status(hawkeye::Manager& m, net::Interface& nic,
-                           hawkeye::HawkeyeReply* out) {
-  *out = co_await m.query_status(nic);
+/// One client query of each Manager kind. The four share one front (the
+/// daemon thread, ad expiry and the stale check), so each must see the
+/// same pool.
+struct ManagerProbe {
+  const char* kind;
+  sim::Task<hawkeye::HawkeyeReply> (*query)(hawkeye::Manager&,
+                                            net::Interface&);
+};
+
+const ManagerProbe kManagerProbes[] = {
+    {"status",
+     [](hawkeye::Manager& m, net::Interface& nic) {
+       return m.query_status(nic);
+     }},
+    {"dump",
+     [](hawkeye::Manager& m, net::Interface& nic) {
+       return m.query_dump(nic);
+     }},
+    {"constraint",
+     [](hawkeye::Manager& m, net::Interface& nic) {
+       return m.query_constraint(nic, "true");
+     }},
+    {"lookup",
+     [](hawkeye::Manager& m, net::Interface& nic) {
+       return m.lookup_agent(nic, "lucky4.mcs.anl.gov", nullptr);
+     }},
+};
+
+sim::Task<void> run_probe(ManagerProbe probe, hawkeye::Manager& m,
+                          net::Interface& nic, hawkeye::HawkeyeReply* out) {
+  *out = co_await probe.query(m, nic);
 }
 
 /// The failure_recovery example: a GIIS aggregating a local and a remote
@@ -182,31 +212,36 @@ TEST(SoftStateRecoveryTest, ManagerExpiresCrashedAgentAds) {
   // The last beat lands in [10, 40): probe while the resident ad is old
   // enough to flag replies stale (age > 35) but short of ad_lifetime (90),
   // again once it must have expired, and again after the restart beats.
-  hawkeye::HawkeyeReply stale_reply, expired_reply, recovered_reply;
-  sim.schedule(85, [&] {
-    sim.spawn(run_status(manager, tb.nic("lucky5"), &stale_reply));
-  });
-  sim.schedule(140, [&] {
-    sim.spawn(run_status(manager, tb.nic("lucky5"), &expired_reply));
-  });
-  sim.schedule(205, [&] {
-    sim.spawn(run_status(manager, tb.nic("lucky5"), &recovered_reply));
-  });
+  // Every query kind probes at each time.
+  constexpr double kProbeAt[] = {85, 140, 205};
+  hawkeye::HawkeyeReply replies[std::size(kManagerProbes)][3];
+  for (std::size_t k = 0; k < std::size(kManagerProbes); ++k) {
+    for (std::size_t t = 0; t < 3; ++t) {
+      sim.schedule(kProbeAt[t], [&, k, t] {
+        sim.spawn(run_probe(kManagerProbes[k], manager, tb.nic("lucky5"),
+                            &replies[k][t]));
+      });
+    }
+  }
 
   sim.run(38);
   EXPECT_GE(manager.machine_count(), 1u);
   sim.run(240);
 
-  EXPECT_TRUE(stale_reply.admitted);
-  EXPECT_GE(stale_reply.machines, 1u);
-  EXPECT_TRUE(stale_reply.stale);
+  for (std::size_t k = 0; k < std::size(kManagerProbes); ++k) {
+    SCOPED_TRACE(kManagerProbes[k].kind);
+    const auto& [stale_reply, expired_reply, recovered_reply] = replies[k];
+    EXPECT_TRUE(stale_reply.admitted);
+    EXPECT_GE(stale_reply.machines, 1u);
+    EXPECT_TRUE(stale_reply.stale);
 
-  EXPECT_TRUE(expired_reply.admitted);
-  EXPECT_EQ(expired_reply.machines, 0u);
+    EXPECT_TRUE(expired_reply.admitted);
+    EXPECT_EQ(expired_reply.machines, 0u);
 
-  EXPECT_TRUE(recovered_reply.admitted);
-  EXPECT_GE(recovered_reply.machines, 1u);
-  EXPECT_FALSE(recovered_reply.stale);
+    EXPECT_TRUE(recovered_reply.admitted);
+    EXPECT_GE(recovered_reply.machines, 1u);
+    EXPECT_FALSE(recovered_reply.stale);
+  }
   tb.sim().shutdown();
 }
 

@@ -197,7 +197,7 @@ TEST(Dataflow, TaintJoinOrsBitsAcrossPaths) {
   ASSERT_GE(arm2, 0);
   ASSERT_NE(arm1, arm2);
   auto states = gridmon::lint::solve_forward(
-      cfg, [&](int node, gridmon::lint::VarBits& st) {
+      cfg, gridmon::lint::join_bits, [&](int node, gridmon::lint::VarBits& st) {
         if (node == arm1) st["x"] |= gridmon::lint::kTaintEnv;
         if (node == arm2) st["x"] |= gridmon::lint::kTaintClock;
       });

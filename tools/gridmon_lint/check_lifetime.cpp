@@ -86,6 +86,30 @@ struct Body {
   }
 };
 
+/// Solve `join`'s fixpoint over the body's node-entry states, then run one
+/// deterministic reporting walk: `transfer(node, state, report)` again at
+/// every node from its solved entry state, collecting diagnostics. A use
+/// reached along several paths is reported once, in (line, col) order.
+template <typename State, typename Transfer>
+void report_forward(const Body& body, bool (*join)(State&, const State&),
+                    Transfer transfer, std::vector<Diagnostic>& out) {
+  std::vector<State> in =
+      solve_forward(body.cfg, join,
+                    [&](int node, State& st) { transfer(node, st, nullptr); });
+  std::vector<Diagnostic> found;
+  for (int node = 0; node < static_cast<int>(in.size()); ++node) {
+    transfer(node, in[node], &found);
+  }
+  std::sort(found.begin(), found.end(),
+            [](const Diagnostic& a, const Diagnostic& b) {
+              return std::tie(a.line, a.col) < std::tie(b.line, b.col);
+            });
+  std::set<std::pair<int, int>> seen;
+  for (Diagnostic& d : found) {
+    if (seen.insert({d.line, d.col}).second) out.push_back(std::move(d));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // coroutine.stale-ref-across-suspend
 
@@ -224,40 +248,7 @@ void stale_ref_pass(const Body& body, std::vector<Diagnostic>& out) {
     }
   };
 
-  // Fixpoint over node-entry states, then one deterministic reporting walk.
-  // Every node is seeded (all-bottom initial states report no join change,
-  // so entry-only seeding would never process any other node).
-  const int n = static_cast<int>(body.cfg.nodes.size());
-  std::vector<BorrowState> in(n);
-  std::vector<char> queued(n, 1);
-  std::vector<int> work;
-  for (int node = n - 1; node >= 0; --node) work.push_back(node);
-  while (!work.empty()) {
-    int node = work.back();
-    work.pop_back();
-    queued[node] = 0;
-    BorrowState st = in[node];
-    transfer(node, st, nullptr);
-    for (int s : body.cfg.nodes[node].succ) {
-      if (join_borrows(in[s], st) && !queued[s]) {
-        queued[s] = 1;
-        work.push_back(s);
-      }
-    }
-  }
-  std::vector<Diagnostic> found;
-  for (int node = 0; node < n; ++node) {
-    BorrowState st = in[node];
-    transfer(node, st, &found);
-  }
-  std::sort(found.begin(), found.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
-              return std::tie(a.line, a.col) < std::tie(b.line, b.col);
-            });
-  std::set<std::pair<int, int>> seen;
-  for (Diagnostic& d : found) {
-    if (seen.insert({d.line, d.col}).second) out.push_back(std::move(d));
-  }
+  report_forward(body, join_borrows, transfer, out);
 }
 
 /// Range-for over a shared container whose loop body suspends: the loop's
@@ -446,37 +437,7 @@ void use_after_move_pass(const Body& body, std::vector<Diagnostic>& out) {
     }
   };
 
-  const int n = static_cast<int>(body.cfg.nodes.size());
-  std::vector<MovedState> in(n);
-  std::vector<char> queued(n, 1);
-  std::vector<int> work;
-  for (int node = n - 1; node >= 0; --node) work.push_back(node);
-  while (!work.empty()) {
-    int node = work.back();
-    work.pop_back();
-    queued[node] = 0;
-    MovedState st = in[node];
-    transfer(node, st, nullptr);
-    for (int s : body.cfg.nodes[node].succ) {
-      if (join_moved(in[s], st) && !queued[s]) {
-        queued[s] = 1;
-        work.push_back(s);
-      }
-    }
-  }
-  std::vector<Diagnostic> found;
-  for (int node = 0; node < n; ++node) {
-    MovedState st = in[node];
-    transfer(node, st, &found);
-  }
-  std::sort(found.begin(), found.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
-              return std::tie(a.line, a.col) < std::tie(b.line, b.col);
-            });
-  std::set<std::pair<int, int>> seen;
-  for (Diagnostic& d : found) {
-    if (seen.insert({d.line, d.col}).second) out.push_back(std::move(d));
-  }
+  report_forward(body, join_moved, transfer, out);
 }
 
 }  // namespace

@@ -256,7 +256,7 @@ struct TaintBody {
   }
 
   std::vector<VarBits> solve() {
-    return solve_forward(cfg, [&](int node, VarBits& st) {
+    return solve_forward(cfg, join_bits, [&](int node, VarBits& st) {
       if (param_mode && node == cfg.entry) {
         // Parameters are born carrying their own index bit.
         for (std::size_t i = 0; i < params.size() && i < 16; ++i) {

@@ -4,7 +4,8 @@
 /// A small worklist framework over per-function CFGs (cfg.hpp) and the
 /// bitset taint lattice the flow-sensitive checks build on.
 ///
-/// States are maps from variable name to a small value joined with bitwise
+/// The solver is generic over the state and its join. The taint checks'
+/// states are maps from variable name to a small value joined with bitwise
 /// OR (VarBits). The lattice is a finite-height powerset over the
 /// identifiers that occur in one function body, so the worklist loop
 /// terminates without any widening.
@@ -44,7 +45,7 @@ struct VarEvent {
 std::vector<VarEvent> var_events(const Model& m, int begin, int end);
 
 // ---------------------------------------------------------------------------
-// Generic forward solver over VarBits states.
+// Generic forward solver.
 
 /// var -> bitset; absent means bottom (0). Join is per-var bitwise OR.
 using VarBits = std::map<std::string, unsigned>;
@@ -52,15 +53,19 @@ using VarBits = std::map<std::string, unsigned>;
 /// OR `src` into `dst`; true when `dst` changed.
 bool join_bits(VarBits& dst, const VarBits& src);
 
-/// Forward worklist fixpoint. `transfer(node_id, state)` mutates the
+/// Forward worklist fixpoint over node-entry states of any `State` whose
+/// default value is bottom. `join(dst, src)` merges `src` into `dst` and
+/// returns true when `dst` changed. `transfer(node_id, state)` mutates the
 /// node-entry state in place into the node-exit state; it must be monotone
-/// in the OR-lattice (only add bits, or overwrite with values independent
-/// of the input — a strong kill like `moved -> 0` on rebind is fine because
-/// it is a function of the node, not of the incoming bits). Returns the
-/// entry state of every node.
-template <typename Transfer>
-std::vector<VarBits> solve_forward(const Cfg& cfg, Transfer transfer) {
-  std::vector<VarBits> in(cfg.nodes.size());
+/// in the join's lattice (only add facts, or overwrite with values
+/// independent of the input — a strong kill like `moved -> 0` on rebind is
+/// fine because it is a function of the node, not of the incoming facts).
+/// Returns the entry state of every node.
+template <typename State, typename Transfer>
+std::vector<State> solve_forward(const Cfg& cfg,
+                                 bool (*join)(State&, const State&),
+                                 Transfer transfer) {
+  std::vector<State> in(cfg.nodes.size());
   // Seed every node, not just entry: with all-bottom initial states a join
   // never reports a change, so entry-only seeding would starve the loop
   // before any node's own transfer had run even once.
@@ -73,10 +78,10 @@ std::vector<VarBits> solve_forward(const Cfg& cfg, Transfer transfer) {
     int n = work.back();
     work.pop_back();
     queued[n] = 0;
-    VarBits out = in[n];
+    State out = in[n];
     transfer(n, out);
     for (int s : cfg.nodes[n].succ) {
-      if (join_bits(in[s], out) && !queued[s]) {
+      if (join(in[s], out) && !queued[s]) {
         queued[s] = 1;
         work.push_back(s);
       }
